@@ -7,13 +7,13 @@ failed crosscheck, or strict-mode degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .closedform import (
     squeezing_literal,
     squeezing_standard,
 )
-from .crosscheck import CrosscheckReport, default_grid, run_crosscheck
+from .crosscheck import BETA_STEPS, MUS, NUS, CrosscheckReport, default_grid, run_crosscheck
 from .frame import (
     FrameStatus,
     compute_frame,
@@ -80,6 +80,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: 'figure --out' must not silently mean '--outdir'
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # bad arguments are usage errors (exit 1), not assertion failures
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -132,8 +136,9 @@ def fmt(value) -> str:
     return str(value)
 
 
-def read_config(path: str) -> dict[str, str]:
-    """Plain key=value lines; '#' starts a comment; flags override these."""
+def read_config(path: str, known=None) -> dict[str, str]:
+    """Plain key=value lines; '#' starts a comment; flags override these;
+    a key outside ``known`` (when given) is a usage error."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -143,8 +148,15 @@ def read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if known is not None and key not in known:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
+
+
+# namespace entries that are not options a config file may set
+_NOT_CONFIG_KEYS = {"command", "func", "config", "name"}
 
 
 class Options:
@@ -154,7 +166,8 @@ class Options:
         self.args = args
         self.config: dict[str, str] = {}
         if getattr(args, "config", None):
-            self.config = read_config(args.config)
+            known = {k.replace("_", "-") for k in vars(args)} - _NOT_CONFIG_KEYS
+            self.config = read_config(args.config, known)
 
     def get(self, name: str, parse, default=None, required: bool = False):
         raw = getattr(self.args, name.replace("-", "_"), None)
@@ -165,6 +178,13 @@ class Options:
                 raise UsageError(f"missing required option --{name}")
             return default
         return parse(raw) if isinstance(raw, str) else raw
+
+    def out_format(self, choices: tuple[str, ...]) -> str:
+        """The --format value, defaulting to the first of ``choices``."""
+        out_format = self.get("format", str, default=choices[0])
+        if out_format not in choices:
+            raise UsageError(f"unknown format {out_format!r}")
+        return out_format
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +226,9 @@ def evaluate_row(params: SqueezeParams) -> dict:
     }
 
 
-def evaluate_rows(points: list[SqueezeParams], threads: int = 1) -> list[dict]:
-    """Rows in input order; thread count must not affect the result."""
-    if threads <= 1:
-        return [evaluate_row(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate_row, points))
+def evaluate_rows(points: list[SqueezeParams]) -> list[dict]:
+    """Rows in input order."""
+    return [evaluate_row(p) for p in points]
 
 
 def write_rows_csv(rows: list[dict], handle) -> None:
@@ -231,9 +248,10 @@ def write_rows_json(rows: list[dict], handle) -> None:
 
 
 def _open_out(path: str | None):
+    """Context manager for the output; stdout stays open after it."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +291,7 @@ def squeezed_interval_width(betas, xi2_values) -> float:
     return float(selected[-1] - selected[0])
 
 
-def run_fig1(
-    threads: int = 1,
-    nu_steps: int = FIG1_NU_STEPS,
-    beta_steps: int = FIG1_BETA_STEPS,
-):
+def run_fig1(nu_steps: int = FIG1_NU_STEPS, beta_steps: int = FIG1_BETA_STEPS):
     """Mean-spin-length sweeps: three mu slices over a (nu, beta) grid.
 
     Returns (slices, violations, report_lines); slices maps mu to its rows.
@@ -291,7 +305,7 @@ def run_fig1(
         points = [
             SqueezeParams(beta=float(b), mu=mu, nu=float(v)) for v in nus for b in betas
         ]
-        rows = evaluate_rows(points, threads)
+        rows = evaluate_rows(points)
         slices[mu] = rows
         r = np.array([row["r_eq10"] for row in rows]).reshape(len(nus), len(betas))
         if mu == 0.0:
@@ -327,7 +341,7 @@ def run_fig1(
     return slices, violations, lines
 
 
-def run_fig2(threads: int = 1, beta_steps: int = FIG2_BETA_STEPS):
+def run_fig2(beta_steps: int = FIG2_BETA_STEPS):
     """Squeezing sweeps at nu = -pi/3 for mu in {0, pi/2, pi}.
 
     Shape expectations: the mu=0 curve decreases toward a minimum, the
@@ -341,7 +355,7 @@ def run_fig2(threads: int = 1, beta_steps: int = FIG2_BETA_STEPS):
     lines: list[str] = []
     for mu in FIG2_MUS:
         points = [SqueezeParams(beta=float(b), mu=mu, nu=FIG2_NU) for b in betas]
-        slices[mu] = evaluate_rows(points, threads)
+        slices[mu] = evaluate_rows(points)
 
     mu_tags = {FIG2_MUS[0]: "mu=0", FIG2_MUS[1]: "mu=pi/2", FIG2_MUS[2]: "mu=pi"}
     for column in ("xi2_std", "xi2_literal"):
@@ -386,7 +400,7 @@ def cmd_point(opts: Options) -> int:
     convention = opts.get("convention", str, default="standard")
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown convention {convention!r}")
-    out_format = opts.get("format", str, default="text")
+    out_format = opts.out_format(("text", "json"))
 
     params = SqueezeParams(beta=beta, mu=mu, nu=nu)
     record: dict[str, object] = {
@@ -461,8 +475,7 @@ def cmd_point(opts: Options) -> int:
         }
     )
 
-    handle, close = _open_out(opts.get("out", str))
-    try:
+    with _open_out(opts.get("out", str)) as handle:
         if out_format == "json":
             serializable = {
                 k: ([v.real, v.imag] if isinstance(v, complex) else v)
@@ -478,9 +491,6 @@ def cmd_point(opts: Options) -> int:
                     handle.write(f"{key} = {fmt(value.real)}{sign}{imag}j\n")
                 else:
                     handle.write(f"{key} = {fmt(value)}\n")
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -490,15 +500,14 @@ def cmd_sweep(opts: Options) -> int:
     beta_steps = opts.get("beta-steps", int, default=101)
     mus = opts.get("mu-list", parse_float_list, required=True)
     nus = opts.get("nu-list", parse_float_list, required=True)
-    out_format = opts.get("format", str, default="csv")
+    out_format = opts.out_format(("csv", "json"))
+    # accepted and validated for compatibility; evaluation is serial
     threads = opts.get("threads", int, default=1)
     strict = opts.get("strict", parse_bool, default=False)
     if beta_steps < 2:
         raise UsageError("beta-steps must be at least 2")
     if threads < 1:
         raise UsageError("threads must be at least 1")
-    if out_format not in ("csv", "json"):
-        raise UsageError(f"unknown format {out_format!r}")
 
     betas = np.linspace(beta_min, beta_max, beta_steps)
     points = [
@@ -507,17 +516,13 @@ def cmd_sweep(opts: Options) -> int:
         for v in nus
         for b in betas
     ]
-    rows = evaluate_rows(points, threads)
+    rows = evaluate_rows(points)
 
-    handle, close = _open_out(opts.get("out", str))
-    try:
+    with _open_out(opts.get("out", str)) as handle:
         if out_format == "csv":
             write_rows_csv(rows, handle)
         else:
             write_rows_json(rows, handle)
-    finally:
-        if close:
-            handle.close()
 
     if strict:
         degenerate = sum(
@@ -535,13 +540,12 @@ def cmd_sweep(opts: Options) -> int:
 def cmd_figure(opts: Options) -> int:
     name = opts.args.name
     outdir = opts.get("outdir", str, required=True)
-    threads = opts.get("threads", int, default=1)
     os.makedirs(outdir, exist_ok=True)
 
     if name == "fig1":
-        slices, violations, lines = run_fig1(threads)
+        slices, violations, lines = run_fig1()
     else:
-        slices, violations, lines = run_fig2(threads)
+        slices, violations, lines = run_fig2()
 
     written = []
     for index, (mu, rows) in enumerate(slices.items()):
@@ -588,20 +592,10 @@ def cmd_figure(opts: Options) -> int:
 
 
 def _render_crosscheck_text(report: CrosscheckReport, handle) -> None:
-    data = report.as_dict()
-    for key in (
-        "samples",
-        "tol",
-        "nu_sign_hypothesis",
-        "factor_hypothesis",
-        "nu_discrimination",
-        "factor_discrimination",
-        "regular_points",
-        "polar_degenerate_points",
-        "fully_degenerate_points",
-        "independent_ok",
-    ):
-        handle.write(f"{key} = {fmt(data[key])}\n")
+    # the scalar entries, in report order; tables and failures follow
+    for key, value in report.as_dict().items():
+        if not isinstance(value, (dict, list)):
+            handle.write(f"{key} = {fmt(value)}\n")
     for label, diff in sorted(report.nu_candidate_max_diff.items()):
         handle.write(f"nu_candidate_max_diff[{label}] = {fmt(diff)}\n")
     for label, diff in sorted(report.factor_candidate_max_diff.items()):
@@ -619,46 +613,25 @@ def _render_crosscheck_text(report: CrosscheckReport, handle) -> None:
 
 def cmd_crosscheck(opts: Options) -> int:
     tol = opts.get("tol", parse_angle, default=1e-10)
-    out_format = opts.get("format", str, default="text")
-    mus = opts.get("mu-list", parse_float_list)
-    nus = opts.get("nu-list", parse_float_list)
-    beta_min = opts.get("beta-min", parse_angle)
-    beta_max = opts.get("beta-max", parse_angle)
-    beta_steps = opts.get("beta-steps", int)
-
-    if any(v is not None for v in (mus, nus, beta_min, beta_max, beta_steps)):
-        betas = np.linspace(
-            beta_min if beta_min is not None else 0.0,
-            beta_max if beta_max is not None else 1.0,
-            beta_steps if beta_steps is not None else 21,
-        )
-        mus = mus if mus is not None else [
-            0.0, math.pi / 6, math.pi / 3, math.pi / 2,
-            2 * math.pi / 3, 5 * math.pi / 6, math.pi,
-        ]
-        nus = nus if nus is not None else [
-            -math.pi / 2, -math.pi / 3, 0.0, math.pi / 4, math.pi / 2, math.pi,
-        ]
-        grid = [
-            SqueezeParams(beta=float(b), mu=float(m), nu=float(v))
-            for b in betas
-            for m in mus
-            for v in nus
-        ]
-    else:
-        grid = default_grid()
+    out_format = opts.out_format(("text", "json"))
+    betas = np.linspace(
+        opts.get("beta-min", parse_angle, default=0.0),
+        opts.get("beta-max", parse_angle, default=1.0),
+        opts.get("beta-steps", int, default=BETA_STEPS),
+    )
+    grid = default_grid(
+        betas,
+        opts.get("mu-list", parse_float_list, default=MUS),
+        opts.get("nu-list", parse_float_list, default=NUS),
+    )
 
     report = run_crosscheck(grid, tol)
-    handle, close = _open_out(opts.get("out", str))
-    try:
+    with _open_out(opts.get("out", str)) as handle:
         if out_format == "json":
             json.dump(report.as_dict(), handle, indent=2)
             handle.write("\n")
         else:
             _render_crosscheck_text(report, handle)
-    finally:
-        if close:
-            handle.close()
 
     if not report.independent_ok:
         print("crosscheck: convention-independent quantities disagree", file=sys.stderr)
@@ -680,18 +653,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config(p):
         p.add_argument("--config", help="key=value file; explicit flags override it")
+
+    def output(p, formats):
+        config(p)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", help="output format")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
+        p.add_argument("--format", help=f"{' or '.join(formats)} (default {formats[0]})")
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
     p_point.add_argument("--beta", help="Bell weight in [0, 1]")
     p_point.add_argument("--mu", help="shape angle in [0, pi]; accepts pi forms")
     p_point.add_argument("--nu", help="relative phase in radians; accepts pi forms")
     p_point.add_argument("--convention", help="standard or paper-literal")
-    common(p_point)
+    output(p_point, ("text", "json"))
     p_point.set_defaults(func=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over (mu, nu, beta)")
@@ -700,19 +675,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--beta-steps", type=int, help="number of beta points (default 101)")
     p_sweep.add_argument("--mu-list", help="comma-separated mu values")
     p_sweep.add_argument("--nu-list", help="comma-separated nu values")
-    p_sweep.add_argument("--convention", help="standard or paper-literal")
     p_sweep.add_argument(
         "--strict", nargs="?", const="true",
         help="exit 2 when fully-degenerate points occur",
     )
-    common(p_sweep)
+    p_sweep.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
+    output(p_sweep, ("csv", "json"))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="preset sweeps with shape assertions")
     p_fig.add_argument("name", choices=("fig1", "fig2"))
     p_fig.add_argument("--outdir", help="directory for the emitted files")
-    p_fig.add_argument("--convention", help="standard or paper-literal")
-    common(p_fig)
+    config(p_fig)
     p_fig.set_defaults(func=cmd_figure)
 
     p_check = sub.add_parser("crosscheck", help="closed forms versus operator oracle")
@@ -722,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mu-list", help="grid override")
     p_check.add_argument("--nu-list", help="grid override")
     p_check.add_argument("--tol", help="comparison tolerance (default 1e-10)")
-    common(p_check)
+    output(p_check, ("text", "json"))
     p_check.set_defaults(func=cmd_crosscheck)
 
     return parser

@@ -16,7 +16,8 @@ match as printed; those are the build-stopping ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -60,10 +61,15 @@ NU_DISCRIMINATING = ("jy", "yz_anticomm", "anticomm")
 FRAME_DEPENDENT = ("jn1_sq", "jn2_sq", "anticomm")
 
 
-def default_grid() -> list[SqueezeParams]:
-    betas = np.linspace(0.0, 1.0, 21)
-    mus = [0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, np.pi]
-    nus = [-np.pi / 2, -np.pi / 3, 0.0, np.pi / 4, np.pi / 2, np.pi]
+BETA_STEPS = 21
+MUS = (0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, np.pi)
+NUS = (-np.pi / 2, -np.pi / 3, 0.0, np.pi / 4, np.pi / 2, np.pi)
+
+
+def default_grid(betas=None, mus=MUS, nus=NUS) -> list[SqueezeParams]:
+    """Points ordered beta, mu, nu; betas defaults to BETA_STEPS values on [0, 1]."""
+    if betas is None:
+        betas = np.linspace(0.0, 1.0, BETA_STEPS)
     return [
         SqueezeParams(beta=float(b), mu=float(m), nu=float(v))
         for b in betas
@@ -107,33 +113,14 @@ class CrosscheckReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "tol": self.tol,
-            "nu_sign_hypothesis": self.nu_sign_hypothesis,
-            "factor_hypothesis": self.factor_hypothesis,
-            "max_abs_diff_per_quantity": dict(self.max_abs_diff_per_quantity),
-            "nu_candidate_max_diff": dict(self.nu_candidate_max_diff),
-            "nu_discrimination": self.nu_discrimination,
-            "factor_candidate_max_diff": dict(self.factor_candidate_max_diff),
-            "factor_discrimination": self.factor_discrimination,
-            "regular_points": self.regular_points,
-            "polar_degenerate_points": self.polar_degenerate_points,
-            "fully_degenerate_points": self.fully_degenerate_points,
-            "independent_ok": self.independent_ok,
-            "failures": [
-                {
-                    "beta": f.beta,
-                    "mu": f.mu,
-                    "nu": f.nu,
-                    "quantity": f.quantity,
-                    "closed": repr(f.closed),
-                    "oracle": repr(f.oracle),
-                    "diff": f.diff,
-                }
-                for f in self.failures
-            ],
-        }
+        """Fields in declaration order, independent_ok before the failures."""
+        data = asdict(self)
+        failures = data.pop("failures")
+        data["independent_ok"] = self.independent_ok
+        data["failures"] = [
+            {**f, "closed": repr(f["closed"]), "oracle": repr(f["oracle"])} for f in failures
+        ]
+        return data
 
 
 def _closed_values(params: SqueezeParams) -> dict[str, complex]:
@@ -215,8 +202,8 @@ def run_crosscheck(
         grid = default_grid()
     if len(grid) == 0:
         raise ValueError("crosscheck grid must be nonempty")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     records = []
     status_counts = {s: 0 for s in FrameStatus}

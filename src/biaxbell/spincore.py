@@ -15,6 +15,7 @@ import numpy as np
 N_QUBITS = 2
 TOTAL_SPIN = N_QUBITS / 2.0          # j = 1 for the state family
 DEFAULT_MAX_DIM = 64
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,11 @@ class SqueezeParams:
     def __post_init__(self) -> None:
         for name in ("beta", "mu", "nu"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            # numpy real scalars are accepted; bool is not a number here
+            real = isinstance(value, _REAL_TYPES) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         if not 0.0 <= self.mu <= math.pi:

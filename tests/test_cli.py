@@ -12,8 +12,6 @@ from biaxbell.cli import (
     SWEEP_COLUMNS,
     UsageError,
     evaluate_row,
-    evaluate_rows,
-    fmt,
     main,
     monotone_nonincreasing,
     parse_angle,
@@ -76,6 +74,30 @@ def test_read_config(tmp_path):
     bad.write_text("no separator here\n")
     with pytest.raises(UsageError):
         read_config(str(bad))
+    with pytest.raises(UsageError, match=r"run.cfg:3: unknown key 'mu-list'"):
+        read_config(str(cfg), known={"beta-steps"})
+
+
+@pytest.mark.parametrize(
+    "line", ["convention=paper-literal", "beta-step=5", "func=x", "config=other.cfg"]
+)
+def test_config_unknown_key_exits_one(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"beta-steps=2\n{line}\n")
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", str(cfg), "--mu-list", "0", "--nu-list", "0",
+                 "--out", str(out)])
+    assert code == 1
+    key = line.partition("=")[0]
+    assert f"run.cfg:2: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_of_another_subcommand_exits_one(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=2\n")       # valid for sweep, not for point
+    assert main(["point", "--beta", "0", "--mu", "0", "--nu", "0",
+                 "--config", str(cfg)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +142,6 @@ def test_degenerate_row_moment_columns_are_nan():
     assert math.isnan(row["jn1sq"]) and math.isnan(row["jn2sq"])
     assert math.isnan(row["anticomm"])
     assert row["chi_min"] == 0.0
-
-
-def test_rows_order_independent_of_threads():
-    points = [
-        SqueezeParams(beta=b, mu=m, nu=0.4)
-        for m in (0.0, 1.0, 2.0)
-        for b in (0.0, 0.3, 0.7, 1.0)
-    ]
-    serial = evaluate_rows(points, threads=1)
-    threaded = evaluate_rows(points, threads=4)
-    render = lambda rows: [[fmt(row[c]) for c in SWEEP_COLUMNS] for row in rows]
-    assert render(serial) == render(threaded)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +191,21 @@ def test_point_rejects_unknown_convention(capsys):
         ["point", "--beta", "0", "--mu", "0", "--nu", "0", "--convention", "fancy"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--beta", "0", "--mu", "0", "--nu", "0"],
+        ["crosscheck", "--beta-steps", "2", "--mu-list", "0", "--nu-list", "0"],
+        ["sweep", "--beta-steps", "2", "--mu-list", "0", "--nu-list", "0"],
+    ],
+)
+def test_unknown_format_exits_one(capsys, argv):
+    assert main(argv + ["--format", "xml"]) == 1
+    captured = capsys.readouterr()
+    assert "unknown format 'xml'" in captured.err
+    assert captured.out == ""
 
 
 def test_point_rejects_out_of_domain(capsys):
@@ -270,6 +295,28 @@ def test_sweep_rejects_bad_values(tmp_path):
     ) == 1
 
 
+# (subcommand, option) pairs that were parsed but never read; '--out' on
+# figure must not be taken as an abbreviation of '--outdir'
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--beta", "0", "--mu", "0", "--nu", "0", "--threads", "2"],
+        ["crosscheck", "--beta-steps", "2", "--threads", "2"],
+        ["sweep", "--beta-steps", "2", "--mu-list", "0", "--nu-list", "0",
+         "--convention", "standard"],
+        ["figure", "fig2", "--outdir", "OUTDIR", "--convention", "standard"],
+        ["figure", "fig2", "--outdir", "OUTDIR", "--format", "csv"],
+        ["figure", "fig2", "--outdir", "OUTDIR", "--out", "x.csv"],
+        ["figure", "fig2", "--outdir", "OUTDIR", "--threads", "2"],
+    ],
+)
+def test_removed_options_exit_one(tmp_path, capsys, argv):
+    argv = [str(tmp_path) if a == "OUTDIR" else a for a in argv]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_unwritable_path(capsys):
     code = main(
         ["sweep", "--beta-steps", "2", "--mu-list", "0", "--nu-list", "0",
@@ -288,6 +335,12 @@ def test_crosscheck_command(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["nu_sign_hypothesis"] == "nu-negated"
     assert payload["independent_ok"] is True
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_crosscheck_rejects_bad_tol(capsys, tol):
+    assert main(["crosscheck", "--tol", tol, "--beta-steps", "2"]) == 1
+    assert "tol must be positive and finite" in capsys.readouterr().err
 
 
 def test_crosscheck_text_summary(capsys):

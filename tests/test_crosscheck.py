@@ -87,8 +87,9 @@ def test_nu_independent_quantities_by_construction():
 def test_rejects_empty_grid_and_bad_tol():
     with pytest.raises(ValueError):
         run_crosscheck([])
-    with pytest.raises(ValueError):
-        run_crosscheck(default_grid()[:4], tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            run_crosscheck(default_grid()[:4], tol=tol)
 
 
 def test_report_deterministic():

@@ -47,11 +47,21 @@ def test_alpha_beta_normalized(p):
         dict(beta=0.5, mu=math.pi + 0.2, nu=0.0),
         dict(beta=float("nan"), mu=0.0, nu=0.0),
         dict(beta=0.5, mu=0.0, nu=float("inf")),
+        dict(beta=True, mu=0.0, nu=0.0),
+        dict(beta=0.5, mu=False, nu=0.0),
+        dict(beta=0.5, mu=0.0, nu=1j),
     ],
 )
 def test_params_rejects_out_of_domain(kwargs):
     with pytest.raises(ValueError):
         SqueezeParams(**kwargs)
+
+
+@pytest.mark.parametrize("beta", [np.float32(0.5), np.float64(0.5), np.int64(1), 0])
+def test_params_accepts_real_scalars_as_float(beta):
+    p = SqueezeParams(beta=beta, mu=np.float32(1.0), nu=np.int32(-2))
+    assert (p.beta, p.mu, p.nu) == (float(beta), 1.0, -2.0)
+    assert all(type(v) is float for v in (p.beta, p.mu, p.nu, p.alpha))
 
 
 # ---------------------------------------------------------------------------
