@@ -23,7 +23,9 @@ from .closedform import (
     squeezing_literal,
     squeezing_standard,
 )
-from .crosscheck import BETA_STEPS, MUS, NUS, CrosscheckReport, default_grid, run_crosscheck
+from .crosscheck import (
+    BETA_STEPS, DEFAULT_TOL, MUS, NUS, CrosscheckReport, default_grid, run_crosscheck,
+)
 from .frame import (
     FrameStatus,
     compute_frame,
@@ -108,9 +110,10 @@ def parse_angle(text: str) -> float:
     m = _PI_FORM.match(text)
     if not m:
         raise UsageError(f"cannot parse number {text!r}")
-    value = math.pi * float(m.group("coeff") or 1.0)
-    if m.group("den"):
-        value /= float(m.group("den"))
+    den = float(m.group("den") or 1.0)
+    if den == 0.0:
+        raise UsageError(f"zero denominator in {text!r}")
+    value = math.pi * float(m.group("coeff") or 1.0) / den
     return -value if m.group("sign") == "-" else value
 
 
@@ -159,32 +162,19 @@ def read_config(path: str, known=None) -> dict[str, str]:
 _NOT_CONFIG_KEYS = {"command", "func", "config", "name"}
 
 
-class Options:
-    """Flag/config/default resolution: flags win, then config, then default."""
+def _one_of(what: str, choices: tuple[str, ...]):
+    """Type function that accepts only ``choices``."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise UsageError(f"unknown {what} {text!r}")
+        return text
+    return parse
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict[str, str] = {}
-        if getattr(args, "config", None):
-            known = {k.replace("_", "-") for k in vars(args)} - _NOT_CONFIG_KEYS
-            self.config = read_config(args.config, known)
 
-    def get(self, name: str, parse, default=None, required: bool = False):
-        raw = getattr(self.args, name.replace("-", "_"), None)
-        if raw is None and name in self.config:
-            raw = self.config[name]
-        if raw is None:
-            if required:
-                raise UsageError(f"missing required option --{name}")
-            return default
-        return parse(raw) if isinstance(raw, str) else raw
-
-    def out_format(self, choices: tuple[str, ...]) -> str:
-        """The --format value, defaulting to the first of ``choices``."""
-        out_format = self.get("format", str, default=choices[0])
-        if out_format not in choices:
-            raise UsageError(f"unknown format {out_format!r}")
-        return out_format
+def _required(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(args, name.replace("-", "_")) is None:
+            raise UsageError(f"missing required option --{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +383,9 @@ def run_fig2(beta_steps: int = FIG2_BETA_STEPS):
 # subcommands
 
 
-def cmd_point(opts: Options) -> int:
-    beta = opts.get("beta", parse_angle, required=True)
-    mu = opts.get("mu", parse_angle, required=True)
-    nu = opts.get("nu", parse_angle, required=True)
-    convention = opts.get("convention", str, default="standard")
-    if convention not in CONVENTIONS:
-        raise UsageError(f"unknown convention {convention!r}")
-    out_format = opts.out_format(("text", "json"))
-
-    params = SqueezeParams(beta=beta, mu=mu, nu=nu)
+def cmd_point(args: argparse.Namespace) -> int:
+    _required(args, "beta", "mu", "nu")
+    params = SqueezeParams(beta=args.beta, mu=args.mu, nu=args.nu)
     record: dict[str, object] = {
         "beta": params.beta,
         "mu": params.mu,
@@ -468,15 +451,15 @@ def cmd_point(opts: Options) -> int:
             "chi_min": res.chi_min,
             "xi2_std": res.xi2_std,
             "xi2_literal": res.xi2_literal,
-            "xi2": res.xi2_std if convention == "standard" else res.xi2_literal,
-            "convention": convention,
+            "xi2": res.xi2_std if args.convention == "standard" else res.xi2_literal,
+            "convention": args.convention,
             "concurrence": res.concurrence,
             "one_minus_concurrence": 1.0 - res.concurrence,
         }
     )
 
-    with _open_out(opts.get("out", str)) as handle:
-        if out_format == "json":
+    with _open_out(args.out) as handle:
+        if args.format == "json":
             serializable = {
                 k: ([v.real, v.imag] if isinstance(v, complex) else v)
                 for k, v in record.items()
@@ -494,37 +477,30 @@ def cmd_point(opts: Options) -> int:
     return 0
 
 
-def cmd_sweep(opts: Options) -> int:
-    beta_min = opts.get("beta-min", parse_angle, default=0.0)
-    beta_max = opts.get("beta-max", parse_angle, default=1.0)
-    beta_steps = opts.get("beta-steps", int, default=101)
-    mus = opts.get("mu-list", parse_float_list, required=True)
-    nus = opts.get("nu-list", parse_float_list, required=True)
-    out_format = opts.out_format(("csv", "json"))
-    # accepted and validated for compatibility; evaluation is serial
-    threads = opts.get("threads", int, default=1)
-    strict = opts.get("strict", parse_bool, default=False)
-    if beta_steps < 2:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    _required(args, "mu-list", "nu-list")
+    if args.beta_steps < 2:
         raise UsageError("beta-steps must be at least 2")
-    if threads < 1:
+    # accepted and validated for compatibility; evaluation is serial
+    if args.threads < 1:
         raise UsageError("threads must be at least 1")
 
-    betas = np.linspace(beta_min, beta_max, beta_steps)
+    betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     points = [
         SqueezeParams(beta=float(b), mu=float(m), nu=float(v))
-        for m in mus
-        for v in nus
+        for m in args.mu_list
+        for v in args.nu_list
         for b in betas
     ]
     rows = evaluate_rows(points)
 
-    with _open_out(opts.get("out", str)) as handle:
-        if out_format == "csv":
+    with _open_out(args.out) as handle:
+        if args.format == "csv":
             write_rows_csv(rows, handle)
         else:
             write_rows_json(rows, handle)
 
-    if strict:
+    if args.strict:
         degenerate = sum(
             1 for row in rows if row["frame_status"] == FrameStatus.FULLY_DEGENERATE.value
         )
@@ -537,22 +513,16 @@ def cmd_sweep(opts: Options) -> int:
     return 0
 
 
-def cmd_figure(opts: Options) -> int:
-    name = opts.args.name
-    outdir = opts.get("outdir", str, required=True)
+def cmd_figure(args: argparse.Namespace) -> int:
+    _required(args, "outdir")
+    name, outdir = args.name, args.outdir
     os.makedirs(outdir, exist_ok=True)
 
-    if name == "fig1":
-        slices, violations, lines = run_fig1()
-    else:
-        slices, violations, lines = run_fig2()
-
-    written = []
+    slices, violations, lines = run_fig1() if name == "fig1" else run_fig2()
     for index, (mu, rows) in enumerate(slices.items()):
         path = os.path.join(outdir, f"{name}_mu{index}.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             write_rows_csv(rows, handle)
-        written.append(path)
         lines.insert(index, f"{name} slice {index}: mu = {fmt(float(mu))} -> {path}")
 
     if name == "fig2":
@@ -574,13 +544,11 @@ def cmd_figure(opts: Options) -> int:
                          fmt(row["xi2_std"]), fmt(row["concurrence"]),
                          fmt(1.0 - row["concurrence"]), fmt(gap)]
                     )
-        written.append(diag_path)
         lines.append(f"fig2 diagnostic: max |xi2_std - (1 - concurrence)| = {max_gap:.6g}")
 
     summary_path = os.path.join(outdir, f"{name}_shapes.txt")
     with open(summary_path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-    written.append(summary_path)
 
     for line in lines:
         print(line)
@@ -611,23 +579,11 @@ def _render_crosscheck_text(report: CrosscheckReport, handle) -> None:
         )
 
 
-def cmd_crosscheck(opts: Options) -> int:
-    tol = opts.get("tol", parse_angle, default=1e-10)
-    out_format = opts.out_format(("text", "json"))
-    betas = np.linspace(
-        opts.get("beta-min", parse_angle, default=0.0),
-        opts.get("beta-max", parse_angle, default=1.0),
-        opts.get("beta-steps", int, default=BETA_STEPS),
-    )
-    grid = default_grid(
-        betas,
-        opts.get("mu-list", parse_float_list, default=MUS),
-        opts.get("nu-list", parse_float_list, default=NUS),
-    )
-
-    report = run_crosscheck(grid, tol)
-    with _open_out(opts.get("out", str)) as handle:
-        if out_format == "json":
+def cmd_crosscheck(args: argparse.Namespace) -> int:
+    betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
+    report = run_crosscheck(default_grid(betas, args.mu_list, args.nu_list), args.tol)
+    with _open_out(args.out) as handle:
+        if args.format == "json":
             json.dump(report.as_dict(), handle, indent=2)
             handle.write("\n")
         else:
@@ -643,7 +599,8 @@ def cmd_crosscheck(opts: Options) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and the subcommand parsers by name."""
     parser = _Parser(
         prog="biaxbell",
         description=(
@@ -659,27 +616,38 @@ def build_parser() -> argparse.ArgumentParser:
     def output(p, formats):
         config(p)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", help=f"{' or '.join(formats)} (default {formats[0]})")
+        p.add_argument("--format", type=_one_of("format", formats), default=formats[0],
+                       help=f"{' or '.join(formats)} (default %(default)s)")
+
+    def beta_axis(p, steps):
+        p.add_argument("--beta-min", type=parse_angle, default=0.0,
+                       help="smallest beta (default %(default)s)")
+        p.add_argument("--beta-max", type=parse_angle, default=1.0,
+                       help="largest beta (default %(default)s)")
+        p.add_argument("--beta-steps", type=int, default=steps,
+                       help="number of beta points (default %(default)s)")
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
-    p_point.add_argument("--beta", help="Bell weight in [0, 1]")
-    p_point.add_argument("--mu", help="shape angle in [0, pi]; accepts pi forms")
-    p_point.add_argument("--nu", help="relative phase in radians; accepts pi forms")
-    p_point.add_argument("--convention", help="standard or paper-literal")
+    p_point.add_argument("--beta", type=parse_angle, help="Bell weight in [0, 1]")
+    p_point.add_argument("--mu", type=parse_angle, help="shape angle in [0, pi]; accepts pi forms")
+    p_point.add_argument("--nu", type=parse_angle,
+                         help="relative phase in radians; accepts pi forms")
+    p_point.add_argument("--convention", type=_one_of("convention", CONVENTIONS),
+                         default=CONVENTIONS[0],
+                         help="standard or paper-literal (default %(default)s)")
     output(p_point, ("text", "json"))
     p_point.set_defaults(func=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over (mu, nu, beta)")
-    p_sweep.add_argument("--beta-min", help="smallest beta (default 0)")
-    p_sweep.add_argument("--beta-max", help="largest beta (default 1)")
-    p_sweep.add_argument("--beta-steps", type=int, help="number of beta points (default 101)")
-    p_sweep.add_argument("--mu-list", help="comma-separated mu values")
-    p_sweep.add_argument("--nu-list", help="comma-separated nu values")
+    beta_axis(p_sweep, 101)
+    p_sweep.add_argument("--mu-list", type=parse_float_list, help="comma-separated mu values")
+    p_sweep.add_argument("--nu-list", type=parse_float_list, help="comma-separated nu values")
     p_sweep.add_argument(
-        "--strict", nargs="?", const="true",
+        "--strict", nargs="?", const=True, default=False, type=parse_bool,
         help="exit 2 when fully-degenerate points occur",
     )
-    p_sweep.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility; no effect")
     output(p_sweep, ("csv", "json"))
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -690,31 +658,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_check = sub.add_parser("crosscheck", help="closed forms versus operator oracle")
-    p_check.add_argument("--beta-min", help="grid override")
-    p_check.add_argument("--beta-max", help="grid override")
-    p_check.add_argument("--beta-steps", type=int, help="grid override")
-    p_check.add_argument("--mu-list", help="grid override")
-    p_check.add_argument("--nu-list", help="grid override")
-    p_check.add_argument("--tol", help="comparison tolerance (default 1e-10)")
+    beta_axis(p_check, BETA_STEPS)
+    p_check.add_argument("--mu-list", type=parse_float_list, default=MUS,
+                         help="comma-separated mu values (default %(default)s)")
+    p_check.add_argument("--nu-list", type=parse_float_list, default=NUS,
+                         help="comma-separated nu values (default %(default)s)")
+    p_check.add_argument("--tol", type=parse_angle, default=DEFAULT_TOL,
+                         help="comparison tolerance (default %(default)s)")
     output(p_check, ("text", "json"))
     p_check.set_defaults(func=cmd_crosscheck)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the subcommand's defaults, so flags still
+            # win and each value goes through its option's type function
+            known = {k.replace("_", "-") for k in vars(args)} - _NOT_CONFIG_KEYS
+            config = read_config(args.config, known)
+            commands[args.command].set_defaults(
+                **{k.replace("-", "_"): v for k, v in config.items()}
+            )
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        opts = Options(args)
-        return args.func(opts)
-    except UsageError as exc:
-        print(f"biaxbell: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"biaxbell: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -59,6 +59,8 @@ CONVENTION_INDEPENDENT = (
 )
 NU_DISCRIMINATING = ("jy", "yz_anticomm", "anticomm")
 FRAME_DEPENDENT = ("jn1_sq", "jn2_sq", "anticomm")
+# compared under the selected nu candidate, in report order
+NU_SELECTED = ("jy", "yz_anticomm", *FRAME_DEPENDENT)
 
 
 BETA_STEPS = 21
@@ -147,13 +149,7 @@ def _closed_values(params: SqueezeParams) -> dict[str, complex]:
     }
     frame = compute_frame(ms)
     if frame.status is not FrameStatus.FULLY_DEGENERATE:
-        fm = frame_moments_closed_form(params, frame)
-        values["jn1_sq"] = fm.jn1_sq
-        values["jn2_sq"] = fm.jn2_sq
-        values["anticomm"] = fm.anticomm
-        values["_radical"] = (fm.jn1_sq + fm.jn2_sq) - float(
-            np.hypot(fm.jn1_sq - fm.jn2_sq, fm.anticomm)
-        )
+        values.update(vars(frame_moments_closed_form(params, frame)))
     return values
 
 
@@ -174,11 +170,25 @@ def _oracle_values(point) -> dict[str, complex]:
         "xy_anticomm": 2.0 * table[0, 1],
     }
     if point.frame_moments is not None:
-        values["jn1_sq"] = point.frame_moments.jn1_sq
-        values["jn2_sq"] = point.frame_moments.jn2_sq
-        values["anticomm"] = point.frame_moments.anticomm
-        values["_lambda"] = point.result.lambda_min
+        values.update(vars(point.frame_moments))
     return values
+
+
+def _has_frame(values: dict) -> bool:
+    """Whether the route behind ``values`` had a transverse frame."""
+    return FRAME_DEPENDENT[0] in values
+
+
+def _radical(values: dict) -> float:
+    """Closed-form lambda_min before its one-half factor:
+    (jn1^2 + jn2^2) - sqrt((jn1^2 - jn2^2)^2 + anticomm^2)."""
+    a, b, c = values["jn1_sq"], values["jn2_sq"], values["anticomm"]
+    return (a + b) - float(np.hypot(a - b, c))
+
+
+def _max_diff(pairs) -> float:
+    """Largest |x - y| over the pairs; 0.0 when there are none."""
+    return max((abs(x - y) for x, y in pairs), default=0.0)
 
 
 def _adjudicate(
@@ -211,102 +221,68 @@ def run_crosscheck(
         point = evaluate_oracle(params)
         status_counts[point.frame.status] += 1
         oracle_vals = _oracle_values(point)
-        printed = _closed_values(params)
-        negated = _closed_values(replace(params, nu=-params.nu))
-        records.append((params, oracle_vals, printed, negated))
-
-    candidate_diffs = {NU_AS_PRINTED: {}, NU_NEGATED: {}}
-    nu_discrimination = 0.0
-    for params, oracle_vals, printed, negated in records:
-        for label, closed_vals in ((NU_AS_PRINTED, printed), (NU_NEGATED, negated)):
-            bucket = candidate_diffs[label]
-            for name, closed in closed_vals.items():
-                if name.startswith("_") or name not in oracle_vals:
-                    continue
-                diff = abs(closed - oracle_vals[name])
-                if diff > bucket.get(name, 0.0):
-                    bucket[name] = diff
-        for name in NU_DISCRIMINATING:
-            if name in printed and name in negated:
-                spread = abs(printed[name] - negated[name])
-                nu_discrimination = max(nu_discrimination, spread)
+        closed = {
+            NU_AS_PRINTED: _closed_values(params),
+            NU_NEGATED: _closed_values(replace(params, nu=-params.nu)),
+        }
+        records.append((params, point.result.lambda_min, oracle_vals, closed))
 
     nu_candidate_max = {
-        label: max(
-            (candidate_diffs[label].get(q, 0.0) for q in NU_DISCRIMINATING), default=0.0
+        label: _max_diff(
+            (closed[label][q], oracle_vals[q])
+            for _, _, oracle_vals, closed in records
+            for q in NU_DISCRIMINATING
+            if q in closed[label] and q in oracle_vals
         )
         for label in (NU_AS_PRINTED, NU_NEGATED)
     }
+    nu_discrimination = _max_diff(
+        (closed[NU_AS_PRINTED][q], closed[NU_NEGATED][q])
+        for _, _, _, closed in records
+        for q in NU_DISCRIMINATING
+        if q in closed[NU_AS_PRINTED] and q in closed[NU_NEGATED]
+    )
     nu_hypothesis = _adjudicate(
-        (NU_AS_PRINTED, NU_NEGATED),
-        (nu_candidate_max[NU_AS_PRINTED], nu_candidate_max[NU_NEGATED]),
-        nu_discrimination,
-        tol,
+        tuple(nu_candidate_max), tuple(nu_candidate_max.values()), nu_discrimination, tol
     )
 
-    factor_candidate_max = {FACTOR_LITERAL: 0.0, FACTOR_HALF: 0.0}
-    factor_discrimination = 0.0
-    for params, oracle_vals, printed, _ in records:
-        if "_lambda" not in oracle_vals or "_radical" not in printed:
-            continue
-        lam = oracle_vals["_lambda"].real
-        radical = printed["_radical"].real    # same under both nu candidates
-        factor_candidate_max[FACTOR_LITERAL] = max(
-            factor_candidate_max[FACTOR_LITERAL], abs(radical - lam)
-        )
-        factor_candidate_max[FACTOR_HALF] = max(
-            factor_candidate_max[FACTOR_HALF], abs(radical / 2.0 - lam)
-        )
-        factor_discrimination = max(factor_discrimination, abs(radical / 2.0))
+    # (closed radical, oracle lambda_min) where both routes have a frame; the
+    # radical is the same under both nu candidates
+    pairs = [
+        (_radical(closed[NU_AS_PRINTED]), lam)
+        for _, lam, oracle_vals, closed in records
+        if _has_frame(oracle_vals) and _has_frame(closed[NU_AS_PRINTED])
+    ]
+    factor_candidate_max = {
+        FACTOR_LITERAL: _max_diff(pairs),
+        FACTOR_HALF: _max_diff((radical / 2.0, lam) for radical, lam in pairs),
+    }
+    factor_discrimination = max((abs(radical / 2.0) for radical, _ in pairs), default=0.0)
     factor_hypothesis = _adjudicate(
-        (FACTOR_LITERAL, FACTOR_HALF),
-        (factor_candidate_max[FACTOR_LITERAL], factor_candidate_max[FACTOR_HALF]),
-        factor_discrimination,
-        tol,
+        tuple(factor_candidate_max), tuple(factor_candidate_max.values()),
+        factor_discrimination, tol,
     )
 
     # reported diffs: independent quantities as printed, the rest under the
     # selected candidates (falling back to as-printed when inconclusive)
     selected_nu = NU_NEGATED if nu_hypothesis == NU_NEGATED else NU_AS_PRINTED
-    max_diff: dict[str, float] = {}
-    for q in CONVENTION_INDEPENDENT:
-        max_diff[q] = candidate_diffs[NU_AS_PRINTED].get(q, 0.0)
-    for q in ("jy", "yz_anticomm", "jn1_sq", "jn2_sq", "anticomm"):
-        max_diff[q] = candidate_diffs[selected_nu].get(q, 0.0)
     lam_factor = 0.5 if factor_hypothesis != FACTOR_LITERAL else 1.0
-    lam_max = 0.0
-
+    max_diff = dict.fromkeys((*CONVENTION_INDEPENDENT, *NU_SELECTED, "lambda_min"), 0.0)
     failures: list[CrosscheckFailure] = []
-
-    def check(params, name, closed, oracle):
-        diff = abs(closed - oracle)
-        if diff > tol:
-            failures.append(
-                CrosscheckFailure(
-                    beta=params.beta,
-                    mu=params.mu,
-                    nu=params.nu,
-                    quantity=name,
-                    closed=closed,
-                    oracle=oracle,
-                    diff=diff,
-                )
-            )
-
-    for params, oracle_vals, printed, negated in records:
-        selected_vals = negated if selected_nu == NU_NEGATED else printed
-        for q in CONVENTION_INDEPENDENT:
-            if q in oracle_vals:
-                check(params, q, printed[q], oracle_vals[q])
-        for q in ("jy", "yz_anticomm", "jn1_sq", "jn2_sq", "anticomm"):
-            if q in oracle_vals and q in selected_vals:
-                check(params, q, selected_vals[q], oracle_vals[q])
-        if "_lambda" in oracle_vals and "_radical" in selected_vals:
-            lam_closed = selected_vals["_radical"].real * lam_factor
-            lam = oracle_vals["_lambda"].real
-            lam_max = max(lam_max, abs(lam_closed - lam))
-            check(params, "lambda_min", lam_closed, lam)
-    max_diff["lambda_min"] = lam_max
+    for params, lam, oracle_vals, closed in records:
+        printed, selected = closed[NU_AS_PRINTED], closed[selected_nu]
+        compared = [(q, printed[q], oracle_vals[q]) for q in CONVENTION_INDEPENDENT]
+        compared += [(q, selected[q], oracle_vals[q])
+                     for q in NU_SELECTED if q in oracle_vals and q in selected]
+        if _has_frame(oracle_vals) and _has_frame(selected):
+            compared.append(("lambda_min", _radical(selected) * lam_factor, lam))
+        for q, closed_value, oracle_value in compared:
+            diff = abs(closed_value - oracle_value)
+            max_diff[q] = max(max_diff[q], diff)
+            if diff > tol:
+                failures.append(CrosscheckFailure(
+                    params.beta, params.mu, params.nu, q, closed_value, oracle_value, diff
+                ))
 
     return CrosscheckReport(
         samples=len(grid),

@@ -17,7 +17,6 @@ import numpy as np
 
 from .closedform import FrameMoments, MomentSet
 from .frame import (
-    DEFAULT_EPS,
     DegenerateFrameError,
     FrameStatus,
     MeanSpin,
@@ -37,7 +36,11 @@ METHOD_TRANSVERSE = "transverse-eigen"
 METHOD_ALL_DIRECTIONS = "all-directions"
 
 DEFAULT_TRANSVERSE_GRID = 4096
-DEFAULT_SPHERE_GRID = (64, 128)
+SPHERE_GRID = (64, 128)
+SPHERE_ROUNDS = 3
+# eigen-versus-scan agreement the two minimizations must reach
+TRANSVERSE_AGREE_TOL = 1e-8
+ALL_DIRECTIONS_AGREE_TOL = 1e-6
 _GOLDEN_TOL = 1e-12
 _HERMITICITY_TOL = 1e-9
 
@@ -114,13 +117,12 @@ def min_transverse_variance_scan(
     frame: SpinFrame,
     ops: SpinOperatorSet,
     grid_size: int = DEFAULT_TRANSVERSE_GRID,
-    refine_tol: float = _GOLDEN_TOL,
 ) -> tuple[float, float]:
     """Brute minimum of Var(J_chi) over the transverse plane.
 
     chi parametrizes the direction cos(chi) n1 + sin(chi) n2 over [0, pi).
     A dense grid locates the basin and golden-section search refines it to a
-    bracket of width refine_tol.  This route never forms a covariance matrix;
+    bracket of width _GOLDEN_TOL.  This route never forms a covariance matrix;
     it applies operators to the state and takes norms.
     """
     if frame.status is FrameStatus.FULLY_DEGENERATE:
@@ -141,7 +143,7 @@ def min_transverse_variance_scan(
 
     step = math.pi / grid_size
     f = lambda chi: _variance_of_combo(state, w1, w2, m1, m2, chi)
-    chi_ref, val_ref = _golden_min(f, chis[i] - step, chis[i] + step, refine_tol)
+    chi_ref, val_ref = _golden_min(f, chis[i] - step, chis[i] + step, _GOLDEN_TOL)
     if val_ref <= var[i]:
         chi_min, val = chi_ref, val_ref
     else:
@@ -151,17 +153,13 @@ def min_transverse_variance_scan(
 
 
 def min_transverse_variance(
-    state: np.ndarray,
-    frame: SpinFrame,
-    ops: SpinOperatorSet,
-    grid_size: int = DEFAULT_TRANSVERSE_GRID,
-    agree_tol: float = 1e-8,
+    state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
     """Minimal transverse variance and its angle, computed two ways.
 
     The primary route takes the smaller eigenvalue of the 2x2 transverse
     covariance matrix; the scan route (min_transverse_variance_scan) must
-    agree within agree_tol or a RuntimeError is raised.  chi_min lies in
+    agree within TRANSVERSE_AGREE_TOL or a RuntimeError is raised.  chi_min lies in
     [0, pi), with chi_min = 0 as the tie-break when the minimum is flat.
     """
     if frame.status is FrameStatus.FULLY_DEGENERATE:
@@ -185,8 +183,8 @@ def min_transverse_variance(
         if chi >= math.pi:
             chi -= math.pi
 
-    lam_scan, _ = min_transverse_variance_scan(state, frame, ops, grid_size)
-    if abs(lam - lam_scan) > agree_tol:
+    lam_scan, _ = min_transverse_variance_scan(state, frame, ops)
+    if abs(lam - lam_scan) > TRANSVERSE_AGREE_TOL:
         raise RuntimeError(
             f"transverse minimization mismatch: eigen {lam!r} vs scan {lam_scan!r}"
         )
@@ -198,14 +196,9 @@ def _second_moment_of_direction(w_stack: np.ndarray, u: np.ndarray) -> float:
     return float(np.vdot(w, w).real)
 
 
-def _sphere_scan(
-    state: np.ndarray,
-    ops: SpinOperatorSet,
-    grid: tuple[int, int] = DEFAULT_SPHERE_GRID,
-    rounds: int = 3,
-) -> float:
+def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
     """Minimum of <J_u^2> over all unit directions by grid plus refinement."""
-    n_theta, n_phi = grid
+    n_theta, n_phi = SPHERE_GRID
     w_stack = np.stack([ops.jx @ state, ops.jy @ state, ops.jz @ state])
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -227,7 +220,7 @@ def _sphere_scan(
 
     dt = math.pi / (n_theta - 1)
     dp = 2.0 * math.pi / n_phi
-    for _ in range(rounds):
+    for _ in range(SPHERE_ROUNDS):
         theta, _ = _golden_min(lambda t: value(t, phi), theta - dt, theta + dt, 1e-10)
         phi, _ = _golden_min(lambda p: value(theta, p), phi - dp, phi + dp, 1e-10)
         dt /= 8.0
@@ -236,10 +229,7 @@ def _sphere_scan(
 
 
 def min_variance_all_directions(
-    state: np.ndarray,
-    ops: SpinOperatorSet,
-    grid: tuple[int, int] = DEFAULT_SPHERE_GRID,
-    agree_tol: float = 1e-6,
+    state: np.ndarray, ops: SpinOperatorSet
 ) -> tuple[float, np.ndarray]:
     """Minimum of <J_u^2> over all unit vectors u, with the minimizing u.
 
@@ -247,7 +237,7 @@ def min_variance_all_directions(
     plane is distinguished; there the second moment and the variance
     coincide.  The primary route diagonalizes the 3x3 symmetric
     second-moment matrix; a spherical scan with local refinement must agree
-    within agree_tol.
+    within ALL_DIRECTIONS_AGREE_TOL.
     """
     table = moments_oracle(state, ops).table
     eigvals, eigvecs = np.linalg.eigh(table)
@@ -258,8 +248,8 @@ def min_variance_all_directions(
         direction = -direction
     direction.setflags(write=False)
 
-    lam_scan = _sphere_scan(state, ops, grid)
-    if abs(lam - lam_scan) > agree_tol:
+    lam_scan = _sphere_scan(state, ops)
+    if abs(lam - lam_scan) > ALL_DIRECTIONS_AGREE_TOL:
         raise RuntimeError(
             f"all-direction minimization mismatch: eigen {lam!r} vs scan {lam_scan!r}"
         )
@@ -308,25 +298,20 @@ class OraclePoint:
     result: SqueezeResult
 
 
-def evaluate_oracle(
-    params: SqueezeParams,
-    eps: float = DEFAULT_EPS,
-    transverse_grid: int = DEFAULT_TRANSVERSE_GRID,
-    sphere_grid: tuple[int, int] = DEFAULT_SPHERE_GRID,
-) -> OraclePoint:
+def evaluate_oracle(params: SqueezeParams) -> OraclePoint:
     """Run the full oracle pipeline: state, moments, frame, minimization."""
     ops = _spin1()
     state = build_superposition_state(params)
     moments = moments_oracle(state, ops)
-    frame = compute_frame(moments.mean, eps)
+    frame = compute_frame(moments.mean)
 
     if frame.status is FrameStatus.FULLY_DEGENERATE:
-        lam, _ = min_variance_all_directions(state, ops, sphere_grid)
+        lam, _ = min_variance_all_directions(state, ops)
         chi = 0.0                       # no transverse plane; conventional
         frame_moments = None
         method = METHOD_ALL_DIRECTIONS
     else:
-        lam, chi = min_transverse_variance(state, frame, ops, transverse_grid)
+        lam, chi = min_transverse_variance(state, frame, ops)
         jn1, jn2 = project_transverse_operators(frame, ops)
         frame_moments = FrameMoments(
             jn1_sq=_real(expectation(jn1 @ jn1, state), "<Jn1^2>"),
@@ -355,6 +340,6 @@ def evaluate_oracle(
     )
 
 
-def squeeze_oracle(params: SqueezeParams, eps: float = DEFAULT_EPS) -> SqueezeResult:
+def squeeze_oracle(params: SqueezeParams) -> SqueezeResult:
     """Squeezing parameter and companions for one point, oracle path only."""
-    return evaluate_oracle(params, eps).result
+    return evaluate_oracle(params).result

@@ -45,7 +45,7 @@ def test_parse_angle(text, value):
     assert parse_angle(text) == pytest.approx(value, abs=1e-15)
 
 
-@pytest.mark.parametrize("text", ["", "two", "pie", "pi/"])
+@pytest.mark.parametrize("text", ["", "two", "pie", "pi/", "pi/0", "2pi/0.0"])
 def test_parse_angle_rejects(text):
     with pytest.raises(UsageError):
         parse_angle(text)
@@ -91,6 +91,68 @@ def test_config_unknown_key_exits_one(tmp_path, capsys, line):
     key = line.partition("=")[0]
     assert f"run.cfg:2: unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each config line set next to the flags that should mean the same thing;
+# the last two cases also pass a flag that overrides a config value
+@pytest.mark.parametrize(
+    "config,argv,flags",
+    [
+        ("beta=0.6\nmu=pi/3\nnu=pi/4\nconvention=paper-literal\n",
+         ["point"],
+         ["point", "--beta", "0.6", "--mu", "pi/3", "--nu", "pi/4",
+          "--convention", "paper-literal"]),
+        ("tol=1e-9\nmu-list=pi/3,pi/2\nnu-list=pi/4\nbeta-steps=3\nformat=json\n",
+         ["crosscheck"],
+         ["crosscheck", "--tol", "1e-9", "--mu-list", "pi/3,pi/2", "--nu-list", "pi/4",
+          "--beta-steps", "3", "--format", "json"]),
+        ("beta-max=pi/4\nbeta-steps=3\nmu-list=0,pi/3\nnu-list=0.4\nstrict=no\n"
+         "threads=2\nformat=json\n",
+         ["sweep"],
+         ["sweep", "--beta-max", "pi/4", "--beta-steps", "3", "--mu-list", "0,pi/3",
+          "--nu-list", "0.4", "--strict=no", "--threads", "2", "--format", "json"]),
+        ("beta=0.6\nmu=pi/3\nnu=pi/4\nformat=json\n",
+         ["point", "--mu", "pi/2", "--format", "text"],
+         ["point", "--beta", "0.6", "--mu", "pi/2", "--nu", "pi/4"]),
+        ("tol=1e-9\nmu-list=pi/3\nnu-list=pi/4\nbeta-steps=3\n",
+         ["crosscheck", "--tol", "1e-18", "--beta-steps", "2"],
+         ["crosscheck", "--tol", "1e-18", "--mu-list", "pi/3", "--nu-list", "pi/4",
+          "--beta-steps", "2"]),
+    ],
+    ids=["point", "crosscheck", "sweep", "point-flag-wins", "crosscheck-flag-wins"],
+)
+def test_config_values_parse_like_flags(tmp_path, capsys, config, argv, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code = main([*argv, "--config", str(cfg)])
+    from_config = capsys.readouterr()
+    assert code == main(flags)
+    assert from_config.out
+    assert from_config == capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,config,code,message",
+    [
+        (["sweep"], "beta-steps=2\nmu-list=pi/2\nnu-list=0\nstrict=yes\n", 2,
+         "fully-degenerate points"),
+        (["sweep"], "beta-steps=2\nmu-list=0\nnu-list=0\nformat=xml\n", 1,
+         "unknown format 'xml'"),
+        (["point"], "beta=0\nmu=0\nnu=0\nformat=xml\n", 1, "unknown format 'xml'"),
+        (["point"], "beta=0\nmu=0\nnu=pi/0\n", 1, "zero denominator in 'pi/0'"),
+        (["crosscheck"], "beta-steps=2\nformat=csv\n", 1, "unknown format 'csv'"),
+        (["figure", "fig2"], "", 1, "missing required option --outdir"),
+    ],
+    ids=["sweep-strict", "sweep-format", "point-format", "point-zero-denominator",
+         "crosscheck-format", "figure-outdir"],
+)
+def test_config_value_errors(tmp_path, capsys, argv, config, code, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main([*argv, "--config", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_config_key_of_another_subcommand_exits_one(tmp_path):
@@ -211,6 +273,11 @@ def test_unknown_format_exits_one(capsys, argv):
 def test_point_rejects_out_of_domain(capsys):
     code = main(["point", "--beta", "1.5", "--mu", "0", "--nu", "0"])
     assert code == 1
+
+
+def test_point_rejects_zero_denominator(capsys):
+    assert main(["point", "--beta", "0", "--mu", "0", "--nu", "pi/0"]) == 1
+    assert capsys.readouterr().err == "biaxbell: error: zero denominator in 'pi/0'\n"
 
 
 def test_sweep_csv_contract(tmp_path):

@@ -109,6 +109,37 @@ def test_failures_recorded_beyond_tolerance():
     assert all(np.isfinite(f.diff) for f in rep.failures)
 
 
+# independent quantities, then those compared under the selected nu
+# candidate, then lambda_min
+REPORT_ORDER = (
+    *CONVENTION_INDEPENDENT, "jy", "yz_anticomm", "jn1_sq", "jn2_sq", "anticomm", "lambda_min"
+)
+
+
+def test_failure_order_matches_maxima():
+    # the last point has a fully degenerate frame and no frame quantities
+    grid = [
+        SqueezeParams(beta=0.6, mu=math.pi / 3, nu=math.pi / 4),
+        SqueezeParams(beta=0.3, mu=2 * math.pi / 3, nu=-math.pi / 3),
+        SqueezeParams(beta=1.0, mu=math.pi / 2, nu=0.5),
+    ]
+    rep = run_crosscheck(grid, tol=1e-18)
+    assert list(rep.max_abs_diff_per_quantity) == list(REPORT_ORDER)
+    points = [(p.beta, p.mu, p.nu) for p in grid]
+    keys = [
+        (points.index((f.beta, f.mu, f.nu)), REPORT_ORDER.index(f.quantity))
+        for f in rep.failures
+    ]
+    assert len({point for point, _ in keys}) >= 2
+    assert keys == sorted(set(keys))       # grid order, then report order, no repeats
+    for name, largest in rep.max_abs_diff_per_quantity.items():
+        diffs = [f.diff for f in rep.failures if f.quantity == name]
+        if diffs:
+            assert largest == max(diffs)
+        else:
+            assert largest <= rep.tol
+
+
 def test_report_serializable(default_report):
     import json
 
