@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -216,16 +217,21 @@ def evaluate_row(params: SqueezeParams) -> dict:
     }
 
 
-def evaluate_rows(points: list[SqueezeParams]) -> list[dict]:
-    """Rows in input order."""
-    return [evaluate_row(p) for p in points]
+def sweep_points(mus, nus, betas) -> list[SqueezeParams]:
+    """The grid in sweep row order: mu, then nu, then beta."""
+    return [
+        SqueezeParams(beta=float(b), mu=float(m), nu=float(v))
+        for m in mus
+        for v in nus
+        for b in betas
+    ]
 
 
-def write_rows_csv(rows: list[dict], handle) -> None:
+def write_rows_csv(rows: list[dict], handle, columns=SWEEP_COLUMNS) -> None:
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([fmt(row[c]) for c in SWEEP_COLUMNS])
+        writer.writerow([fmt(row[c]) for c in columns])
 
 
 def write_rows_json(rows: list[dict], handle) -> None:
@@ -281,102 +287,108 @@ def squeezed_interval_width(betas, xi2_values) -> float:
     return float(selected[-1] - selected[0])
 
 
-def run_fig1(nu_steps: int = FIG1_NU_STEPS, beta_steps: int = FIG1_BETA_STEPS):
-    """Mean-spin-length sweeps: three mu slices over a (nu, beta) grid.
+class ShapeCheck(NamedTuple):
+    """An expectation on every nu line of one figure slice."""
+    mu: float
+    column: str
+    report: str
+    violation: str      # may name the failing line as {nu!r}
+    holds: Callable     # (nu, betas, curve) -> bool
+
+
+class WidestSqueezing(NamedTuple):
+    """On a figure with one nu line, the squeezed beta interval of slice
+    ``mu`` is strictly the widest; ``report`` formats the widths in slice order."""
+    mu: float
+    column: str
+    report: str
+    violation: str
+
+
+def run_figure(mus, nus, betas, checks):
+    """Evaluate a figure's slices and run its checks in order.
 
     Returns (slices, violations, report_lines); slices maps mu to its rows.
     """
-    nus = np.linspace(0.0, 2.0 * math.pi, nu_steps)
-    betas = np.linspace(0.0, 1.0, beta_steps)
-    slices: dict[float, list[dict]] = {}
+    rows = [evaluate_row(p) for p in sweep_points(mus, nus, betas)]
+    size = len(nus) * len(betas)
+    slices = {mu: rows[i * size:(i + 1) * size] for i, mu in enumerate(mus)}
+
+    def curves(mu, column):
+        return np.array([row[column] for row in slices[mu]]).reshape(len(nus), len(betas))
+
     violations: list[str] = []
     lines: list[str] = []
-    for mu in FIG1_MUS:
-        points = [
-            SqueezeParams(beta=float(b), mu=mu, nu=float(v)) for v in nus for b in betas
-        ]
-        rows = evaluate_rows(points)
-        slices[mu] = rows
-        r = np.array([row["r_eq10"] for row in rows]).reshape(len(nus), len(betas))
-        if mu == 0.0:
-            for i, nu in enumerate(nus):
-                curve = r[i]
-                ok = (
-                    monotone_nonincreasing(curve)
-                    and abs(curve[0] - 1.0) <= 1e-12
-                    and abs(curve[-1]) <= 1e-12
-                )
-                if not ok:
-                    violations.append(
-                        f"fig1 mu=0 nu={nu!r}: r must fall monotonically from 1 to 0"
-                    )
-            lines.append(f"fig1 mu=0: monotone decrease, endpoints 1 and 0: "
-                         f"{'PASS' if not violations else 'FAIL'}")
-        elif mu == FIG1_MUS[2]:
-            bad = []
-            for i, nu in enumerate(nus):
-                if abs(math.sin(nu)) <= 1e-9:
-                    continue        # r vanishes identically on these slices
-                curve = r[i]
-                peak_beta = betas[int(np.argmax(curve))]
-                if not rise_then_fall(curve) or abs(peak_beta - 1.0 / math.sqrt(2.0)) > 0.01:
-                    bad.append(nu)
-                    violations.append(
-                        f"fig1 mu=pi/2 nu={nu!r}: r must peak at beta=1/sqrt(2)"
-                    )
-            lines.append(
-                f"fig1 mu=pi/2: unimodal with peak at 1/sqrt(2): "
-                f"{'PASS' if not bad else 'FAIL'}"
-            )
+    for check in checks:
+        report = check.report
+        if isinstance(check, WidestSqueezing):
+            widths = {mu: squeezed_interval_width(betas, curves(mu, check.column)[0])
+                      for mu in mus}
+            report = report.format(*widths.values())
+            wide = all(widths[check.mu] > w for mu, w in widths.items() if mu != check.mu)
+            failed = [] if wide else [check.violation]
+        else:
+            failed = [check.violation.format(nu=nu)
+                      for nu, curve in zip(nus, curves(check.mu, check.column))
+                      if not check.holds(nu, betas, curve)]
+        lines.append(f"{report}: {'FAIL' if failed else 'PASS'}")
+        violations += failed
     return slices, violations, lines
+
+
+def _peaks_at_inv_sqrt2(nu, betas, r) -> bool:
+    if abs(math.sin(nu)) <= 1e-9:
+        return True         # r vanishes identically on these lines
+    return rise_then_fall(r) and abs(betas[int(np.argmax(r))] - 1.0 / math.sqrt(2.0)) <= 0.01
+
+
+FIG1_CHECKS = (
+    ShapeCheck(0.0, "r_eq10", "fig1 mu=0: monotone decrease, endpoints 1 and 0",
+               "fig1 mu=0 nu={nu!r}: r must fall monotonically from 1 to 0",
+               lambda nu, betas, r: monotone_nonincreasing(r)
+               and abs(r[0] - 1.0) <= 1e-12 and abs(r[-1]) <= 1e-12),
+    ShapeCheck(math.pi / 2, "r_eq10", "fig1 mu=pi/2: unimodal with peak at 1/sqrt(2)",
+               "fig1 mu=pi/2 nu={nu!r}: r must peak at beta=1/sqrt(2)", _peaks_at_inv_sqrt2),
+)
+
+
+def _fig2_checks(column: str) -> tuple:
+    """mu=0 decreases toward a minimum, mu=pi/2 and mu=pi rise to an interior
+    maximum and then fall, and the squeezed interval at mu=pi/2 is widest."""
+    fall, rise = "decrease toward a minimum", "rise to an interior maximum, then fall"
+    shapes = (
+        (0.0, "mu=0", fall,
+         lambda nu, betas, xi2: monotone_nonincreasing(xi2) and xi2[0] > xi2[-1]),
+        (math.pi / 2, "mu=pi/2", rise, lambda nu, betas, xi2: rise_then_fall(xi2)),
+        (math.pi, "mu=pi", rise, lambda nu, betas, xi2: rise_then_fall(xi2)),
+    )
+    widest = WidestSqueezing(
+        math.pi / 2, column,
+        f"fig2 squeezed-interval widths ({column}): "
+        "mu=0={:.6g}, mu=pi/2={:.6g}, mu=pi={:.6g}",
+        f"fig2 ({column}): squeezed interval at mu=pi/2 must be strictly widest",
+    )
+    return tuple(ShapeCheck(mu, column, f"fig2 {tag} ({column}): {desc}",
+                            f"fig2 {tag} ({column}): expected {desc}", holds)
+                 for mu, tag, desc, holds in shapes) + (widest,)
+
+
+FIG2_CHECKS = _fig2_checks("xi2_std") + _fig2_checks("xi2_literal")
+
+
+def run_fig1(nu_steps: int = FIG1_NU_STEPS, beta_steps: int = FIG1_BETA_STEPS):
+    """Mean-spin-length sweeps: three mu slices over a (nu, beta) grid."""
+    return run_figure(FIG1_MUS, np.linspace(0.0, 2.0 * math.pi, nu_steps),
+                      np.linspace(0.0, 1.0, beta_steps), FIG1_CHECKS)
 
 
 def run_fig2(beta_steps: int = FIG2_BETA_STEPS):
-    """Squeezing sweeps at nu = -pi/3 for mu in {0, pi/2, pi}.
+    """Squeezing sweeps at nu = -pi/3 for mu in {0, pi/2, pi}, checked for
+    both squeezing normalizations."""
+    return run_figure(FIG2_MUS, (FIG2_NU,), np.linspace(0.0, 1.0, beta_steps), FIG2_CHECKS)
 
-    Shape expectations: the mu=0 curve decreases toward a minimum, the
-    mu=pi/2 and mu=pi curves rise to an interior maximum and then fall, and
-    the squeezed beta interval at mu=pi/2 is strictly the widest.  Checked
-    for both squeezing normalizations.
-    """
-    betas = np.linspace(0.0, 1.0, beta_steps)
-    slices: dict[float, list[dict]] = {}
-    violations: list[str] = []
-    lines: list[str] = []
-    for mu in FIG2_MUS:
-        points = [SqueezeParams(beta=float(b), mu=mu, nu=FIG2_NU) for b in betas]
-        slices[mu] = evaluate_rows(points)
 
-    mu_tags = {FIG2_MUS[0]: "mu=0", FIG2_MUS[1]: "mu=pi/2", FIG2_MUS[2]: "mu=pi"}
-    for column in ("xi2_std", "xi2_literal"):
-        widths = {}
-        for mu in FIG2_MUS:
-            curve = np.array([row[column] for row in slices[mu]])
-            tag = mu_tags[mu]
-            if mu == 0.0:
-                ok = monotone_nonincreasing(curve) and curve[0] > curve[-1]
-                desc = "decrease toward a minimum"
-            else:
-                ok = rise_then_fall(curve)
-                desc = "rise to an interior maximum, then fall"
-            lines.append(f"fig2 {tag} ({column}): {desc}: {'PASS' if ok else 'FAIL'}")
-            if not ok:
-                violations.append(f"fig2 {tag} ({column}): expected {desc}")
-            widths[mu] = squeezed_interval_width(betas, curve)
-        wide = (
-            widths[FIG2_MUS[1]] > widths[FIG2_MUS[0]]
-            and widths[FIG2_MUS[1]] > widths[FIG2_MUS[2]]
-        )
-        lines.append(
-            f"fig2 squeezed-interval widths ({column}): "
-            + ", ".join(f"{mu_tags[mu]}={widths[mu]:.6g}" for mu in FIG2_MUS)
-            + f": {'PASS' if wide else 'FAIL'}"
-        )
-        if not wide:
-            violations.append(
-                f"fig2 ({column}): squeezed interval at mu=pi/2 must be strictly widest"
-            )
-    return slices, violations, lines
+FIGURES = {"fig1": run_fig1, "fig2": run_fig2}
 
 
 # ---------------------------------------------------------------------------
@@ -386,76 +398,61 @@ def run_fig2(beta_steps: int = FIG2_BETA_STEPS):
 def cmd_point(args: argparse.Namespace) -> int:
     _required(args, "beta", "mu", "nu")
     params = SqueezeParams(beta=args.beta, mu=args.mu, nu=args.nu)
-    record: dict[str, object] = {
-        "beta": params.beta,
-        "mu": params.mu,
-        "nu": params.nu,
-        "alpha": params.alpha,
-    }
+    record = dict(beta=params.beta, mu=params.mu, nu=params.nu, alpha=params.alpha)
 
     cf = mean_spin_closed_form(params)
     raising_cf = second_moments_closed_form(params)
     record.update(
-        {
-            "jx_cf": cf.jx,
-            "jy_cf": cf.jy,
-            "jz_cf": cf.jz,
-            "r_eq9": mean_spin_length(cf),
-            "r_eq10": mean_spin_length_closed_form(params),
-            "jplus_sq_cf": raising_cf.jplus_sq,
-            "jz_sq_cf": raising_cf.jz_sq,
-            "jplus_2jz1_cf": raising_cf.jplus_2jz1,
-        }
+        jx_cf=cf.jx,
+        jy_cf=cf.jy,
+        jz_cf=cf.jz,
+        r_eq9=mean_spin_length(cf),
+        r_eq10=mean_spin_length_closed_form(params),
+        jplus_sq_cf=raising_cf.jplus_sq,
+        jz_sq_cf=raising_cf.jz_sq,
+        jplus_2jz1_cf=raising_cf.jplus_2jz1,
     )
     cf_frame = compute_frame(cf)
     if cf_frame.status is not FrameStatus.FULLY_DEGENERATE:
         fm_cf = frame_moments_closed_form(params, cf_frame)
         record.update(
-            {
-                "jn1sq_cf": fm_cf.jn1_sq,
-                "jn2sq_cf": fm_cf.jn2_sq,
-                "anticomm_cf": fm_cf.anticomm,
-                "xi2_std_cf": squeezing_standard(fm_cf),
-                "xi2_literal_cf": squeezing_literal(fm_cf),
-            }
+            jn1sq_cf=fm_cf.jn1_sq,
+            jn2sq_cf=fm_cf.jn2_sq,
+            anticomm_cf=fm_cf.anticomm,
+            xi2_std_cf=squeezing_standard(fm_cf),
+            xi2_literal_cf=squeezing_literal(fm_cf),
         )
 
     point = evaluate_oracle(params)
     res = point.result
     record.update(
-        {
-            "jx_or": point.moments.mean.jx,
-            "jy_or": point.moments.mean.jy,
-            "jz_or": point.moments.mean.jz,
-            "r_or": mean_spin_length(point.moments.mean),
-            "jplus_sq_or": point.moments.raising.jplus_sq,
-            "jz_sq_or": point.moments.raising.jz_sq,
-            "jplus_2jz1_or": point.moments.raising.jplus_2jz1,
-            "theta": point.frame.theta,
-            "phi": point.frame.phi,
-            "frame_status": res.frame_status.value,
-            "method": res.method,
-        }
+        jx_or=point.moments.mean.jx,
+        jy_or=point.moments.mean.jy,
+        jz_or=point.moments.mean.jz,
+        r_or=mean_spin_length(point.moments.mean),
+        jplus_sq_or=point.moments.raising.jplus_sq,
+        jz_sq_or=point.moments.raising.jz_sq,
+        jplus_2jz1_or=point.moments.raising.jplus_2jz1,
+        theta=point.frame.theta,
+        phi=point.frame.phi,
+        frame_status=res.frame_status.value,
+        method=res.method,
     )
     if point.frame_moments is not None:
         record.update(
-            {
-                "jn1sq_or": point.frame_moments.jn1_sq,
-                "jn2sq_or": point.frame_moments.jn2_sq,
-                "anticomm_or": point.frame_moments.anticomm,
-            }
+            jn1sq_or=point.frame_moments.jn1_sq,
+            jn2sq_or=point.frame_moments.jn2_sq,
+            anticomm_or=point.frame_moments.anticomm,
         )
     record.update(
-        {
-            "lambda_min": res.lambda_min,
-            "chi_min": res.chi_min,
-            "xi2_std": res.xi2_std,
-            "xi2_literal": res.xi2_literal,
-            "xi2": res.xi2_std if args.convention == "standard" else res.xi2_literal,
-            "convention": args.convention,
-            "concurrence": res.concurrence,
-            "one_minus_concurrence": 1.0 - res.concurrence,
-        }
+        lambda_min=res.lambda_min,
+        chi_min=res.chi_min,
+        xi2_std=res.xi2_std,
+        xi2_literal=res.xi2_literal,
+        xi2=res.xi2_std if args.convention == "standard" else res.xi2_literal,
+        convention=args.convention,
+        concurrence=res.concurrence,
+        one_minus_concurrence=1.0 - res.concurrence,
     )
 
     with _open_out(args.out) as handle:
@@ -477,22 +474,25 @@ def cmd_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _required(args, "mu-list", "nu-list")
+def _betas(args: argparse.Namespace) -> np.ndarray:
+    """The beta axis of sweep and crosscheck."""
     if args.beta_steps < 2:
         raise UsageError("beta-steps must be at least 2")
+    for name in ("beta-min", "beta-max"):
+        value = getattr(args, name.replace("-", "_"))
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"{name} must lie in [0, 1], got {value!r}")
+    return np.linspace(args.beta_min, args.beta_max, args.beta_steps)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    _required(args, "mu-list", "nu-list")
+    betas = _betas(args)
     # accepted and validated for compatibility; evaluation is serial
     if args.threads < 1:
         raise UsageError("threads must be at least 1")
 
-    betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
-    points = [
-        SqueezeParams(beta=float(b), mu=float(m), nu=float(v))
-        for m in args.mu_list
-        for v in args.nu_list
-        for b in betas
-    ]
-    rows = evaluate_rows(points)
+    rows = [evaluate_row(p) for p in sweep_points(args.mu_list, args.nu_list, betas)]
 
     with _open_out(args.out) as handle:
         if args.format == "csv":
@@ -500,16 +500,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             write_rows_json(rows, handle)
 
-    if args.strict:
-        degenerate = sum(
-            1 for row in rows if row["frame_status"] == FrameStatus.FULLY_DEGENERATE.value
-        )
-        if degenerate:
-            print(
-                f"strict mode: {degenerate} fully-degenerate points in sweep",
-                file=sys.stderr,
-            )
-            return 2
+    degenerate = sum(row["frame_status"] == FrameStatus.FULLY_DEGENERATE.value for row in rows)
+    if args.strict and degenerate:
+        print(f"strict mode: {degenerate} fully-degenerate points in sweep", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -518,32 +512,22 @@ def cmd_figure(args: argparse.Namespace) -> int:
     name, outdir = args.name, args.outdir
     os.makedirs(outdir, exist_ok=True)
 
-    slices, violations, lines = run_fig1() if name == "fig1" else run_fig2()
+    slices, violations, lines = FIGURES[name]()
     for index, (mu, rows) in enumerate(slices.items()):
         path = os.path.join(outdir, f"{name}_mu{index}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with _open_out(path) as handle:
             write_rows_csv(rows, handle)
         lines.insert(index, f"{name} slice {index}: mu = {fmt(float(mu))} -> {path}")
 
     if name == "fig2":
         # squeezing versus concurrence diagnostic, reported but never asserted
-        diag_path = os.path.join(outdir, "fig2_xi2_concurrence.csv")
-        max_gap = 0.0
-        with open(diag_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(
-                ["beta", "mu", "nu", "xi2_std", "concurrence",
-                 "one_minus_concurrence", "abs_diff"]
-            )
-            for rows in slices.values():
-                for row in rows:
-                    gap = abs(row["xi2_std"] - (1.0 - row["concurrence"]))
-                    max_gap = max(max_gap, gap)
-                    writer.writerow(
-                        [fmt(row["beta"]), fmt(row["mu"]), fmt(row["nu"]),
-                         fmt(row["xi2_std"]), fmt(row["concurrence"]),
-                         fmt(1.0 - row["concurrence"]), fmt(gap)]
-                    )
+        diag = [{**row, "one_minus_concurrence": 1.0 - row["concurrence"],
+                 "abs_diff": abs(row["xi2_std"] - (1.0 - row["concurrence"]))}
+                for rows in slices.values() for row in rows]
+        with _open_out(os.path.join(outdir, "fig2_xi2_concurrence.csv")) as handle:
+            write_rows_csv(diag, handle, ("beta", "mu", "nu", "xi2_std", "concurrence",
+                                          "one_minus_concurrence", "abs_diff"))
+        max_gap = max([0.0] + [row["abs_diff"] for row in diag])
         lines.append(f"fig2 diagnostic: max |xi2_std - (1 - concurrence)| = {max_gap:.6g}")
 
     summary_path = os.path.join(outdir, f"{name}_shapes.txt")
@@ -580,8 +564,7 @@ def _render_crosscheck_text(report: CrosscheckReport, handle) -> None:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
-    report = run_crosscheck(default_grid(betas, args.mu_list, args.nu_list), args.tol)
+    report = run_crosscheck(default_grid(_betas(args), args.mu_list, args.nu_list), args.tol)
     with _open_out(args.out) as handle:
         if args.format == "json":
             json.dump(report.as_dict(), handle, indent=2)
@@ -652,7 +635,7 @@ def build_parser():
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="preset sweeps with shape assertions")
-    p_fig.add_argument("name", choices=("fig1", "fig2"))
+    p_fig.add_argument("name", choices=tuple(FIGURES))
     p_fig.add_argument("--outdir", help="directory for the emitted files")
     config(p_fig)
     p_fig.set_defaults(func=cmd_figure)

@@ -105,7 +105,7 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _variance_of_combo(state, w1, w2, m1, m2, chi):
+def _variance_of_combo(w1, w2, m1, m2, chi):
     w = math.cos(chi) * w1 + math.sin(chi) * w2
     second = float(np.vdot(w, w).real)
     mean = math.cos(chi) * m1 + math.sin(chi) * m2
@@ -142,7 +142,7 @@ def min_transverse_variance_scan(
     i = int(np.argmin(var))
 
     step = math.pi / grid_size
-    f = lambda chi: _variance_of_combo(state, w1, w2, m1, m2, chi)
+    f = lambda chi: _variance_of_combo(w1, w2, m1, m2, chi)
     chi_ref, val_ref = _golden_min(f, chis[i] - step, chis[i] + step, _GOLDEN_TOL)
     if val_ref <= var[i]:
         chi_min, val = chi_ref, val_ref

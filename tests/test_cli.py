@@ -1,11 +1,16 @@
 """CLI: parsing, sweep output contract, figures, exit codes, determinism."""
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaxbell import SqueezeParams
 from biaxbell.cli import (
@@ -362,6 +367,43 @@ def test_sweep_rejects_bad_values(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("steps", ["1", "0"])
+def test_crosscheck_rejects_short_beta_axis(capsys, steps):
+    assert main(["crosscheck", "--beta-steps", steps, "--mu-list", "0", "--nu-list", "0"]) == 1
+    assert "beta-steps must be at least 2" in capsys.readouterr().err
+
+
+def _run_main(argv):
+    """(exit code, stderr, recorded warnings) of main(argv); stdout is dropped."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["sweep", "crosscheck"])
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        (["--beta-max", "inf"], "beta-max must lie in [0, 1], got inf"),
+        (["--beta-min", "nan"], "beta-min must lie in [0, 1], got nan"),
+        (["--beta-max", "2"], "beta-max must lie in [0, 1], got 2.0"),
+        (["--beta-min=-1"], "beta-min must lie in [0, 1], got -1.0"),
+        (["--beta-min", "1e308", "--beta-max=-1e308"], "beta-min must lie in [0, 1], got 1e+308"),
+    ],
+)
+def test_beta_bounds_outside_unit_interval(command, bounds, message):
+    # rejected before the beta axis is built, so numpy never warns
+    code, err, caught = _run_main(
+        [command, "--mu-list", "0", "--nu-list", "0", "--beta-steps", "3", *bounds]
+    )
+    assert code == 1
+    assert err == f"biaxbell: error: {message}\n"
+    assert caught == []
+
+
 # (subcommand, option) pairs that were parsed but never read; '--out' on
 # figure must not be taken as an abbreviation of '--outdir'
 @pytest.mark.parametrize(
@@ -441,6 +483,33 @@ def test_fig2_small_grid_flags_only_mu_pi():
         assert "mu=pi/2" not in v and "mu=0" not in v
 
 
+def test_figure_reports_are_pinned():
+    # exact report and violation text, order and verdicts of both presets
+    _, violations, lines = run_fig1(nu_steps=9, beta_steps=21)
+    assert lines == [
+        "fig1 mu=0: monotone decrease, endpoints 1 and 0: PASS",
+        "fig1 mu=pi/2: unimodal with peak at 1/sqrt(2): PASS",
+    ]
+    assert violations == []
+
+    _, violations, lines = run_fig2(beta_steps=41)
+    rise = "rise to an interior maximum, then fall"
+    assert lines == [
+        "fig2 mu=0 (xi2_std): decrease toward a minimum: PASS",
+        f"fig2 mu=pi/2 (xi2_std): {rise}: PASS",
+        f"fig2 mu=pi (xi2_std): {rise}: FAIL",
+        "fig2 squeezed-interval widths (xi2_std): mu=0=0.975, mu=pi/2=1, mu=pi=0.975: PASS",
+        "fig2 mu=0 (xi2_literal): decrease toward a minimum: PASS",
+        f"fig2 mu=pi/2 (xi2_literal): {rise}: PASS",
+        f"fig2 mu=pi (xi2_literal): {rise}: FAIL",
+        "fig2 squeezed-interval widths (xi2_literal): mu=0=0.275, mu=pi/2=1, mu=pi=0.275: PASS",
+    ]
+    assert violations == [
+        f"fig2 mu=pi (xi2_std): expected {rise}",
+        f"fig2 mu=pi (xi2_literal): expected {rise}",
+    ]
+
+
 def test_figure_command_fig2_exits_two(tmp_path, capsys):
     code = main(["figure", "fig2", "--outdir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -460,6 +529,44 @@ def test_figure_requires_outdir():
 
 # ---------------------------------------------------------------------------
 # process-level checks
+
+
+# argv alphabet of the fuzz: no output or config path and no figure name, so
+# a drawn argv writes no file and runs no full figure
+_FUZZ_OPTIONS = {
+    "point": ("--beta", "--mu", "--nu", "--convention", "--format"),
+    "sweep": ("--beta-min", "--beta-max", "--beta-steps", "--mu-list", "--nu-list",
+              "--strict", "--threads", "--format"),
+    "figure": ("--help",),
+    "crosscheck": ("--beta-min", "--beta-max", "--beta-steps", "--mu-list", "--nu-list",
+                   "--tol", "--format"),
+}
+_FUZZ_VALUES = (
+    "pi/0", "2pi/3", "-pi/3", "pi", "inf", "nan", "-1", "0", "1", "2", "3", "1e400",
+    "0.5", "xml", "json", "csv", "text", "standard", "paper-literal", "yes",
+    "0,1", "0,pi/2", ",", "nan,0",
+)
+_FUZZ_TOKENS = (
+    *_FUZZ_OPTIONS, *sorted({o for opts in _FUZZ_OPTIONS.values() for o in opts}),
+    *_FUZZ_VALUES,
+)
+
+
+def _fuzz_argv(command):
+    """The subcommand, option-value pairs of its own, then up to two stray tokens."""
+    pairs = st.lists(st.tuples(st.sampled_from(_FUZZ_OPTIONS[command]),
+                               st.sampled_from(_FUZZ_VALUES)), max_size=5)
+    stray = st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=2)
+    return st.builds(lambda p, t: [command, *(x for pair in p for x in pair), *t], pairs, stray)
+
+
+@given(st.sampled_from(tuple(_FUZZ_OPTIONS)).flatmap(_fuzz_argv))
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_main_fuzz_exits_cleanly(argv):
+    code, err, caught = _run_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    assert caught == [], (argv, caught)
 
 
 def test_usage_error_exit_code():
