@@ -22,8 +22,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .closedform import (
+    FrameMoments,
     cartesian_from_raising,
     frame_moments_closed_form,
+    minimal_variance_closed_form,
     second_moments_closed_form,
 )
 from .frame import (
@@ -182,8 +184,8 @@ def _has_frame(values: dict) -> bool:
 def _radical(values: dict) -> float:
     """Closed-form lambda_min before its one-half factor:
     (jn1^2 + jn2^2) - sqrt((jn1^2 - jn2^2)^2 + anticomm^2)."""
-    a, b, c = values["jn1_sq"], values["jn2_sq"], values["anticomm"]
-    return (a + b) - float(np.hypot(a - b, c))
+    moments = FrameMoments(**{k: values[k] for k in FRAME_DEPENDENT})
+    return 2.0 * minimal_variance_closed_form(moments)
 
 
 def _max_diff(pairs) -> float:

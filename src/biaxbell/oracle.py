@@ -2,9 +2,9 @@
 
 Every quantity the closed forms predict is recomputed here from the state
 vector and dense operators, with no shared algebra.  Minimizations are done
-twice on purpose: an analytic eigenvalue route and a brute scan with local
-refinement.  The two must agree or the call fails loudly; agreement is the
-evidence that both are right.
+twice on purpose: an analytic eigenvalue route and a brute grid scan refined
+by ever finer local grids.  The two must agree or the call fails loudly;
+agreement is the evidence that both are right.
 """
 from __future__ import annotations
 
@@ -35,13 +35,14 @@ from .spincore import (
 METHOD_TRANSVERSE = "transverse-eigen"
 METHOD_ALL_DIRECTIONS = "all-directions"
 
-DEFAULT_TRANSVERSE_GRID = 4096
+TRANSVERSE_GRID = 4096
 SPHERE_GRID = (64, 128)
-SPHERE_ROUNDS = 3
 # eigen-versus-scan agreement the two minimizations must reach
 TRANSVERSE_AGREE_TOL = 1e-8
 ALL_DIRECTIONS_AGREE_TOL = 1e-6
-_GOLDEN_TOL = 1e-12
+# local refinement: 2k+1 points per axis, span shrinks k-fold per round
+_ZOOM_K = 8
+_ZOOM_ROUNDS = 6
 _HERMITICITY_TOL = 1e-9
 
 
@@ -86,70 +87,50 @@ def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
     return OracleMoments(mean=mean, raising=raising, table=table)
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [a, b] to bracket width tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+def _zoom_min(f, best, step) -> tuple[tuple[float, ...], float]:
+    """Local minimum of a vectorized f(*coords) near the point best.
 
-
-def _variance_of_combo(w1, w2, m1, m2, chi):
-    w = math.cos(chi) * w1 + math.sin(chi) * w2
-    second = float(np.vdot(w, w).real)
-    mean = math.cos(chi) * m1 + math.sin(chi) * m2
-    return second - mean * mean
+    Each round evaluates f on a grid of 2k+1 points per axis spanning
+    best +- step, moves to the lowest point and divides step by k.  The grid
+    always contains its centre, so the value never rises.
+    """
+    offsets = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
+    for _ in range(_ZOOM_ROUNDS):
+        grid = np.meshgrid(*(b + s * offsets for b, s in zip(best, step)), indexing="ij")
+        values = f(*grid)
+        i = np.unravel_index(np.argmin(values), values.shape)
+        best = tuple(float(axis[i]) for axis in grid)
+        step = tuple(s / _ZOOM_K for s in step)
+    return best, float(values[i])
 
 
 def min_transverse_variance_scan(
-    state: np.ndarray,
-    frame: SpinFrame,
-    ops: SpinOperatorSet,
-    grid_size: int = DEFAULT_TRANSVERSE_GRID,
+    state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
     """Brute minimum of Var(J_chi) over the transverse plane.
 
     chi parametrizes the direction cos(chi) n1 + sin(chi) n2 over [0, pi).
-    A dense grid locates the basin and golden-section search refines it to a
-    bracket of width _GOLDEN_TOL.  This route never forms a covariance matrix;
-    it applies operators to the state and takes norms.
+    A grid of TRANSVERSE_GRID angles locates the basin and _zoom_min refines
+    it.  This route never forms a covariance matrix; it applies operators to
+    the state and takes norms.
     """
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse scan undefined: mean spin below eps")
-    if grid_size < 8:
-        raise ValueError(f"grid_size too small: {grid_size}")
     jn1, jn2 = project_transverse_operators(frame, ops)
     w1, w2 = jn1 @ state, jn2 @ state
     m1 = _real(complex(np.vdot(state, w1)), "<Jn1>")
     m2 = _real(complex(np.vdot(state, w2)), "<Jn2>")
 
-    chis = np.linspace(0.0, math.pi, grid_size, endpoint=False)
-    combo = np.cos(chis)[:, None] * w1[None, :] + np.sin(chis)[:, None] * w2[None, :]
-    second = np.einsum("kd,kd->k", combo, combo.conj()).real
-    means = np.cos(chis) * m1 + np.sin(chis) * m2
-    var = second - means ** 2
-    i = int(np.argmin(var))
+    def var(chis):
+        c, s = np.cos(chis), np.sin(chis)
+        combo = c[..., None] * w1 + s[..., None] * w2
+        second = np.einsum("...d,...d->...", combo, combo.conj()).real
+        return second - (c * m1 + s * m2) ** 2
 
-    step = math.pi / grid_size
-    f = lambda chi: _variance_of_combo(w1, w2, m1, m2, chi)
-    chi_ref, val_ref = _golden_min(f, chis[i] - step, chis[i] + step, _GOLDEN_TOL)
-    if val_ref <= var[i]:
-        chi_min, val = chi_ref, val_ref
-    else:
-        chi_min, val = float(chis[i]), float(var[i])
-    chi_min = chi_min % math.pi
-    return val, chi_min
+    chis = np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False)
+    i = int(np.argmin(var(chis)))
+    (chi_min,), val = _zoom_min(var, (chis[i],), (math.pi / TRANSVERSE_GRID,))
+    return val, chi_min % math.pi
 
 
 def min_transverse_variance(
@@ -191,41 +172,27 @@ def min_transverse_variance(
     return lam, chi
 
 
-def _second_moment_of_direction(w_stack: np.ndarray, u: np.ndarray) -> float:
-    w = w_stack.T @ u
-    return float(np.vdot(w, w).real)
-
-
 def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
-    """Minimum of <J_u^2> over all unit directions by grid plus refinement."""
-    n_theta, n_phi = SPHERE_GRID
+    """Minimum of <J_u^2> over all unit directions: a SPHERE_GRID grid of
+    polar and azimuth angles, refined by _zoom_min."""
     w_stack = np.stack([ops.jx @ state, ops.jy @ state, ops.jz @ state])
+
+    def second(theta, phi):
+        u = np.stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+            axis=-1,
+        )
+        w = u @ w_stack
+        return np.einsum("...d,...d->...", w, w.conj()).real
+
+    n_theta, n_phi = SPHERE_GRID
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    u = np.stack(
-        [np.sin(tg) * np.cos(pg), np.sin(tg) * np.sin(pg), np.cos(tg)], axis=-1
-    ).reshape(-1, 3)
-    w = u @ w_stack
-    second = np.einsum("kd,kd->k", w, w.conj()).real
-    i = int(np.argmin(second))
-    theta, phi = float(tg.reshape(-1)[i]), float(pg.reshape(-1)[i])
-    best = float(second[i])
-
-    def value(th, ph):
-        direction = np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
-        return _second_moment_of_direction(w_stack, direction)
-
-    dt = math.pi / (n_theta - 1)
-    dp = 2.0 * math.pi / n_phi
-    for _ in range(SPHERE_ROUNDS):
-        theta, _ = _golden_min(lambda t: value(t, phi), theta - dt, theta + dt, 1e-10)
-        phi, _ = _golden_min(lambda p: value(theta, p), phi - dp, phi + dp, 1e-10)
-        dt /= 8.0
-        dp /= 8.0
-    return min(best, value(theta, phi))
+    values = second(tg, pg)
+    i = np.unravel_index(np.argmin(values), values.shape)
+    _, val = _zoom_min(second, (tg[i], pg[i]), (math.pi / (n_theta - 1), 2.0 * math.pi / n_phi))
+    return val
 
 
 def min_variance_all_directions(
@@ -236,7 +203,7 @@ def min_variance_all_directions(
     This is the fallback used when the mean spin vanishes and no transverse
     plane is distinguished; there the second moment and the variance
     coincide.  The primary route diagonalizes the 3x3 symmetric
-    second-moment matrix; a spherical scan with local refinement must agree
+    second-moment matrix; the spherical grid scan _sphere_scan must agree
     within ALL_DIRECTIONS_AGREE_TOL.
     """
     table = moments_oracle(state, ops).table

@@ -24,6 +24,7 @@ from biaxbell import (
     moments_oracle,
     squeeze_oracle,
 )
+from biaxbell.oracle import _sphere_scan, _zoom_min
 
 OPS = build_spin_operators(1.0)
 
@@ -125,12 +126,6 @@ def test_transverse_refuses_degenerate_frame():
         min_transverse_variance(state, _frame_of(state), OPS)
 
 
-def test_transverse_scan_rejects_tiny_grid():
-    state = build_superposition_state(P1)
-    with pytest.raises(ValueError):
-        min_transverse_variance_scan(state, _frame_of(state), OPS, grid_size=4)
-
-
 @given(params_st)
 @settings(max_examples=200, deadline=None)
 def test_eigen_and_scan_agree(p):
@@ -179,6 +174,24 @@ def test_uncertainty_product_bound(p):
     assert fm.jn1_sq * fm.jn2_sq >= 0.25 * r * r - 1e-9
 
 
+def test_zoom_min_reaches_off_grid_minimum_1d():
+    x0 = 0.3 + math.pi * 1e-3           # between the grid points of every round
+    f = lambda x: (x - x0) ** 2 + 0.25
+    (x,), val = _zoom_min(f, (0.3,), (0.01,))
+    assert val <= f(0.3)
+    assert abs(val - 0.25) <= 1e-12
+    assert abs(x - x0) <= 1e-7
+
+
+def test_zoom_min_reaches_off_grid_minimum_2d():
+    a, b = 0.0123456789, -0.0456789123
+    f = lambda x, y: 2.0 * (x - a) ** 2 + (x - a) * (y - b) + (y - b) ** 2 - 0.7
+    (x, y), val = _zoom_min(f, (0.0, 0.0), (0.1, 0.1))
+    assert val <= f(0.0, 0.0)
+    assert abs(val + 0.7) <= 1e-12
+    assert math.hypot(x - a, y - b) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # all-directions fallback
 
@@ -199,6 +212,21 @@ def test_all_directions_equatorial_biaxial():
 def test_all_directions_coherent():
     lam, _ = min_variance_all_directions(_state(0.0, 0.0, 0.0), OPS)
     assert lam == pytest.approx(0.5, abs=1e-9)
+
+
+def test_sphere_scan_meets_smallest_eigenvalue():
+    # every zero-mean sweep input (mu = pi/2, nu in {0, pi}) and a Bell-weight-one
+    # grid; the gate is 1e-6, so this catches a refinement that stops early
+    inputs = [(b, math.pi / 2, nu) for nu in (0.0, math.pi) for b in np.linspace(0.0, 1.0, 101)]
+    inputs += [
+        (1.0, mu, nu)
+        for mu in np.linspace(0.0, math.pi, 13)
+        for nu in np.linspace(-math.pi, math.pi, 7)
+    ]
+    for beta, mu, nu in inputs:
+        state = _state(float(beta), float(mu), float(nu))
+        lam = np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]
+        assert abs(_sphere_scan(state, OPS) - lam) <= 1e-12, (beta, mu, nu)
 
 
 # ---------------------------------------------------------------------------

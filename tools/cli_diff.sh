@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# Compare the command-line output of biaxbell at a git revision with the
+# working tree.
+#
+#   tools/cli_diff.sh REV        e.g. tools/cli_diff.sh HEAD~1
+#
+# src/ at REV is exported with `git archive`; the working tree's src/ is
+# copied as it is on disk (git archive reads only committed trees).  Both
+# land in a temporary directory, so nothing is written inside the repository.
+# Each case below runs on both trees in its own directory; its stdout,
+# stderr, exit code and written files are then compared with `diff -r`.
+# Exit status: 0 when every case is byte-identical, 1 when any differs.
+set -euo pipefail
+
+if [ "$#" -ne 1 ]; then
+    echo "usage: $0 REV" >&2
+    exit 2
+fi
+rev=$1
+repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+git -C "$repo" rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
+    echo "$0: unknown revision '$rev'" >&2
+    exit 2
+}
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir -p "$tmp/rev" "$tmp/work"
+git -C "$repo" archive "$rev" src | tar -x -C "$tmp/rev"
+tar -C "$repo" --exclude=__pycache__ -cf - src | tar -x -C "$tmp/work"
+
+# name|argv, split on spaces; output paths are relative to the case directory
+cases=(
+    # the three benchmark argv shapes (perfbench/workloads.py)
+    "bench_sweep_fig1|sweep --mu-list pi/3 --nu-list=2.0943951023931953 --beta-steps 41 --format csv --out out0.csv"
+    "bench_crosscheck|crosscheck --format json --beta-min=0.35 --beta-max=0.65 --beta-steps 7 --nu-list=-1.0471975511965976 --out out0.json"
+    "bench_sweep_zero_mean|sweep --mu-list pi/2 --nu-list pi --beta-min=0.0625 --beta-max=0.3 --beta-steps 26 --format json --out out0.json"
+    "crosscheck_text|crosscheck"
+    "crosscheck_json|crosscheck --format json"
+    "crosscheck_tight_text|crosscheck --tol 1e-18 --beta-steps 3"
+    "crosscheck_tight_json|crosscheck --tol 1e-18 --beta-steps 3 --format json"
+    "point_text|point --beta 0.6 --mu pi/3 --nu pi/4"
+    "point_json|point --beta 0.6 --mu pi/3 --nu pi/4 --format json"
+    "point_degenerate|point --beta 1 --mu pi/2 --nu 0 --convention paper-literal"
+    "sweep_csv|sweep --mu-list 0,pi/2,2pi/3 --nu-list -pi/3,1 --beta-steps 11"
+    "sweep_json|sweep --mu-list 0,pi/2,2pi/3 --nu-list -pi/3,1 --beta-steps 11 --format json"
+    "sweep_strict|sweep --mu-list pi/2 --nu-list 0,1 --beta-steps 5 --strict"
+    "figure_fig2|figure fig2 --outdir figs"
+)
+
+for side in rev work; do
+    for case in "${cases[@]}"; do
+        name=${case%%|*}
+        read -r -a argv <<< "${case#*|}"
+        dir="$tmp/out-$side/$name"
+        mkdir -p "$dir"
+        status=0
+        (cd "$dir" && PYTHONPATH="$tmp/$side/src" PYTHONDONTWRITEBYTECODE=1 \
+            python3 -m biaxbell.cli "${argv[@]}" >stdout 2>stderr) || status=$?
+        echo "$status" >"$dir/exit_code"
+    done
+done
+
+if diff -r "$tmp/out-rev" "$tmp/out-work"; then
+    echo "cli_diff: ${#cases[@]} cases byte-identical between $rev and the working tree"
+else
+    echo "cli_diff: output differs between $rev and the working tree" >&2
+    exit 1
+fi
