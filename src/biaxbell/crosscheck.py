@@ -63,6 +63,10 @@ NU_DISCRIMINATING = ("jy", "yz_anticomm", "anticomm")
 FRAME_DEPENDENT = ("jn1_sq", "jn2_sq", "anticomm")
 # compared under the selected nu candidate, in report order
 NU_SELECTED = ("jy", "yz_anticomm", *FRAME_DEPENDENT)
+_REPORTED = (*CONVENTION_INDEPENDENT, *NU_SELECTED, "lambda_min")
+
+# frame quantities of a route without a transverse frame
+_NO_FRAME = FrameMoments(jn1_sq=math.nan, jn2_sq=math.nan, anticomm=math.nan)
 
 
 BETA_STEPS = 21
@@ -111,10 +115,8 @@ class CrosscheckReport:
 
     @property
     def independent_ok(self) -> bool:
-        return all(
-            self.max_abs_diff_per_quantity.get(q, 0.0) <= self.tol
-            for q in CONVENTION_INDEPENDENT
-        )
+        diffs = self.max_abs_diff_per_quantity
+        return all(diffs[q] <= self.tol for q in CONVENTION_INDEPENDENT)
 
     def as_dict(self) -> dict:
         """Fields in declaration order, independent_ok before the failures."""
@@ -131,7 +133,8 @@ def _closed_values(params: SqueezeParams) -> dict[str, complex]:
     """Closed-form values of every compared quantity at one parameter point.
 
     Frame-dependent entries are evaluated in the frame of the closed-form
-    mean spin and are absent when that frame is fully degenerate.
+    mean spin and are NaN when that frame is fully degenerate; so is
+    "radical", the closed-form lambda_min before its one-half factor.
     """
     ms = mean_spin_closed_form(params)
     raising = second_moments_closed_form(params)
@@ -150,12 +153,16 @@ def _closed_values(params: SqueezeParams) -> dict[str, complex]:
         "xy_anticomm": cart.xy_anticomm,
     }
     frame = compute_frame(ms)
-    if frame.status is not FrameStatus.FULLY_DEGENERATE:
-        values.update(vars(frame_moments_closed_form(params, frame)))
+    degenerate = frame.status is FrameStatus.FULLY_DEGENERATE
+    moments = _NO_FRAME if degenerate else frame_moments_closed_form(params, frame)
+    values.update(vars(moments))
+    values["radical"] = 2.0 * minimal_variance_closed_form(moments)
     return values
 
 
 def _oracle_values(point) -> dict[str, complex]:
+    """Oracle values of the same quantities, NaN-marked the same way, and
+    lambda_min where the transverse route ran."""
     m = point.moments
     table = m.table
     values: dict[str, complex] = {
@@ -171,45 +178,45 @@ def _oracle_values(point) -> dict[str, complex]:
         "jx2_minus_jy2": table[0, 0] - table[1, 1],
         "xy_anticomm": 2.0 * table[0, 1],
     }
-    if point.frame_moments is not None:
-        values.update(vars(point.frame_moments))
+    no_frame = point.frame_moments is None
+    values.update(vars(_NO_FRAME if no_frame else point.frame_moments))
+    values["lambda_min"] = math.nan if no_frame else point.result.lambda_min
     return values
 
 
-def _has_frame(values: dict) -> bool:
-    """Whether the route behind ``values`` had a transverse frame."""
-    return FRAME_DEPENDENT[0] in values
+def _columns(rows: list[dict]) -> dict[str, np.ndarray]:
+    """One array per quantity, in grid order."""
+    return {q: np.array([row[q] for row in rows]) for q in rows[0]}
 
 
-def _radical(values: dict) -> float:
-    """Closed-form lambda_min before its one-half factor:
-    (jn1^2 + jn2^2) - sqrt((jn1^2 - jn2^2)^2 + anticomm^2)."""
-    moments = FrameMoments(**{k: values[k] for k in FRAME_DEPENDENT})
-    return 2.0 * minimal_variance_closed_form(moments)
+def _nanmax_abs(d: np.ndarray) -> float:
+    """Largest |d| over all entries, skipping NaN; 0.0 when none is left."""
+    return float(np.fmax.reduce(np.abs(d), axis=None, initial=0.0))
 
 
-def _max_diff(pairs) -> float:
-    """Largest |x - y| over the pairs; 0.0 when there are none."""
-    return max((abs(x - y) for x, y in pairs), default=0.0)
+def _hypothesis(names: tuple[str, str], first, second, oracle, tol: float):
+    """Verdict, each candidate's largest miss against the oracle, and the
+    largest gap between the candidates; NaN entries take no part.
 
-
-def _adjudicate(
-    names: tuple[str, str], diffs: tuple[float, float], discrimination: float, tol: float
-) -> str:
-    if discrimination <= tol:
-        return INCONCLUSIVE        # grid cannot tell the candidates apart
-    ok = [d <= tol for d in diffs]
-    if ok[0] and not ok[1]:
-        return names[0]
-    if ok[1] and not ok[0]:
-        return names[1]
-    return INCONCLUSIVE
+    A candidate wins when it alone is within tol and the candidates differ
+    by more than tol; otherwise the verdict is inconclusive.
+    """
+    misses = {names[0]: _nanmax_abs(first - oracle), names[1]: _nanmax_abs(second - oracle)}
+    discrimination = _nanmax_abs(first - second)
+    within = [name for name, miss in misses.items() if miss <= tol]
+    verdict = within[0] if discrimination > tol and len(within) == 1 else INCONCLUSIVE
+    return verdict, misses, discrimination
 
 
 def run_crosscheck(
     grid: list[SqueezeParams] | None = None, tol: float = DEFAULT_TOL
 ) -> CrosscheckReport:
-    """Compare closed forms against the oracle over a grid and adjudicate."""
+    """Compare closed forms against the oracle over a grid and adjudicate.
+
+    A route without a transverse frame has its frame quantities NaN-marked
+    here; they then take no part in any maximum, verdict or failure, so the
+    report never carries a NaN.
+    """
     if grid is None:
         grid = default_grid()
     if len(grid) == 0:
@@ -217,87 +224,56 @@ def run_crosscheck(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
-    records = []
-    status_counts = {s: 0 for s in FrameStatus}
+    statuses, rows = [], []
     for params in grid:
         point = evaluate_oracle(params)
-        status_counts[point.frame.status] += 1
-        oracle_vals = _oracle_values(point)
-        closed = {
-            NU_AS_PRINTED: _closed_values(params),
-            NU_NEGATED: _closed_values(replace(params, nu=-params.nu)),
-        }
-        records.append((params, point.result.lambda_min, oracle_vals, closed))
+        statuses.append(point.frame.status)
+        rows.append((_oracle_values(point), _closed_values(params),
+                     _closed_values(replace(params, nu=-params.nu))))
+    oracle, printed, negated = map(_columns, zip(*rows))
 
-    nu_candidate_max = {
-        label: _max_diff(
-            (closed[label][q], oracle_vals[q])
-            for _, _, oracle_vals, closed in records
-            for q in NU_DISCRIMINATING
-            if q in closed[label] and q in oracle_vals
-        )
-        for label in (NU_AS_PRINTED, NU_NEGATED)
-    }
-    nu_discrimination = _max_diff(
-        (closed[NU_AS_PRINTED][q], closed[NU_NEGATED][q])
-        for _, _, _, closed in records
-        for q in NU_DISCRIMINATING
-        if q in closed[NU_AS_PRINTED] and q in closed[NU_NEGATED]
+    nu_hypothesis, nu_candidate_max, nu_discrimination = _hypothesis(
+        (NU_AS_PRINTED, NU_NEGATED),
+        *(np.array([cols[q] for q in NU_DISCRIMINATING]) for cols in (printed, negated, oracle)),
+        tol,
     )
-    nu_hypothesis = _adjudicate(
-        tuple(nu_candidate_max), tuple(nu_candidate_max.values()), nu_discrimination, tol
-    )
-
-    # (closed radical, oracle lambda_min) where both routes have a frame; the
-    # radical is the same under both nu candidates
-    pairs = [
-        (_radical(closed[NU_AS_PRINTED]), lam)
-        for _, lam, oracle_vals, closed in records
-        if _has_frame(oracle_vals) and _has_frame(closed[NU_AS_PRINTED])
-    ]
-    factor_candidate_max = {
-        FACTOR_LITERAL: _max_diff(pairs),
-        FACTOR_HALF: _max_diff((radical / 2.0, lam) for radical, lam in pairs),
-    }
-    factor_discrimination = max((abs(radical / 2.0) for radical, _ in pairs), default=0.0)
-    factor_hypothesis = _adjudicate(
-        tuple(factor_candidate_max), tuple(factor_candidate_max.values()),
-        factor_discrimination, tol,
+    # judged where both routes have a frame; the radical is the same under
+    # both nu candidates
+    lam = oracle["lambda_min"]
+    radical = np.where(np.isnan(lam), math.nan, printed["radical"])
+    factor_hypothesis, factor_candidate_max, factor_discrimination = _hypothesis(
+        (FACTOR_LITERAL, FACTOR_HALF), radical, radical / 2.0, lam, tol
     )
 
     # reported diffs: independent quantities as printed, the rest under the
     # selected candidates (falling back to as-printed when inconclusive)
-    selected_nu = NU_NEGATED if nu_hypothesis == NU_NEGATED else NU_AS_PRINTED
-    lam_factor = 0.5 if factor_hypothesis != FACTOR_LITERAL else 1.0
-    max_diff = dict.fromkeys((*CONVENTION_INDEPENDENT, *NU_SELECTED, "lambda_min"), 0.0)
-    failures: list[CrosscheckFailure] = []
-    for params, lam, oracle_vals, closed in records:
-        printed, selected = closed[NU_AS_PRINTED], closed[selected_nu]
-        compared = [(q, printed[q], oracle_vals[q]) for q in CONVENTION_INDEPENDENT]
-        compared += [(q, selected[q], oracle_vals[q])
-                     for q in NU_SELECTED if q in oracle_vals and q in selected]
-        if _has_frame(oracle_vals) and _has_frame(selected):
-            compared.append(("lambda_min", _radical(selected) * lam_factor, lam))
-        for q, closed_value, oracle_value in compared:
-            diff = abs(closed_value - oracle_value)
-            max_diff[q] = max(max_diff[q], diff)
-            if diff > tol:
-                failures.append(CrosscheckFailure(
-                    params.beta, params.mu, params.nu, q, closed_value, oracle_value, diff
-                ))
+    selected = negated if nu_hypothesis == NU_NEGATED else printed
+    lam_factor = 1.0 if factor_hypothesis == FACTOR_LITERAL else 0.5
+    closed = [printed[q] for q in CONVENTION_INDEPENDENT]
+    closed += [selected[q] for q in NU_SELECTED]
+    closed.append(selected["radical"] * lam_factor)
+    observed = [oracle[q] for q in _REPORTED]
+    diffs = np.array([np.abs(c - o) for c, o in zip(closed, observed)])
+    failures = [
+        CrosscheckFailure(
+            grid[i].beta, grid[i].mu, grid[i].nu, _REPORTED[k],
+            closed[k][i].item(), observed[k][i].item(), diffs[k, i].item(),
+        )
+        for i, k in np.argwhere(diffs.T > tol)
+    ]
 
     return CrosscheckReport(
         samples=len(grid),
         tol=tol,
         nu_sign_hypothesis=nu_hypothesis,
         factor_hypothesis=factor_hypothesis,
-        max_abs_diff_per_quantity=max_diff,
+        max_abs_diff_per_quantity={q: _nanmax_abs(d) for q, d in zip(_REPORTED, diffs)},
         nu_candidate_max_diff=nu_candidate_max,
         nu_discrimination=nu_discrimination,
         factor_candidate_max_diff=factor_candidate_max,
         factor_discrimination=factor_discrimination,
-        regular_points=status_counts[FrameStatus.REGULAR],
-        polar_degenerate_points=status_counts[FrameStatus.POLAR_DEGENERATE],
-        fully_degenerate_points=status_counts[FrameStatus.FULLY_DEGENERATE],
+        regular_points=statuses.count(FrameStatus.REGULAR),
+        polar_degenerate_points=statuses.count(FrameStatus.POLAR_DEGENERATE),
+        fully_degenerate_points=statuses.count(FrameStatus.FULLY_DEGENERATE),
         failures=failures,
     )

@@ -43,6 +43,8 @@ ALL_DIRECTIONS_AGREE_TOL = 1e-6
 # local refinement: 2k+1 points per axis, span shrinks k-fold per round
 _ZOOM_K = 8
 _ZOOM_ROUNDS = 6
+# same-step moves allowed while the lowest point sits on the grid's edge
+_ZOOM_MOVES = 64
 _HERMITICITY_TOL = 1e-9
 
 
@@ -91,16 +93,25 @@ def _zoom_min(f, best, step) -> tuple[tuple[float, ...], float]:
     """Local minimum of a vectorized f(*coords) near the point best.
 
     Each round evaluates f on a grid of 2k+1 points per axis spanning
-    best +- step, moves to the lowest point and divides step by k.  The grid
-    always contains its centre, so the value never rises.
+    best +- step and moves to the lowest point.  While that point lies on the
+    grid's edge and is strictly below the centre, the next grid keeps the
+    step (at most _ZOOM_MOVES times), so a minimum further along a flat
+    valley is followed; otherwise step is divided by k.  The grid always
+    contains its centre, so the value never rises.
     """
     offsets = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
-    for _ in range(_ZOOM_ROUNDS):
+    rounds = moves = 0
+    while rounds < _ZOOM_ROUNDS:
         grid = np.meshgrid(*(b + s * offsets for b, s in zip(best, step)), indexing="ij")
         values = f(*grid)
         i = np.unravel_index(np.argmin(values), values.shape)
         best = tuple(float(axis[i]) for axis in grid)
-        step = tuple(s / _ZOOM_K for s in step)
+        on_edge = any(j in (0, 2 * _ZOOM_K) for j in i)
+        if on_edge and values[i] < values[(_ZOOM_K,) * len(i)] and moves < _ZOOM_MOVES:
+            moves += 1
+        else:
+            step = tuple(s / _ZOOM_K for s in step)
+            rounds += 1
     return best, float(values[i])
 
 

@@ -147,3 +147,56 @@ def test_report_serializable(default_report):
     parsed = json.loads(json.dumps(payload))
     assert parsed["samples"] == 882
     assert parsed["nu_sign_hypothesis"] == NU_NEGATED
+
+
+def test_failures_carry_python_scalars():
+    # oracle entries read from the moment table used to leak numpy scalars,
+    # which print as np.float64(...) in the text and JSON reports
+    import io
+
+    from biaxbell.cli import _render_crosscheck_text
+
+    grid = [
+        SqueezeParams(beta=0.6, mu=math.pi / 3, nu=math.pi / 4),
+        SqueezeParams(beta=1.0, mu=math.pi / 2, nu=0.5),
+    ]
+    rep = run_crosscheck(grid, tol=1e-18)
+    assert {f.quantity for f in rep.failures} >= {"xz_anticomm", "jplus_sq", "lambda_min"}
+    for f in rep.failures:
+        assert type(f.closed) in (float, complex)
+        assert type(f.oracle) in (float, complex)
+        assert type(f.diff) is float
+    text = io.StringIO()
+    _render_crosscheck_text(rep, text)
+    assert "np." not in text.getvalue()
+
+
+FULLY_DEGENERATE_GRID = [
+    SqueezeParams(beta=1.0, mu=mu, nu=nu) for mu in (0.0, math.pi / 2) for nu in (0.3, -1.0)
+]
+POLAR_GRID = [SqueezeParams(beta=0.0, mu=math.pi / 3, nu=0.5)]
+
+
+@pytest.mark.parametrize("grid", [FULLY_DEGENERATE_GRID, POLAR_GRID], ids=["fully", "polar"])
+@pytest.mark.parametrize("tol", [1e-10, 1e-18])
+def test_missing_frames_never_reach_the_report(grid, tol):
+    # routes without a transverse frame are NaN-marked inside run_crosscheck;
+    # no NaN and no floating-point warning may come out of it
+    import json
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_crosscheck(grid, tol=tol)
+    json.dumps(rep.as_dict(), allow_nan=False)
+    if grid is FULLY_DEGENERATE_GRID:
+        assert rep.fully_degenerate_points == len(grid)
+        assert rep.factor_hypothesis == INCONCLUSIVE
+        assert rep.factor_candidate_max_diff == {"literal": 0.0, "half-corrected": 0.0}
+        assert rep.factor_discrimination == 0.0
+        for name in ("jn1_sq", "jn2_sq", "anticomm", "lambda_min"):
+            assert rep.max_abs_diff_per_quantity[name] == 0.0
+    else:
+        assert rep.polar_degenerate_points == 1
+        if tol == 1e-10:
+            assert rep.factor_hypothesis == FACTOR_HALF

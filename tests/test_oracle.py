@@ -192,6 +192,15 @@ def test_zoom_min_reaches_off_grid_minimum_2d():
     assert math.hypot(x - a, y - b) <= 1e-6
 
 
+def test_zoom_min_follows_a_flat_valley():
+    # the minimum lies ten grid spans away along x; a grid that only shrinks
+    # stops near x = 0.057
+    f = lambda x, y: 0.01 * (x - 0.5) ** 2 + (y + 0.02) ** 2
+    (x, _), val = _zoom_min(f, (0.0, 0.0), (0.05, 0.05))
+    assert val <= 1e-12
+    assert abs(x - 0.5) <= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # all-directions fallback
 
@@ -227,6 +236,18 @@ def test_sphere_scan_meets_smallest_eigenvalue():
         state = _state(float(beta), float(mu), float(nu))
         lam = np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]
         assert abs(_sphere_scan(state, OPS) - lam) <= 1e-12, (beta, mu, nu)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 230), (1, 381), (3, 231), (3, 497), (4, 350)])
+def test_all_directions_on_random_states(seed, index):
+    # generic spin-1 states whose coarse sphere-grid minimum sits more than one
+    # refinement step from the true one (flat valley or near the pole)
+    rng = np.random.default_rng(seed)
+    states = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(index + 1)]
+    state = states[index] / np.linalg.norm(states[index])
+    lam, _ = min_variance_all_directions(state, OPS)
+    assert abs(lam - np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]) <= 1e-10
+    assert abs(_sphere_scan(state, OPS) - lam) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

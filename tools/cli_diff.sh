@@ -39,11 +39,14 @@ cases=(
     "crosscheck_json|crosscheck --format json"
     "crosscheck_tight_text|crosscheck --tol 1e-18 --beta-steps 3"
     "crosscheck_tight_json|crosscheck --tol 1e-18 --beta-steps 3 --format json"
+    "crosscheck_nu_inconclusive|crosscheck --nu-list 0 --beta-steps 5"
+    "crosscheck_nu_pair_json|crosscheck --tol 1e-17 --beta-steps 6 --nu-list 0.3,-2 --format json"
+    "crosscheck_no_frame|crosscheck --beta-min 1 --beta-max 1 --beta-steps 2 --mu-list 0,pi/2 --nu-list 0.3,-1 --tol 1e-18"
     "point_text|point --beta 0.6 --mu pi/3 --nu pi/4"
     "point_json|point --beta 0.6 --mu pi/3 --nu pi/4 --format json"
     "point_degenerate|point --beta 1 --mu pi/2 --nu 0 --convention paper-literal"
-    "sweep_csv|sweep --mu-list 0,pi/2,2pi/3 --nu-list -pi/3,1 --beta-steps 11"
-    "sweep_json|sweep --mu-list 0,pi/2,2pi/3 --nu-list -pi/3,1 --beta-steps 11 --format json"
+    "sweep_csv|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11"
+    "sweep_json|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11 --format json"
     "sweep_strict|sweep --mu-list pi/2 --nu-list 0,1 --beta-steps 5 --strict"
     "figure_fig2|figure fig2 --outdir figs"
 )
