@@ -18,50 +18,85 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closedform import (
-    frame_moments_closed_form,
-    second_moments_closed_form,
-    squeezing_literal,
-    squeezing_standard,
-)
 from .crosscheck import (
-    BETA_STEPS, DEFAULT_TOL, MUS, NUS, CrosscheckReport, default_grid, run_crosscheck,
+    BETA_STEPS, DEFAULT_TOL, MUS, NUS, CrosscheckReport, closed_values, default_grid,
+    mean_spin_values, oracle_values, run_crosscheck,
 )
-from .frame import (
-    FrameStatus,
-    compute_frame,
-    mean_spin_closed_form,
-    mean_spin_length,
-    mean_spin_length_closed_form,
-)
+from .frame import FrameStatus
 from .oracle import evaluate_oracle
 from .spincore import SqueezeParams
 
-SWEEP_COLUMNS = (
-    "beta",
-    "mu",
-    "nu",
-    "jx_cf",
-    "jy_cf",
-    "jz_cf",
-    "jx_or",
-    "jy_or",
-    "jz_or",
-    "r_eq9",
-    "r_eq10",
-    "theta",
-    "phi",
-    "jn1sq",
-    "jn2sq",
-    "anticomm",
-    "lambda_min",
-    "chi_min",
-    "xi2_std",
-    "xi2_literal",
-    "concurrence",
-    "frame_status",
-    "method",
-)
+# each output key is (route, quantity): "in" is the input point, "cf" and "or"
+# the records of crosscheck.closed_values and crosscheck.oracle_values
+SWEEP_TABLE = {
+    "beta": ("in", "beta"),
+    "mu": ("in", "mu"),
+    "nu": ("in", "nu"),
+    "jx_cf": ("cf", "jx"),
+    "jy_cf": ("cf", "jy"),
+    "jz_cf": ("cf", "jz"),
+    "jx_or": ("or", "jx"),
+    "jy_or": ("or", "jy"),
+    "jz_or": ("or", "jz"),
+    "r_eq9": ("cf", "r_eq9"),
+    "r_eq10": ("cf", "r"),
+    "theta": ("or", "theta"),
+    "phi": ("or", "phi"),
+    "jn1sq": ("or", "jn1_sq"),
+    "jn2sq": ("or", "jn2_sq"),
+    "anticomm": ("or", "anticomm"),
+    "lambda_min": ("or", "lambda_min"),
+    "chi_min": ("or", "chi_min"),
+    "xi2_std": ("or", "xi2_std"),
+    "xi2_literal": ("or", "xi2_literal"),
+    "concurrence": ("or", "concurrence"),
+    "frame_status": ("or", "frame_status"),
+    "method": ("or", "method"),
+}
+SWEEP_COLUMNS = tuple(SWEEP_TABLE)
+
+# point keys in output order; point omits a NaN entry
+POINT_TABLE = {
+    "beta": ("in", "beta"),
+    "mu": ("in", "mu"),
+    "nu": ("in", "nu"),
+    "alpha": ("in", "alpha"),
+    "jx_cf": ("cf", "jx"),
+    "jy_cf": ("cf", "jy"),
+    "jz_cf": ("cf", "jz"),
+    "r_eq9": ("cf", "r_eq9"),
+    "r_eq10": ("cf", "r"),
+    "jplus_sq_cf": ("cf", "jplus_sq"),
+    "jz_sq_cf": ("cf", "jz_sq"),
+    "jplus_2jz1_cf": ("cf", "jplus_2jz1"),
+    "jn1sq_cf": ("cf", "jn1_sq"),
+    "jn2sq_cf": ("cf", "jn2_sq"),
+    "anticomm_cf": ("cf", "anticomm"),
+    "xi2_std_cf": ("cf", "radical"),            # (4/N) * radical / 2 = radical at N = 2
+    "xi2_literal_cf": ("cf", "xi2_literal"),
+    "jx_or": ("or", "jx"),
+    "jy_or": ("or", "jy"),
+    "jz_or": ("or", "jz"),
+    "r_or": ("or", "r"),
+    "jplus_sq_or": ("or", "jplus_sq"),
+    "jz_sq_or": ("or", "jz_sq"),
+    "jplus_2jz1_or": ("or", "jplus_2jz1"),
+    "theta": ("or", "theta"),
+    "phi": ("or", "phi"),
+    "frame_status": ("or", "frame_status"),
+    "method": ("or", "method"),
+    "jn1sq_or": ("or", "jn1_sq"),
+    "jn2sq_or": ("or", "jn2_sq"),
+    "anticomm_or": ("or", "anticomm"),
+    "lambda_min": ("or", "lambda_min"),
+    "chi_min": ("or", "chi_min"),
+    "xi2_std": ("or", "xi2_std"),
+    "xi2_literal": ("or", "xi2_literal"),
+    "xi2": ("or", "xi2"),
+    "convention": ("in", "convention"),
+    "concurrence": ("or", "concurrence"),
+    "one_minus_concurrence": ("or", "one_minus_concurrence"),
+}
 
 CONVENTIONS = ("standard", "paper-literal")
 
@@ -135,6 +170,9 @@ def parse_bool(text: str) -> bool:
 
 
 def fmt(value) -> str:
+    if isinstance(value, complex):
+        imag = fmt(value.imag)
+        return f"{fmt(value.real)}{'' if imag.startswith('-') else '+'}{imag}j"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -181,40 +219,16 @@ def _required(args: argparse.Namespace, *names: str) -> None:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-_NAN = float("nan")
+def _select(table: dict, routes: dict) -> dict:
+    """Each key of ``table`` with its quantity read from its route."""
+    return {key: routes[route][quantity] for key, (route, quantity) in table.items()}
 
 
 def evaluate_row(params: SqueezeParams) -> dict:
     """All sweep columns for one parameter point."""
-    cf = mean_spin_closed_form(params)
-    point = evaluate_oracle(params)
-    res = point.result
-    fm = point.frame_moments
-    return {
-        "beta": params.beta,
-        "mu": params.mu,
-        "nu": params.nu,
-        "jx_cf": cf.jx,
-        "jy_cf": cf.jy,
-        "jz_cf": cf.jz,
-        "jx_or": point.moments.mean.jx,
-        "jy_or": point.moments.mean.jy,
-        "jz_or": point.moments.mean.jz,
-        "r_eq9": mean_spin_length(cf),
-        "r_eq10": mean_spin_length_closed_form(params),
-        "theta": point.frame.theta,
-        "phi": point.frame.phi,
-        "jn1sq": fm.jn1_sq if fm is not None else _NAN,
-        "jn2sq": fm.jn2_sq if fm is not None else _NAN,
-        "anticomm": fm.anticomm if fm is not None else _NAN,
-        "lambda_min": res.lambda_min,
-        "chi_min": res.chi_min,
-        "xi2_std": res.xi2_std,
-        "xi2_literal": res.xi2_literal,
-        "concurrence": res.concurrence,
-        "frame_status": res.frame_status.value,
-        "method": res.method,
-    }
+    routes = {"in": vars(params), "cf": mean_spin_values(params),
+              "or": oracle_values(evaluate_oracle(params))}
+    return _select(SWEEP_TABLE, routes)
 
 
 def sweep_points(mus, nus, betas) -> list[SqueezeParams]:
@@ -398,79 +412,24 @@ FIGURES = {"fig1": run_fig1, "fig2": run_fig2}
 def cmd_point(args: argparse.Namespace) -> int:
     _required(args, "beta", "mu", "nu")
     params = SqueezeParams(beta=args.beta, mu=args.mu, nu=args.nu)
-    record = dict(beta=params.beta, mu=params.mu, nu=params.nu, alpha=params.alpha)
-
-    cf = mean_spin_closed_form(params)
-    raising_cf = second_moments_closed_form(params)
-    record.update(
-        jx_cf=cf.jx,
-        jy_cf=cf.jy,
-        jz_cf=cf.jz,
-        r_eq9=mean_spin_length(cf),
-        r_eq10=mean_spin_length_closed_form(params),
-        jplus_sq_cf=raising_cf.jplus_sq,
-        jz_sq_cf=raising_cf.jz_sq,
-        jplus_2jz1_cf=raising_cf.jplus_2jz1,
-    )
-    cf_frame = compute_frame(cf)
-    if cf_frame.status is not FrameStatus.FULLY_DEGENERATE:
-        fm_cf = frame_moments_closed_form(params, cf_frame)
-        record.update(
-            jn1sq_cf=fm_cf.jn1_sq,
-            jn2sq_cf=fm_cf.jn2_sq,
-            anticomm_cf=fm_cf.anticomm,
-            xi2_std_cf=squeezing_standard(fm_cf),
-            xi2_literal_cf=squeezing_literal(fm_cf),
-        )
-
-    point = evaluate_oracle(params)
-    res = point.result
-    record.update(
-        jx_or=point.moments.mean.jx,
-        jy_or=point.moments.mean.jy,
-        jz_or=point.moments.mean.jz,
-        r_or=mean_spin_length(point.moments.mean),
-        jplus_sq_or=point.moments.raising.jplus_sq,
-        jz_sq_or=point.moments.raising.jz_sq,
-        jplus_2jz1_or=point.moments.raising.jplus_2jz1,
-        theta=point.frame.theta,
-        phi=point.frame.phi,
-        frame_status=res.frame_status.value,
-        method=res.method,
-    )
-    if point.frame_moments is not None:
-        record.update(
-            jn1sq_or=point.frame_moments.jn1_sq,
-            jn2sq_or=point.frame_moments.jn2_sq,
-            anticomm_or=point.frame_moments.anticomm,
-        )
-    record.update(
-        lambda_min=res.lambda_min,
-        chi_min=res.chi_min,
-        xi2_std=res.xi2_std,
-        xi2_literal=res.xi2_literal,
-        xi2=res.xi2_std if args.convention == "standard" else res.xi2_literal,
-        convention=args.convention,
-        concurrence=res.concurrence,
-        one_minus_concurrence=1.0 - res.concurrence,
-    )
+    cf, oracle = closed_values(params), oracle_values(evaluate_oracle(params))
+    xi2 = "xi2_std" if args.convention == "standard" else "xi2_literal"
+    routes = {
+        "in": {**vars(params), "convention": args.convention},
+        "cf": {**cf, "xi2_literal": 2.0 * cf["radical"]},
+        "or": {**oracle, "xi2": oracle[xi2], "one_minus_concurrence": 1.0 - oracle["concurrence"]},
+    }
+    # only frame entries can be NaN, and v == v is false for NaN alone
+    record = {k: v for k, v in _select(POINT_TABLE, routes).items() if v == v}
 
     with _open_out(args.out) as handle:
         if args.format == "json":
-            serializable = {
-                k: ([v.real, v.imag] if isinstance(v, complex) else v)
-                for k, v in record.items()
-            }
-            json.dump(serializable, handle, indent=2)
+            # complex values, the only ones json cannot encode, become [re, im]
+            json.dump(record, handle, indent=2, default=lambda v: [v.real, v.imag])
             handle.write("\n")
         else:
             for key, value in record.items():
-                if isinstance(value, complex):
-                    imag = fmt(value.imag)
-                    sign = "" if imag.startswith("-") else "+"
-                    handle.write(f"{key} = {fmt(value.real)}{sign}{imag}j\n")
-                else:
-                    handle.write(f"{key} = {fmt(value)}\n")
+                handle.write(f"{key} = {fmt(value)}\n")
     return 0
 
 
@@ -482,6 +441,8 @@ def _betas(args: argparse.Namespace) -> np.ndarray:
         value = getattr(args, name.replace("-", "_"))
         if not 0.0 <= value <= 1.0:
             raise UsageError(f"{name} must lie in [0, 1], got {value!r}")
+    if args.beta_min == args.beta_max:
+        raise UsageError(f"beta-min and beta-max must differ, got {args.beta_min!r}")
     return np.linspace(args.beta_min, args.beta_max, args.beta_steps)
 
 

@@ -13,6 +13,9 @@ grid against the operator oracle and selects whichever matches, reporting
 "inconclusive" when the grid cannot tell the candidates apart or when
 neither fits.  Quantities that are unaffected by either hypothesis must
 match as printed; those are the build-stopping ones.
+
+closed_values and oracle_values are the only readers of the two routes;
+the point and sweep commands select their output from these records too.
 """
 from __future__ import annotations
 
@@ -30,12 +33,13 @@ from .closedform import (
 )
 from .frame import (
     FrameStatus,
+    MeanSpin,
     compute_frame,
     mean_spin_closed_form,
     mean_spin_length,
     mean_spin_length_closed_form,
 )
-from .oracle import evaluate_oracle
+from .oracle import OraclePoint, evaluate_oracle
 from .spincore import SqueezeParams
 
 DEFAULT_TOL = 1e-10
@@ -129,30 +133,26 @@ class CrosscheckReport:
         return data
 
 
-def _closed_values(params: SqueezeParams) -> dict[str, complex]:
-    """Closed-form values of every compared quantity at one parameter point.
-
-    Frame-dependent entries are evaluated in the frame of the closed-form
-    mean spin and are NaN when that frame is fully degenerate; so is
-    "radical", the closed-form lambda_min before its one-half factor.
-    """
+def mean_spin_values(params: SqueezeParams) -> dict[str, float]:
+    """Closed-form mean spin jx, jy, jz, with its length from the components
+    (r_eq9) and from the single-radical form (r)."""
     ms = mean_spin_closed_form(params)
+    return {**vars(ms), "r_eq9": mean_spin_length(ms), "r": mean_spin_length_closed_form(params)}
+
+
+def closed_values(params: SqueezeParams) -> dict[str, complex]:
+    """Every closed-form quantity at one parameter point, named as the
+    fields of MeanSpin, MomentSet, CartesianSecondMoments and FrameMoments.
+
+    Frame entries are evaluated in the frame of the closed-form mean spin
+    and are NaN when that frame is fully degenerate; so is "radical", the
+    minimal transverse variance without its one-half factor (xi2_std at N = 2).
+    """
+    values = mean_spin_values(params)
     raising = second_moments_closed_form(params)
-    cart = cartesian_from_raising(raising)
-    values: dict[str, complex] = {
-        "jx": ms.jx,
-        "jy": ms.jy,
-        "jz": ms.jz,
-        "r": mean_spin_length_closed_form(params),
-        "jplus_sq": raising.jplus_sq,
-        "jz_sq": raising.jz_sq,
-        "xz_anticomm": cart.xz_anticomm,
-        "yz_anticomm": cart.yz_anticomm,
-        "jx2_plus_jy2": cart.jx2_plus_jy2,
-        "jx2_minus_jy2": cart.jx2_minus_jy2,
-        "xy_anticomm": cart.xy_anticomm,
-    }
-    frame = compute_frame(ms)
+    values.update(vars(raising))
+    values.update(cartesian_from_raising(raising)._asdict())
+    frame = compute_frame(MeanSpin(values["jx"], values["jy"], values["jz"]))
     degenerate = frame.status is FrameStatus.FULLY_DEGENERATE
     moments = _NO_FRAME if degenerate else frame_moments_closed_form(params, frame)
     values.update(vars(moments))
@@ -160,27 +160,32 @@ def _closed_values(params: SqueezeParams) -> dict[str, complex]:
     return values
 
 
-def _oracle_values(point) -> dict[str, complex]:
-    """Oracle values of the same quantities, NaN-marked the same way, and
-    lambda_min where the transverse route ran."""
-    m = point.moments
+def oracle_values(point: OraclePoint) -> dict:
+    """Every oracle quantity at one parameter point under the same names,
+    frame entries NaN-marked the same way, and the frame and squeezing
+    result; lambda_min and chi_min come from whichever minimization ran."""
+    m, res = point.moments, point.result
     table = m.table
-    values: dict[str, complex] = {
-        "jx": m.mean.jx,
-        "jy": m.mean.jy,
-        "jz": m.mean.jz,
+    values = {
+        **vars(m.mean),
         "r": mean_spin_length(m.mean),
-        "jplus_sq": m.raising.jplus_sq,
-        "jz_sq": m.raising.jz_sq,
+        **vars(m.raising),
         "xz_anticomm": 2.0 * table[0, 2],
         "yz_anticomm": 2.0 * table[1, 2],
         "jx2_plus_jy2": table[0, 0] + table[1, 1],
         "jx2_minus_jy2": table[0, 0] - table[1, 1],
         "xy_anticomm": 2.0 * table[0, 1],
+        "theta": point.frame.theta,
+        "phi": point.frame.phi,
+        "frame_status": res.frame_status.value,
+        "method": res.method,
+        "lambda_min": res.lambda_min,
+        "chi_min": res.chi_min,
+        "xi2_std": res.xi2_std,
+        "xi2_literal": res.xi2_literal,
+        "concurrence": res.concurrence,
     }
-    no_frame = point.frame_moments is None
-    values.update(vars(_NO_FRAME if no_frame else point.frame_moments))
-    values["lambda_min"] = math.nan if no_frame else point.result.lambda_min
+    values.update(vars(_NO_FRAME if point.frame_moments is None else point.frame_moments))
     return values
 
 
@@ -224,13 +229,14 @@ def run_crosscheck(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
-    statuses, rows = [], []
-    for params in grid:
-        point = evaluate_oracle(params)
-        statuses.append(point.frame.status)
-        rows.append((_oracle_values(point), _closed_values(params),
-                     _closed_values(replace(params, nu=-params.nu))))
+    rows = [
+        (oracle_values(evaluate_oracle(p)), closed_values(p), closed_values(replace(p, nu=-p.nu)))
+        for p in grid
+    ]
     oracle, printed, negated = map(_columns, zip(*rows))
+    # the all-directions minimum of a frameless point is not a transverse one
+    oracle["lambda_min"][np.isnan(oracle["jn1_sq"])] = math.nan
+    status = list(oracle["frame_status"])
 
     nu_hypothesis, nu_candidate_max, nu_discrimination = _hypothesis(
         (NU_AS_PRINTED, NU_NEGATED),
@@ -272,8 +278,8 @@ def run_crosscheck(
         nu_discrimination=nu_discrimination,
         factor_candidate_max_diff=factor_candidate_max,
         factor_discrimination=factor_discrimination,
-        regular_points=statuses.count(FrameStatus.REGULAR),
-        polar_degenerate_points=statuses.count(FrameStatus.POLAR_DEGENERATE),
-        fully_degenerate_points=statuses.count(FrameStatus.FULLY_DEGENERATE),
+        regular_points=status.count(FrameStatus.REGULAR.value),
+        polar_degenerate_points=status.count(FrameStatus.POLAR_DEGENERATE.value),
+        fully_degenerate_points=status.count(FrameStatus.FULLY_DEGENERATE.value),
         failures=failures,
     )

@@ -248,6 +248,49 @@ def test_point_json_output(capsys):
     assert record["jplus_2jz1_cf"][1] == pytest.approx(-0.3035786553761644, abs=1e-13)
 
 
+POINT_KEYS = [
+    "beta", "mu", "nu", "alpha",
+    "jx_cf", "jy_cf", "jz_cf", "r_eq9", "r_eq10",
+    "jplus_sq_cf", "jz_sq_cf", "jplus_2jz1_cf",
+    "jn1sq_cf", "jn2sq_cf", "anticomm_cf", "xi2_std_cf", "xi2_literal_cf",
+    "jx_or", "jy_or", "jz_or", "r_or", "jplus_sq_or", "jz_sq_or", "jplus_2jz1_or",
+    "theta", "phi", "frame_status", "method",
+    "jn1sq_or", "jn2sq_or", "anticomm_or",
+    "lambda_min", "chi_min", "xi2_std", "xi2_literal", "xi2", "convention",
+    "concurrence", "one_minus_concurrence",
+]
+# present only for a route with a transverse frame
+FRAME_KEYS = {"jn1sq_cf", "jn2sq_cf", "anticomm_cf", "xi2_std_cf", "xi2_literal_cf",
+              "jn1sq_or", "jn2sq_or", "anticomm_or"}
+
+
+@pytest.mark.parametrize(
+    "argv,keys,count",
+    [
+        (["--beta", "0.6", "--mu", "pi/3", "--nu", "pi/4"], POINT_KEYS, 39),
+        (["--beta", "1", "--mu", "0.5", "--nu", "0.3"],
+         [k for k in POINT_KEYS if k not in FRAME_KEYS], 31),
+    ],
+    ids=["regular", "fully-degenerate"],
+)
+def test_point_key_order(capsys, argv, keys, count):
+    assert len(keys) == count
+    assert main(["point", *argv, "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
+    assert main(["point", *argv]) == 0
+    assert [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()] == keys
+
+
+def test_point_complex_values_in_text_and_json(capsys):
+    argv = ["point", "--beta", "0.6", "--mu", "pi/3", "--nu", "pi/4"]
+    assert main([*argv, "--format", "json"]) == 0
+    re, im = json.loads(capsys.readouterr().out)["jplus_2jz1_cf"]
+    assert main(argv) == 0
+    text = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert im < 0.0 and text["jplus_2jz1_cf"] == f"{re:.17g}{im:.17g}j"
+    assert text["jplus_sq_cf"].endswith("+0j")
+
+
 def test_point_requires_parameters(capsys):
     assert main(["point", "--beta", "0.5"]) == 1
     assert "missing required option" in capsys.readouterr().err
@@ -392,6 +435,10 @@ def _run_main(argv):
         (["--beta-max", "2"], "beta-max must lie in [0, 1], got 2.0"),
         (["--beta-min=-1"], "beta-min must lie in [0, 1], got -1.0"),
         (["--beta-min", "1e308", "--beta-max=-1e308"], "beta-min must lie in [0, 1], got 1e+308"),
+        # equal bounds would repeat every row (and every crosscheck failure)
+        (["--beta-min", "0.5", "--beta-max", "0.5"], "beta-min and beta-max must differ, got 0.5"),
+        (["--beta-min", "1"], "beta-min and beta-max must differ, got 1.0"),
+        (["--beta-max", "0"], "beta-min and beta-max must differ, got 0.0"),
     ],
 )
 def test_beta_bounds_outside_unit_interval(command, bounds, message):

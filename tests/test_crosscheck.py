@@ -12,12 +12,22 @@ from biaxbell import (
     mean_spin_length_closed_form,
     run_crosscheck,
 )
+from biaxbell.closedform import (
+    frame_moments_closed_form,
+    squeezing_literal,
+    squeezing_standard,
+)
 from biaxbell.crosscheck import (
     CONVENTION_INDEPENDENT,
     FACTOR_HALF,
     INCONCLUSIVE,
     NU_NEGATED,
+    closed_values,
+    mean_spin_values,
+    oracle_values,
 )
+from biaxbell.frame import compute_frame
+from biaxbell.oracle import evaluate_oracle
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +210,52 @@ def test_missing_frames_never_reach_the_report(grid, tol):
         assert rep.polar_degenerate_points == 1
         if tol == 1e-10:
             assert rep.factor_hypothesis == FACTOR_HALF
+
+
+FRAME_QUANTITIES = ("jn1_sq", "jn2_sq", "anticomm")
+
+
+def test_records_share_quantity_names():
+    params = SqueezeParams(beta=0.6, mu=1.0, nu=0.7)
+    closed, oracle = closed_values(params), oracle_values(evaluate_oracle(params))
+    # the oracle adds its frame angles and squeezing result; the closed form
+    # adds r_eq9 and the radical
+    assert set(closed) - set(oracle) == {"r_eq9", "radical"}
+    assert set(oracle) - set(closed) == {
+        "theta", "phi", "frame_status", "method",
+        "lambda_min", "chi_min", "xi2_std", "xi2_literal", "concurrence",
+    }
+    assert mean_spin_values(params) == {k: closed[k] for k in ("jx", "jy", "jz", "r_eq9", "r")}
+
+
+@pytest.mark.parametrize(
+    "params,has_frame",
+    [
+        (SqueezeParams(beta=0.6, mu=1.0, nu=0.7), True),
+        (SqueezeParams(beta=1.0, mu=0.5, nu=0.3), False),
+        (SqueezeParams(beta=0.0, mu=0.0, nu=0.0), True),       # polar-degenerate
+    ],
+    ids=["regular", "fully-degenerate", "polar-degenerate"],
+)
+def test_records_mark_missing_frames_with_nan(params, has_frame):
+    closed, oracle = closed_values(params), oracle_values(evaluate_oracle(params))
+    for record in (closed, oracle):
+        assert [math.isnan(record[q]) for q in FRAME_QUANTITIES] == [not has_frame] * 3
+    assert math.isnan(closed["radical"]) is not has_frame
+    # the oracle record keeps the all-directions minimum of a frameless point
+    assert math.isfinite(oracle["lambda_min"])
+    nan_keys = {k for r in (closed, oracle) for k, v in r.items()
+                if isinstance(v, float) and math.isnan(v)}
+    assert nan_keys <= {*FRAME_QUANTITIES, "radical"}
+
+
+def test_radical_is_the_closed_form_squeezing_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for beta, mu, nu in zip(rng.uniform(0, 1, 300), rng.uniform(0, math.pi, 300),
+                            rng.uniform(-math.pi, math.pi, 300)):
+        params = SqueezeParams(beta=beta, mu=mu, nu=nu)
+        moments = frame_moments_closed_form(
+            params, compute_frame(mean_spin_closed_form(params)))
+        radical = closed_values(params)["radical"]
+        assert radical == squeezing_standard(moments)
+        assert 2.0 * radical == squeezing_literal(moments)

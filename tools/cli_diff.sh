@@ -41,10 +41,13 @@ cases=(
     "crosscheck_tight_json|crosscheck --tol 1e-18 --beta-steps 3 --format json"
     "crosscheck_nu_inconclusive|crosscheck --nu-list 0 --beta-steps 5"
     "crosscheck_nu_pair_json|crosscheck --tol 1e-17 --beta-steps 6 --nu-list 0.3,-2 --format json"
-    "crosscheck_no_frame|crosscheck --beta-min 1 --beta-max 1 --beta-steps 2 --mu-list 0,pi/2 --nu-list 0.3,-1 --tol 1e-18"
+    # mu = pi/2 with nu in {0, pi}: 6 fully-degenerate points, 30 failures, exit 2
+    "crosscheck_degenerate|crosscheck --beta-steps 3 --mu-list pi/2 --nu-list 0,pi --tol 1e-18"
     "point_text|point --beta 0.6 --mu pi/3 --nu pi/4"
     "point_json|point --beta 0.6 --mu pi/3 --nu pi/4 --format json"
     "point_degenerate|point --beta 1 --mu pi/2 --nu 0 --convention paper-literal"
+    "point_degenerate_json|point --beta 1 --mu 0.5 --nu 0.3 --format json"
+    "point_polar|point --beta 0 --mu 0 --nu 0"
     "sweep_csv|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11"
     "sweep_json|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11 --format json"
     "sweep_strict|sweep --mu-list pi/2 --nu-list 0,1 --beta-steps 5 --strict"
