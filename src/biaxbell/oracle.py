@@ -5,6 +5,13 @@ vector and dense operators, with no shared algebra.  Minimizations are done
 twice on purpose: an analytic eigenvalue route and a brute grid scan refined
 by ever finer local grids.  The two must agree or the call fails loudly;
 agreement is the evidence that both are right.
+
+The scans never form a covariance matrix.  They apply the spin operators to
+the state once, split the vectors J_k psi into one real matrix of real and
+imaginary parts, and read <J_u^2> = |sum_k u_k J_k psi|^2 for every direction
+u of a table as the row norms of one real matrix product.  The coarse
+direction tables depend on nothing but TRANSVERSE_GRID and SPHERE_GRID, so
+they are built once and kept read-only.
 """
 from __future__ import annotations
 
@@ -45,12 +52,71 @@ _ZOOM_K = 8
 _ZOOM_ROUNDS = 6
 # same-step moves allowed while the lowest point sits on the grid's edge
 _ZOOM_MOVES = 64
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
+_ZOOM_OFFSETS.setflags(write=False)
 _HERMITICITY_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
 def _spin1() -> SpinOperatorSet:
     return build_spin_operators(1.0)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _circle(chi) -> np.ndarray:
+    """Coefficients (cos chi, sin chi) of cos(chi) n1 + sin(chi) n2."""
+    return np.stack([np.cos(chi), np.sin(chi)], axis=-1)
+
+
+def _sphere(theta, phi) -> np.ndarray:
+    """Unit vectors at polar angle theta and azimuth phi (broadcast)."""
+    sin_theta = np.sin(theta)
+    return np.stack(
+        np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)),
+        axis=-1,
+    )
+
+
+@lru_cache(maxsize=None)
+def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
+    """The TRANSVERSE_GRID angles chi over [0, pi) and their _circle rows."""
+    chis = _frozen(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
+    return chis, _frozen(_circle(chis))
+
+
+@lru_cache(maxsize=None)
+def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SPHERE_GRID polar and azimuth axes and their unit vectors, one
+    row per (theta, phi) pair in row-major order."""
+    n_theta, n_phi = SPHERE_GRID
+    thetas = _frozen(np.linspace(0.0, math.pi, n_theta))
+    phis = _frozen(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
+    return thetas, phis, _frozen(_sphere(thetas[:, None], phis).reshape(-1, 3))
+
+
+def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
+    state = np.asarray(state)
+    if state.ndim != 1 or state.shape[0] != ops.dim:
+        raise ValueError(
+            f"state of length {state.shape} does not match operator dimension {ops.dim}"
+        )
+    return state
+
+
+def _real_split(vectors) -> np.ndarray:
+    """Complex vectors w_k as the rows [Re w_k, Im w_k] of one real matrix."""
+    vectors = np.asarray(vectors)
+    return np.concatenate([vectors.real, vectors.imag], axis=-1)
+
+
+def _second_moment(dirs: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """|sum_k u_k w_k|^2 for every row u of dirs (any leading shape)."""
+    w = dirs @ split
+    return np.einsum("...i,...i->...", w, w)
 
 
 def _real(value: complex, what: str) -> float:
@@ -67,11 +133,7 @@ class OracleMoments(NamedTuple):
 
 def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
     """All first and second moments of a state, from the matrices alone."""
-    state = np.asarray(state)
-    if state.ndim != 1 or state.shape[0] != ops.dim:
-        raise ValueError(
-            f"state of length {state.shape} does not match operator dimension {ops.dim}"
-        )
+    state = _state_vector(state, ops)
     cart = (ops.jx, ops.jy, ops.jz)
     mean = MeanSpin(*(_real(expectation(op, state), "first moment") for op in cart))
     table = np.empty((3, 3))
@@ -92,20 +154,19 @@ def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
 def _zoom_min(f, best, step) -> tuple[tuple[float, ...], float]:
     """Local minimum of a vectorized f(*coords) near the point best.
 
-    Each round evaluates f on a grid of 2k+1 points per axis spanning
-    best +- step and moves to the lowest point.  While that point lies on the
-    grid's edge and is strictly below the centre, the next grid keeps the
-    step (at most _ZOOM_MOVES times), so a minimum further along a flat
-    valley is followed; otherwise step is divided by k.  The grid always
+    Each round evaluates f on an open grid (np.ix_) of 2k+1 points per axis
+    spanning best +- step and moves to the lowest point.  While that point
+    lies on the grid's edge and is strictly below the centre, the next grid
+    keeps the step (at most _ZOOM_MOVES times), so a minimum further along a
+    flat valley is followed; otherwise step is divided by k.  The grid always
     contains its centre, so the value never rises.
     """
-    offsets = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
     rounds = moves = 0
     while rounds < _ZOOM_ROUNDS:
-        grid = np.meshgrid(*(b + s * offsets for b, s in zip(best, step)), indexing="ij")
-        values = f(*grid)
+        axes = [b + s * _ZOOM_OFFSETS for b, s in zip(best, step)]
+        values = f(*np.ix_(*axes))
         i = np.unravel_index(np.argmin(values), values.shape)
-        best = tuple(float(axis[i]) for axis in grid)
+        best = tuple(float(axis[j]) for axis, j in zip(axes, i))
         on_edge = any(j in (0, 2 * _ZOOM_K) for j in i)
         if on_edge and values[i] < values[(_ZOOM_K,) * len(i)] and moves < _ZOOM_MOVES:
             moves += 1
@@ -121,26 +182,30 @@ def min_transverse_variance_scan(
     """Brute minimum of Var(J_chi) over the transverse plane.
 
     chi parametrizes the direction cos(chi) n1 + sin(chi) n2 over [0, pi).
-    A grid of TRANSVERSE_GRID angles locates the basin and _zoom_min refines
-    it.  This route never forms a covariance matrix; it applies operators to
-    the state and takes norms.
+    The cached table of TRANSVERSE_GRID directions locates the basin and
+    _zoom_min refines it.  This route never forms a covariance matrix: with
+    the real split S of (Jn1 psi, Jn2 psi) and the means m, the variance at
+    every direction row c is |c S|^2 - (c . m)^2.
     """
+    state = _state_vector(state, ops)
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse scan undefined: mean spin below eps")
     jn1, jn2 = project_transverse_operators(frame, ops)
     w1, w2 = jn1 @ state, jn2 @ state
-    m1 = _real(complex(np.vdot(state, w1)), "<Jn1>")
-    m2 = _real(complex(np.vdot(state, w2)), "<Jn2>")
+    means = np.array([
+        _real(complex(np.vdot(state, w1)), "<Jn1>"),
+        _real(complex(np.vdot(state, w2)), "<Jn2>"),
+    ])
+    split = _real_split([w1, w2])
 
-    def var(chis):
-        c, s = np.cos(chis), np.sin(chis)
-        combo = c[..., None] * w1 + s[..., None] * w2
-        second = np.einsum("...d,...d->...", combo, combo.conj()).real
-        return second - (c * m1 + s * m2) ** 2
+    def var(dirs):
+        return _second_moment(dirs, split) - (dirs @ means) ** 2
 
-    chis = np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False)
-    i = int(np.argmin(var(chis)))
-    (chi_min,), val = _zoom_min(var, (chis[i],), (math.pi / TRANSVERSE_GRID,))
+    chis, dirs = _transverse_table()
+    i = int(np.argmin(var(dirs)))
+    (chi_min,), val = _zoom_min(
+        lambda chi: var(_circle(chi)), (chis[i],), (math.pi / TRANSVERSE_GRID,)
+    )
     return val, chi_min % math.pi
 
 
@@ -184,25 +249,18 @@ def min_transverse_variance(
 
 
 def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
-    """Minimum of <J_u^2> over all unit directions: a SPHERE_GRID grid of
-    polar and azimuth angles, refined by _zoom_min."""
-    w_stack = np.stack([ops.jx @ state, ops.jy @ state, ops.jz @ state])
-
-    def second(theta, phi):
-        u = np.stack(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-            axis=-1,
-        )
-        w = u @ w_stack
-        return np.einsum("...d,...d->...", w, w.conj()).real
-
-    n_theta, n_phi = SPHERE_GRID
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    values = second(tg, pg)
-    i = np.unravel_index(np.argmin(values), values.shape)
-    _, val = _zoom_min(second, (tg[i], pg[i]), (math.pi / (n_theta - 1), 2.0 * math.pi / n_phi))
+    """Minimum of <J_u^2> over all unit directions: the cached SPHERE_GRID
+    table of polar and azimuth angles, refined by _zoom_min.  <J_u^2> is
+    |u S|^2 with S the real split of (Jx psi, Jy psi, Jz psi)."""
+    state = _state_vector(state, ops)
+    split = _real_split([ops.jx @ state, ops.jy @ state, ops.jz @ state])
+    thetas, phis, dirs = _sphere_table()
+    i_theta, i_phi = divmod(int(np.argmin(_second_moment(dirs, split))), phis.size)
+    _, val = _zoom_min(
+        lambda theta, phi: _second_moment(_sphere(theta, phi), split),
+        (thetas[i_theta], phis[i_phi]),
+        (math.pi / (thetas.size - 1), 2.0 * math.pi / phis.size),
+    )
     return val
 
 

@@ -22,9 +22,17 @@ from biaxbell import (
     min_transverse_variance_scan,
     min_variance_all_directions,
     moments_oracle,
+    project_transverse_operators,
     squeeze_oracle,
 )
-from biaxbell.oracle import _sphere_scan, _zoom_min
+from biaxbell.oracle import (
+    _ZOOM_OFFSETS,
+    _sphere_scan,
+    _sphere_table,
+    _transverse_table,
+    _zoom_min,
+)
+from biaxbell.spincore import expectation
 
 OPS = build_spin_operators(1.0)
 
@@ -140,6 +148,33 @@ def test_eigen_and_scan_agree(p):
     assert lam >= -1e-12
 
 
+def test_scan_finds_the_eigen_angle():
+    # the scan's chi is returned but never gated; where the 2x2 covariance has
+    # a clear eigen gap its minimizing angle is unique mod pi and must match
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(2000):
+        beta, mu, nu = rng.uniform([0.0, 0.0, -math.pi], [1.0, math.pi, math.pi])
+        state = _state(beta, mu, nu)
+        frame = _frame_of(state)
+        if frame.status is FrameStatus.FULLY_DEGENERATE:
+            continue
+        lam, chi = min_transverse_variance(state, frame, OPS)
+        lam_scan, chi_scan = min_transverse_variance_scan(state, frame, OPS)
+        assert abs(lam_scan - lam) <= 1e-12, (beta, mu, nu)
+        jn1, jn2 = project_transverse_operators(frame, OPS)
+        m1, m2 = (expectation(j, state).real for j in (jn1, jn2))
+        g11 = expectation(jn1 @ jn1, state).real - m1 * m1
+        g22 = expectation(jn2 @ jn2, state).real - m2 * m2
+        g12 = expectation(jn1 @ jn2 + jn2 @ jn1, state).real / 2.0 - m1 * m2
+        if math.hypot(g11 - g22, 2.0 * g12) < 1e-3:
+            continue
+        d = (chi_scan - chi) % math.pi
+        assert min(d, math.pi - d) <= 1e-6, (beta, mu, nu)
+        checked += 1
+    assert checked >= 1500
+
+
 @given(params_st, st.floats(0.0, 2.0 * math.pi))
 @settings(max_examples=100, deadline=None)
 def test_lambda_invariant_under_global_phase(p, gamma):
@@ -199,6 +234,27 @@ def test_zoom_min_follows_a_flat_valley():
     (x, _), val = _zoom_min(f, (0.0, 0.0), (0.05, 0.05))
     assert val <= 1e-12
     assert abs(x - 0.5) <= 1e-5
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+def test_scans_reject_wrong_state_shape(shape):
+    message = r"state of length .* does not match operator dimension 3"
+    state = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        min_transverse_variance_scan(state, _frame_of(build_superposition_state(P1)), OPS)
+    with pytest.raises(ValueError, match=message):
+        _sphere_scan(state, OPS)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [*_transverse_table(), *_sphere_table(), _ZOOM_OFFSETS],
+    ids=["chis", "circle", "thetas", "phis", "sphere", "zoom_offsets"],
+)
+def test_scan_tables_are_read_only(table):
+    # every scan shares these arrays; a write would corrupt all later scans
+    with pytest.raises(ValueError):
+        table[(0,) * table.ndim] = 0.0
 
 
 # ---------------------------------------------------------------------------
