@@ -634,6 +634,10 @@ def main(argv=None) -> int:
     except (UsageError, OSError, ValueError) as exc:
         print(f"biaxbell: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # e.g. a --beta-steps too large for its grid to be allocated
+        print(f"biaxbell: error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"biaxbell: internal check failed: {exc}", file=sys.stderr)
         return 2

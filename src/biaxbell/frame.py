@@ -144,7 +144,8 @@ def project_transverse_operators(
         raise DegenerateFrameError(
             "transverse projection undefined: mean spin length is below eps"
         )
-    cart = (ops.jx, ops.jy, ops.jz)
-    jn1 = sum(c * op for c, op in zip(frame.n1, cart))
-    jn2 = sum(c * op for c, op in zip(frame.n2, cart))
+    # plain floats; the leading 0 + keeps sum()'s start (-0.0 entries become +0.0)
+    (x1, y1, z1), (x2, y2, z2) = frame.n1.tolist(), frame.n2.tolist()
+    jn1 = 0 + x1 * ops.jx + y1 * ops.jy + z1 * ops.jz
+    jn2 = 0 + x2 * ops.jx + y2 * ops.jy + z2 * ops.jz
     return jn1, jn2

@@ -6,12 +6,18 @@ twice on purpose: an analytic eigenvalue route and a brute grid scan refined
 by ever finer local grids.  The two must agree or the call fails loudly;
 agreement is the evidence that both are right.
 
+The moments are one contraction over a stack of operators (the read-only
+SpinOperatorSet.moment_stack, built once per operator set, or Jn1 and Jn2
+and their products) that sums exactly as spincore.expectation does, so each
+value equals the per-operator expectation bit for bit.
+
 The scans never form a covariance matrix.  They apply the spin operators to
-the state once, split the vectors J_k psi into one real matrix of real and
-imaginary parts, and read <J_u^2> = |sum_k u_k J_k psi|^2 for every direction
-u of a table as the row norms of one real matrix product.  The coarse
-direction tables depend on nothing but TRANSVERSE_GRID and SPHERE_GRID, so
-they are built once and kept read-only.
+the state once, split the vectors J_k psi (centred, (J_k - <J_k>) psi, for
+the transverse variance) into one real matrix S of real and imaginary parts,
+and read <J_u^2> = |u S|^2 for every direction u as row norms.  The coarse
+direction tables depend only on TRANSVERSE_GRID and SPHERE_GRID, so they are
+built once and kept read-only; refinement grids combine (cos, sin) columns
+with the rows of S.
 """
 from __future__ import annotations
 
@@ -36,7 +42,6 @@ from .spincore import (
     SqueezeParams,
     build_spin_operators,
     build_superposition_state,
-    expectation,
 )
 
 METHOD_TRANSVERSE = "transverse-eigen"
@@ -67,25 +72,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _circle(chi) -> np.ndarray:
-    """Coefficients (cos chi, sin chi) of cos(chi) n1 + sin(chi) n2."""
-    return np.stack([np.cos(chi), np.sin(chi)], axis=-1)
-
-
-def _sphere(theta, phi) -> np.ndarray:
-    """Unit vectors at polar angle theta and azimuth phi (broadcast)."""
-    sin_theta = np.sin(theta)
-    return np.stack(
-        np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)),
-        axis=-1,
-    )
-
-
 @lru_cache(maxsize=None)
 def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
-    """The TRANSVERSE_GRID angles chi over [0, pi) and their _circle rows."""
+    """The TRANSVERSE_GRID angles chi over [0, pi) and their rows
+    (cos chi, sin chi), the coefficients of cos(chi) n1 + sin(chi) n2."""
     chis = _frozen(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
-    return chis, _frozen(_circle(chis))
+    return chis, _frozen(np.stack([np.cos(chis), np.sin(chis)], axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +87,9 @@ def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_theta, n_phi = SPHERE_GRID
     thetas = _frozen(np.linspace(0.0, math.pi, n_theta))
     phis = _frozen(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
-    return thetas, phis, _frozen(_sphere(thetas[:, None], phis).reshape(-1, 3))
+    sin_theta, cos_theta = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    dirs = np.broadcast_arrays(sin_theta * np.cos(phis), sin_theta * np.sin(phis), cos_theta)
+    return thetas, phis, _frozen(np.stack(dirs, axis=-1).reshape(-1, 3))
 
 
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
@@ -113,10 +107,17 @@ def _real_split(vectors) -> np.ndarray:
     return np.concatenate([vectors.real, vectors.imag], axis=-1)
 
 
-def _second_moment(dirs: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """|sum_k u_k w_k|^2 for every row u of dirs (any leading shape)."""
-    w = dirs @ split
-    return np.einsum("...i,...i->...", w, w)
+def _norms(w: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of w (any leading shape), squaring w in place;
+    a product with a ones vector sums short rows faster than w.sum(-1)."""
+    w *= w
+    return w @ np.ones(w.shape[-1])
+
+
+def _expectations(stack: np.ndarray, state: np.ndarray) -> list[complex]:
+    """<state| op |state> for every op of a stack, each summed exactly as
+    spincore.expectation sums it: a matrix-vector product, then a dot product."""
+    return (state.conj()[None, None, :] @ (stack @ state)[..., None])[:, 0, 0].tolist()
 
 
 def _real(value: complex, what: str) -> float:
@@ -134,46 +135,52 @@ class OracleMoments(NamedTuple):
 def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
     """All first and second moments of a state, from the matrices alone."""
     state = _state_vector(state, ops)
-    cart = (ops.jx, ops.jy, ops.jz)
-    mean = MeanSpin(*(_real(expectation(op, state), "first moment") for op in cart))
-    table = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            sym = cart[a] @ cart[b] + cart[b] @ cart[a]
-            table[a, b] = table[b, a] = _real(expectation(sym, state), "second moment") / 2.0
-    table.setflags(write=False)
-    two_jz_plus_1 = 2.0 * ops.jz + np.eye(ops.dim)
-    raising = MomentSet(
-        jplus_sq=expectation(ops.jplus @ ops.jplus, state),
-        jz_sq=_real(expectation(ops.jz @ ops.jz, state), "<Jz^2>"),
-        jplus_2jz1=expectation(ops.jplus @ two_jz_plus_1, state),
-    )
+    values = _expectations(ops.moment_stack, state)
+    mean = MeanSpin(*(_real(v, "first moment") for v in values[:3]))
+    xx, xy, xz, yy, yz, zz = (_real(v, "second moment") / 2.0 for v in values[3:9])
+    table = _frozen(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
+    jplus_sq, jz_sq, jplus_2jz1 = values[9:]
+    raising = MomentSet(jplus_sq, _real(jz_sq, "<Jz^2>"), jplus_2jz1)
     return OracleMoments(mean=mean, raising=raising, table=table)
+
+
+def _transverse_moments(state: np.ndarray, jn1: np.ndarray, jn2: np.ndarray) -> tuple:
+    """<Jn1>, <Jn2>, <Jn1^2>, <Jn2^2> and <{Jn1,Jn2}> in one contraction."""
+    stack = np.array([jn1, jn2, jn1 @ jn1, jn2 @ jn2, jn1 @ jn2 + jn2 @ jn1])
+    names = ("<Jn1>", "<Jn2>", "<Jn1^2>", "<Jn2^2>", "<{Jn1,Jn2}>")
+    return tuple(_real(v, what) for v, what in zip(_expectations(stack, state), names))
 
 
 def _zoom_min(f, best, step) -> tuple[tuple[float, ...], float]:
     """Local minimum of a vectorized f(*coords) near the point best.
 
-    Each round evaluates f on an open grid (np.ix_) of 2k+1 points per axis
-    spanning best +- step and moves to the lowest point.  While that point
-    lies on the grid's edge and is strictly below the centre, the next grid
-    keeps the step (at most _ZOOM_MOVES times), so a minimum further along a
-    flat valley is followed; otherwise step is divided by k.  The grid always
-    contains its centre, so the value never rises.
+    Each round evaluates f on an open grid (as np.ix_ builds) of 2k+1 points
+    per axis spanning best +- step and moves to the lowest point.  While that
+    point lies on the grid's edge and is strictly below the centre, the next
+    grid keeps the step (at most _ZOOM_MOVES times), so a minimum further
+    along a flat valley is followed; otherwise step is divided by k.  The
+    grid always contains its centre, so the value never rises.
     """
+    shapes = [(-1,) + (1,) * k for k in reversed(range(len(best)))]
+    centre = (_ZOOM_K,) * len(best)
     rounds = moves = 0
     while rounds < _ZOOM_ROUNDS:
         axes = [b + s * _ZOOM_OFFSETS for b, s in zip(best, step)]
-        values = f(*np.ix_(*axes))
-        i = np.unravel_index(np.argmin(values), values.shape)
-        best = tuple(float(axis[j]) for axis, j in zip(axes, i))
-        on_edge = any(j in (0, 2 * _ZOOM_K) for j in i)
-        if on_edge and values[i] < values[(_ZOOM_K,) * len(i)] and moves < _ZOOM_MOVES:
+        values = f(*(axis.reshape(shape) for axis, shape in zip(axes, shapes)))
+        i = np.unravel_index(values.argmin(), values.shape)
+        best = [axis.item(j) for axis, j in zip(axes, i)]
+        if (0 in i or 2 * _ZOOM_K in i) and values[i] < values[centre] and moves < _ZOOM_MOVES:
             moves += 1
         else:
-            step = tuple(s / _ZOOM_K for s in step)
+            step = [s / _ZOOM_K for s in step]
             rounds += 1
-    return best, float(values[i])
+    return tuple(best), float(values[i])
+
+
+def _ring(angle: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """cos(a) S_0 + sin(a) S_1, one row per angle a of a 1-D array, with S_0
+    and S_1 the first two rows of a real split."""
+    return np.array((np.cos(angle), np.sin(angle))).T @ split[:2]
 
 
 def min_transverse_variance_scan(
@@ -184,27 +191,21 @@ def min_transverse_variance_scan(
     chi parametrizes the direction cos(chi) n1 + sin(chi) n2 over [0, pi).
     The cached table of TRANSVERSE_GRID directions locates the basin and
     _zoom_min refines it.  This route never forms a covariance matrix: with
-    the real split S of (Jn1 psi, Jn2 psi) and the means m, the variance at
-    every direction row c is |c S|^2 - (c . m)^2.
+    S the real split of the centred vectors ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>)
+    psi), the variance at every direction row c is |c S|^2.
     """
     state = _state_vector(state, ops)
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse scan undefined: mean spin below eps")
     jn1, jn2 = project_transverse_operators(frame, ops)
     w1, w2 = jn1 @ state, jn2 @ state
-    means = np.array([
-        _real(complex(np.vdot(state, w1)), "<Jn1>"),
-        _real(complex(np.vdot(state, w2)), "<Jn2>"),
-    ])
-    split = _real_split([w1, w2])
-
-    def var(dirs):
-        return _second_moment(dirs, split) - (dirs @ means) ** 2
-
+    m1 = _real(complex(np.vdot(state, w1)), "<Jn1>")
+    m2 = _real(complex(np.vdot(state, w2)), "<Jn2>")
+    split = _real_split([w1 - m1 * state, w2 - m2 * state])
     chis, dirs = _transverse_table()
-    i = int(np.argmin(var(dirs)))
+    i = int(np.argmin(_norms(dirs @ split)))
     (chi_min,), val = _zoom_min(
-        lambda chi: var(_circle(chi)), (chis[i],), (math.pi / TRANSVERSE_GRID,)
+        lambda chi: _norms(_ring(chi, split)), (chis[i],), (math.pi / TRANSVERSE_GRID,)
     )
     return val, chi_min % math.pi
 
@@ -221,12 +222,13 @@ def min_transverse_variance(
     """
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse variance undefined: mean spin below eps")
-    jn1, jn2 = project_transverse_operators(frame, ops)
-    m1 = _real(expectation(jn1, state), "<Jn1>")
-    m2 = _real(expectation(jn2, state), "<Jn2>")
-    g11 = _real(expectation(jn1 @ jn1, state), "<Jn1^2>") - m1 * m1
-    g22 = _real(expectation(jn2 @ jn2, state), "<Jn2^2>") - m2 * m2
-    g12 = _real(expectation(jn1 @ jn2 + jn2 @ jn1, state), "<{Jn1,Jn2}>") / 2.0 - m1 * m2
+    state = _state_vector(state, ops)
+    m1, m2, jn1_sq, jn2_sq, anticomm = _transverse_moments(
+        state, *project_transverse_operators(frame, ops)
+    )
+    g11 = jn1_sq - m1 * m1
+    g22 = jn2_sq - m2 * m2
+    g12 = anticomm / 2.0 - m1 * m2
 
     half_gap = math.hypot(g11 - g22, 2.0 * g12) / 2.0
     lam = (g11 + g22) / 2.0 - half_gap
@@ -253,11 +255,13 @@ def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
     table of polar and azimuth angles, refined by _zoom_min.  <J_u^2> is
     |u S|^2 with S the real split of (Jx psi, Jy psi, Jz psi)."""
     state = _state_vector(state, ops)
-    split = _real_split([ops.jx @ state, ops.jy @ state, ops.jz @ state])
+    split = _real_split(ops.moment_stack[:3] @ state)
     thetas, phis, dirs = _sphere_table()
-    i_theta, i_phi = divmod(int(np.argmin(_second_moment(dirs, split))), phis.size)
+    i_theta, i_phi = divmod(int(np.argmin(_norms(dirs @ split))), phis.size)
     _, val = _zoom_min(
-        lambda theta, phi: _second_moment(_sphere(theta, phi), split),
+        lambda theta, phi: _norms(
+            np.sin(theta)[..., None] * _ring(phi, split) + np.cos(theta)[..., None] * split[2]
+        ),
         (thetas[i_theta], phis[i_phi]),
         (math.pi / (thetas.size - 1), 2.0 * math.pi / phis.size),
     )
@@ -348,12 +352,8 @@ def evaluate_oracle(params: SqueezeParams) -> OraclePoint:
         method = METHOD_ALL_DIRECTIONS
     else:
         lam, chi = min_transverse_variance(state, frame, ops)
-        jn1, jn2 = project_transverse_operators(frame, ops)
-        frame_moments = FrameMoments(
-            jn1_sq=_real(expectation(jn1 @ jn1, state), "<Jn1^2>"),
-            jn2_sq=_real(expectation(jn2 @ jn2, state), "<Jn2^2>"),
-            anticomm=_real(expectation(jn1 @ jn2 + jn2 @ jn1, state), "<{Jn1,Jn2}>"),
-        )
+        _, _, *second = _transverse_moments(state, *project_transverse_operators(frame, ops))
+        frame_moments = FrameMoments(*second)
         method = METHOD_TRANSVERSE
 
     xi2_std = 2.0 * lam                 # 4 lambda / N at N = 2

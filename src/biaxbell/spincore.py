@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,16 @@ class SpinOperatorSet:
     jz: np.ndarray
     jplus: np.ndarray
     jminus: np.ndarray
+
+    @cached_property
+    def moment_stack(self) -> np.ndarray:
+        """Read-only stack, built on first use, of Jx, Jy, Jz; {Ja, Jb} for a <= b
+        (xx, xy, xz, yy, yz, zz); J+^2, Jz^2 and J+(2Jz+1)."""
+        cart = (self.jx, self.jy, self.jz)
+        sym = [cart[a] @ cart[b] + cart[b] @ cart[a] for a in range(3) for b in range(a, 3)]
+        two_jz_plus_1 = 2.0 * self.jz + np.eye(self.dim)
+        raising = [self.jplus @ self.jplus, self.jz @ self.jz, self.jplus @ two_jz_plus_1]
+        return _readonly(np.array([*cart, *sym, *raising]))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

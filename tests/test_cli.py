@@ -473,6 +473,24 @@ def test_removed_options_exit_one(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["sweep", "crosscheck"])
+def test_grid_too_large_to_allocate_exits_one(monkeypatch, command):
+    # numpy raises a MemoryError subclass when a grid cannot be allocated
+    # (e.g. --beta-steps 100000000000); no test asks for a real huge array
+    def linspace(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    code, err, _ = _run_main(
+        [command, "--mu-list", "0", "--nu-list", "0", "--beta-steps", "100000000000"]
+    )
+    assert code == 1
+    assert err == (
+        "biaxbell: error: out of memory: "
+        "Unable to allocate 745. GiB for an array with shape (100000000000,)\n"
+    )
+
+
 def test_sweep_unwritable_path(capsys):
     code = main(
         ["sweep", "--beta-steps", "2", "--mu-list", "0", "--nu-list", "0",

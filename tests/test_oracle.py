@@ -1,4 +1,5 @@
 """Operator-oracle moments, variance minimization, concurrence."""
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from biaxbell.oracle import (
     _ZOOM_OFFSETS,
     _sphere_scan,
     _sphere_table,
+    _transverse_moments,
     _transverse_table,
     _zoom_min,
 )
@@ -90,6 +92,58 @@ def test_moments_generic_point_frozen():
 def test_moments_table_symmetric():
     m = moments_oracle(build_superposition_state(P6), OPS)
     np.testing.assert_allclose(m.table, m.table.T, atol=0)
+
+
+def _moment_test_states():
+    """Seeded random spin-1 states and family points, the edges included."""
+    rng = np.random.default_rng(7)
+    states = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(300)]
+    states = [s / np.linalg.norm(s) for s in states]
+    edges = [(b, m, n) for b in (0.0, 0.37, 1.0) for m in (0.0, math.pi / 2, math.pi, 1.1)
+             for n in (0.0, math.pi, -0.7, 2.3)]
+    return states + [_state(*p) for p in edges]
+
+
+def test_stacked_moments_equal_per_operator_expectations():
+    # one contraction over the cached stack must sum exactly as expectation()
+    cart = (OPS.jx, OPS.jy, OPS.jz)
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    assert OPS.moment_stack is OPS.moment_stack
+    for state in _moment_test_states():
+        m = moments_oracle(state, OPS)
+        mean = [expectation(op, state).real for op in cart]
+        assert [m.mean.jx, m.mean.jy, m.mean.jz] == mean
+        assert all(type(v) is float for v in (m.mean.jx, m.mean.jy, m.mean.jz))
+        for a, b in pairs:
+            sym = cart[a] @ cart[b] + cart[b] @ cart[a]
+            assert m.table[a, b] == m.table[b, a] == expectation(sym, state).real / 2.0
+        assert m.raising.jplus_sq == expectation(OPS.jplus @ OPS.jplus, state)
+        assert m.raising.jz_sq == expectation(OPS.jz @ OPS.jz, state).real
+        two_jz_plus_1 = 2.0 * OPS.jz + np.eye(3)
+        assert m.raising.jplus_2jz1 == expectation(OPS.jplus @ two_jz_plus_1, state)
+        assert type(m.raising.jplus_sq) is complex
+
+
+def test_transverse_moments_equal_per_operator_expectations():
+    checked = 0
+    for state in _moment_test_states():
+        frame = _frame_of(state)
+        if frame.status is FrameStatus.FULLY_DEGENERATE:
+            continue
+        jn1, jn2 = project_transverse_operators(frame, OPS)
+        ops = (jn1, jn2, jn1 @ jn1, jn2 @ jn2, jn1 @ jn2 + jn2 @ jn1)
+        assert _transverse_moments(state, jn1, jn2) == tuple(
+            expectation(op, state).real for op in ops
+        )
+        checked += 1
+    assert checked >= 300
+
+
+def test_moments_reality_check_still_fires():
+    # J+ is not Hermitian: its expectation has an imaginary part
+    state = build_superposition_state(P1)
+    with pytest.raises(RuntimeError, match="first moment should be real"):
+        moments_oracle(state, dataclasses.replace(OPS, jx=OPS.jplus))
 
 
 def test_moments_dimension_mismatch():
@@ -248,11 +302,12 @@ def test_scans_reject_wrong_state_shape(shape):
 
 @pytest.mark.parametrize(
     "table",
-    [*_transverse_table(), *_sphere_table(), _ZOOM_OFFSETS],
-    ids=["chis", "circle", "thetas", "phis", "sphere", "zoom_offsets"],
+    [*_transverse_table(), *_sphere_table(), _ZOOM_OFFSETS, OPS.moment_stack],
+    ids=["chis", "circle", "thetas", "phis", "sphere", "zoom_offsets", "moment_stack"],
 )
 def test_scan_tables_are_read_only(table):
-    # every scan shares these arrays; a write would corrupt all later scans
+    # every scan (and every moments_oracle call, for the moment stack) shares
+    # these arrays; a write would corrupt all later calls
     with pytest.raises(ValueError):
         table[(0,) * table.ndim] = 0.0
 

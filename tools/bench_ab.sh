@@ -16,6 +16,11 @@
 # SECONDS to BENCHMARK.json's run_seconds.  Every run's end-to-end metrics
 # are printed, then for each metric the median and quartiles of each side
 # and the number of pairs the working tree won (ties count for neither).
+# The last line is one JSON object with the same summary: the workload, the
+# revision and its commit, for each metric each side's values in pair order,
+# median and IQR/median and the pairs the working tree won, the failed runs
+# per side, and the perfbench run context (nproc, Python, numpy, BLAS library
+# and threads) of the first run.
 # Exit status: 0 when every run finished, 1 when a run failed.
 set -euo pipefail
 
@@ -54,21 +59,23 @@ for ((pair = 1; pair <= pairs; pair++)); do
             echo "bench_ab: run failed (pair $pair, $side)" >&2
             exit 1
         }
-        tail -n 1 "$out" | python3 -c '
+        tail -n 2 "$out" | python3 -c '
 import json, sys
-run = json.load(sys.stdin)
+context, run = (json.loads(line) for line in sys.stdin)
 run["pair"], run["side"] = int(sys.argv[1]), sys.argv[2]
+run["context"] = context["context"]
 print(json.dumps(run))
 ' "$pair" "$side" >>"$results"
     done
 done
 
-python3 - "$results" "$tmp/work/BENCHMARK.json" "$rev" "$workload" "$seconds" <<'EOF'
+python3 - "$results" "$tmp/work/BENCHMARK.json" "$rev" "$workload" "$seconds" \
+    "$(git -C "$repo" rev-parse "$rev^{commit}")" <<'EOF'
 import json
 import statistics
 import sys
 
-results, bench, rev, workload, seconds = sys.argv[1:]
+results, bench, rev, workload, seconds, commit = sys.argv[1:]
 runs = [json.loads(line) for line in open(results)]
 metrics = json.load(open(bench))["end_to_end"]
 label = {"rev": rev, "work": "working tree"}
@@ -84,12 +91,28 @@ def value(side, pair, name):
 
 
 pairs = sorted({r["pair"] for r in runs})
+summary = {}
 for m in metrics:
     name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+    summary[name] = {"unit": m["unit"], "better": m["better"]}
     for side in ("rev", "work"):
         xs = [value(side, p, name) for p in pairs]
         q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
         print(f"{name:14s} {label[side]:>14s}: median {med:.6g}  quartiles {q1:.6g}-{q3:.6g}")
+        summary[name][side] = {"values": xs, "median": med, "iqr_over_median": (q3 - q1) / med}
     wins = sum(sign * (value("work", p, name) - value("rev", p, name)) > 0 for p in pairs)
     print(f"{name:14s} working tree better in {wins}/{len(pairs)} pairs ({m['better']} is better)")
+    summary[name]["work_won"] = wins
+context = {key: runs[0]["context"][key] for key in ("nproc", "python", "numpy", "blas")}
+print(json.dumps({
+    "workload": workload,
+    "seconds": float(seconds),
+    "seed": 1,
+    "pairs": len(pairs),
+    "rev": rev,
+    "rev_commit": commit,
+    "metrics": summary,
+    "failed": {side: sum(r["failed"] for r in runs if r["side"] == side) for side in ("rev", "work")},
+    "context": context,
+}))
 EOF
