@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -543,8 +544,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser():
-    """The top-level parser and the subcommand parsers by name."""
+@functools.lru_cache(maxsize=None)
+def build_parser() -> _Parser:
+    """The process-wide parser, built on first use and never changed after."""
     parser = _Parser(
         prog="biaxbell",
         description=(
@@ -612,22 +614,22 @@ def build_parser():
     output(p_check, ("text", "json"))
     p_check.set_defaults(func=cmd_crosscheck)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults, so flags still
-            # win and each value goes through its option's type function
+            # config entries enter as flags right after the subcommand name, so
+            # later flags still win and each value takes its flag's path
             known = {k.replace("_", "-") for k in vars(args)} - _NOT_CONFIG_KEYS
             config = read_config(args.config, known)
-            commands[args.command].set_defaults(
-                **{k.replace("-", "_"): v for k, v in config.items()}
-            )
-            args = parser.parse_args(argv)
+            at = argv.index(args.command) + 1
+            flags = [f"--{k}={v}" for k, v in config.items()]
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

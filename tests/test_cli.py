@@ -16,6 +16,7 @@ from biaxbell import SqueezeParams
 from biaxbell.cli import (
     SWEEP_COLUMNS,
     UsageError,
+    build_parser,
     evaluate_row,
     main,
     monotone_nonincreasing,
@@ -144,12 +145,15 @@ def test_config_values_parse_like_flags(tmp_path, capsys, config, argv, flags):
         (["sweep"], "beta-steps=2\nmu-list=0\nnu-list=0\nformat=xml\n", 1,
          "unknown format 'xml'"),
         (["point"], "beta=0\nmu=0\nnu=0\nformat=xml\n", 1, "unknown format 'xml'"),
+        # an invalid value fails even where a flag overrides it
+        (["point", "--format", "text"], "beta=0\nmu=0\nnu=0\nformat=xml\n", 1,
+         "unknown format 'xml'"),
         (["point"], "beta=0\nmu=0\nnu=pi/0\n", 1, "zero denominator in 'pi/0'"),
         (["crosscheck"], "beta-steps=2\nformat=csv\n", 1, "unknown format 'csv'"),
         (["figure", "fig2"], "", 1, "missing required option --outdir"),
     ],
-    ids=["sweep-strict", "sweep-format", "point-format", "point-zero-denominator",
-         "crosscheck-format", "figure-outdir"],
+    ids=["sweep-strict", "sweep-format", "point-format", "point-format-overridden",
+         "point-zero-denominator", "crosscheck-format", "figure-outdir"],
 )
 def test_config_value_errors(tmp_path, capsys, argv, config, code, message):
     cfg = tmp_path / "run.cfg"
@@ -165,6 +169,25 @@ def test_config_key_of_another_subcommand_exits_one(tmp_path):
     cfg.write_text("threads=2\n")       # valid for sweep, not for point
     assert main(["point", "--beta", "0", "--mu", "0", "--nu", "0",
                  "--config", str(cfg)]) == 1
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert build_parser() is build_parser()
+    for _ in range(100):
+        assert main(["point", "--beta", "0"]) == 1
+    assert "missing required option --mu" in capsys.readouterr().err
+    assert build_parser.cache_info().misses == 1
+
+
+def test_config_values_do_not_leak_into_later_calls(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta-max=0.5\nformat=json\nstrict=yes\n")
+    plain = ["sweep", "--mu-list", "pi/2", "--nu-list", "0", "--beta-steps", "3"]
+    alone, after = tmp_path / "alone.csv", tmp_path / "after.csv"
+    assert main([*plain, "--out", str(alone)]) == 0
+    assert main([*plain, "--config", str(cfg), "--out", str(tmp_path / "config.json")]) == 2
+    assert main([*plain, "--out", str(after)]) == 0
+    assert after.read_bytes() == alone.read_bytes()
 
 
 # ---------------------------------------------------------------------------

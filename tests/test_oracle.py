@@ -437,3 +437,43 @@ def test_pipeline_internal_consistency(p):
     degenerate = res.frame_status is FrameStatus.FULLY_DEGENERATE
     assert (point.frame_moments is None) == degenerate
     assert res.method == (METHOD_ALL_DIRECTIONS if degenerate else METHOD_TRANSVERSE)
+
+
+# ---------------------------------------------------------------------------
+# squeezing facts beyond the figures
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_squeezing_is_one_minus_concurrence_off_the_family(seed):
+    # any normalized spin-1 state, not only the (beta, mu, nu) family:
+    # 2 lambda_min = 1 - C wherever the transverse frame exists
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=3) + 1j * rng.normal(size=3)
+    state /= np.linalg.norm(state)
+    frame = _frame_of(state)
+    if frame.status is FrameStatus.FULLY_DEGENERATE:
+        return
+    lam, _ = min_transverse_variance(state, frame, OPS)
+    assert abs(2.0 * lam - (1.0 - concurrence(state))) <= 1e-12
+
+
+def _xi2_std(beta, mu, nu):
+    return squeeze_oracle(SqueezeParams(beta=beta, mu=mu, nu=nu)).xi2_std
+
+
+@given(st.floats(0.0, 1.0), st.floats(-2.0 * math.pi, 2.0 * math.pi))
+@settings(max_examples=100, deadline=None)
+def test_mu_pi_slice_equals_mu_zero_slice(beta, nu):
+    # a pi rotation about y maps each mu=pi state onto its mu=0 partner, so
+    # both slices fall as 1 - beta^2 and the mu=pi one has no interior maximum
+    assert abs(_xi2_std(beta, math.pi, nu) - _xi2_std(beta, 0.0, nu)) <= 1e-12
+    assert abs(_xi2_std(beta, 0.0, nu) - (1.0 - beta * beta)) <= 1e-12
+
+
+@given(params_st)
+@settings(max_examples=100, deadline=None)
+def test_squeezing_invariant_under_nu_reflection_and_half_period(p):
+    xi2 = _xi2_std(p.beta, p.mu, p.nu)
+    assert abs(_xi2_std(p.beta, p.mu, -p.nu) - xi2) <= 1e-12
+    assert abs(_xi2_std(p.beta, p.mu, p.nu + math.pi) - xi2) <= 1e-12

@@ -29,6 +29,10 @@ mkdir -p "$tmp/rev" "$tmp/work"
 git -C "$repo" archive "$rev" src | tar -x -C "$tmp/rev"
 tar -C "$repo" --exclude=__pycache__ -cf - src | tar -x -C "$tmp/work"
 
+# config files read by the --config cases; both trees read the same files
+printf 'mu-list=0,pi/2\nnu-list=-pi/3,1\nbeta-steps=6\nformat=json\n' >"$tmp/sweep.cfg"
+printf 'mu-list=pi/3\nnu-list=0.3,-2\nbeta-steps=4\ntol=1e-17\nformat=json\n' >"$tmp/crosscheck.cfg"
+
 # name|argv, split on spaces; output paths are relative to the case directory
 cases=(
     # the three benchmark argv shapes (perfbench/workloads.py)
@@ -51,6 +55,9 @@ cases=(
     "sweep_csv|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11"
     "sweep_json|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11 --format json"
     "sweep_strict|sweep --mu-list pi/2 --nu-list 0,1 --beta-steps 5 --strict"
+    "sweep_config|sweep --config $tmp/sweep.cfg"
+    # the flags override the file's format and beta-steps
+    "crosscheck_config_flags_win|crosscheck --config $tmp/crosscheck.cfg --format text --beta-steps 3"
     "figure_fig2|figure fig2 --outdir figs"
 )
 
