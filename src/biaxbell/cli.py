@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -24,11 +23,11 @@ from .crosscheck import (
     mean_spin_values, oracle_values, run_crosscheck,
 )
 from .frame import FrameStatus
-from .oracle import evaluate_oracle
+from .oracle import oracle_columns
 from .spincore import SqueezeParams
 
 # each output key is (route, quantity): "in" is the input point, "cf" and "or"
-# the records of crosscheck.closed_values and crosscheck.oracle_values
+# the records of crosscheck.closed_values and oracle.oracle_columns
 SWEEP_TABLE = {
     "beta": ("in", "beta"),
     "mu": ("in", "mu"),
@@ -221,14 +220,21 @@ def _required(args: argparse.Namespace, *names: str) -> None:
 # row evaluation
 
 def _select(table: dict, routes: dict) -> dict:
-    """Each key of ``table`` with its quantity read from its route."""
+    """Each key of ``table`` with its quantity read from its route: one value
+    per key from records, one column per key from columns."""
     return {key: routes[route][quantity] for key, (route, quantity) in table.items()}
 
 
-def evaluate_row(params: SqueezeParams) -> dict:
-    """All sweep columns for one parameter point."""
-    routes = {"in": vars(params), "cf": mean_spin_values(params),
-              "or": oracle_values(evaluate_oracle(params))}
+def _columns(records: list[dict]) -> dict[str, list]:
+    return {key: [record[key] for record in records] for key in records[0]}
+
+
+def sweep_columns(grid: list[SqueezeParams]) -> dict[str, list]:
+    """All sweep columns over a grid, one list per column in grid order; the
+    oracle columns come from one oracle_columns call."""
+    routes = {"in": _columns([vars(p) for p in grid]),
+              "cf": _columns([mean_spin_values(p) for p in grid]),
+              "or": oracle_columns(grid)}
     return _select(SWEEP_TABLE, routes)
 
 
@@ -242,17 +248,20 @@ def sweep_points(mus, nus, betas) -> list[SqueezeParams]:
     ]
 
 
-def write_rows_csv(rows: list[dict], handle, columns=SWEEP_COLUMNS) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt(row[c]) for c in columns])
+def write_rows_csv(columns: dict[str, list], handle, names=SWEEP_COLUMNS) -> None:
+    """The named columns as CSV rows, each float in fmt's 17 significant
+    digits, formatted in one pass; no value needs CSV quoting."""
+    values = [columns[name] for name in names]
+    handle.write(",".join(names) + "\n")
+    if values[0]:
+        line = ",".join("%s" if isinstance(v[0], str) else "%.17g" for v in values) + "\n"
+        handle.write("".join([line % row for row in zip(*values)]))
 
 
-def write_rows_json(rows: list[dict], handle) -> None:
+def write_rows_json(columns: dict[str, list], handle) -> None:
     payload = {
         "columns": list(SWEEP_COLUMNS),
-        "rows": [[row[c] for c in SWEEP_COLUMNS] for row in rows],
+        "rows": [list(row) for row in zip(*(columns[name] for name in SWEEP_COLUMNS))],
     }
     json.dump(payload, handle, indent=2)
     handle.write("\n")
@@ -323,14 +332,16 @@ class WidestSqueezing(NamedTuple):
 def run_figure(mus, nus, betas, checks):
     """Evaluate a figure's slices and run its checks in order.
 
-    Returns (slices, violations, report_lines); slices maps mu to its rows.
+    Returns (slices, violations, report_lines); slices maps mu to its sweep
+    columns.
     """
-    rows = [evaluate_row(p) for p in sweep_points(mus, nus, betas)]
+    columns = sweep_columns(sweep_points(mus, nus, betas))
     size = len(nus) * len(betas)
-    slices = {mu: rows[i * size:(i + 1) * size] for i, mu in enumerate(mus)}
+    slices = {mu: {name: column[i * size:(i + 1) * size] for name, column in columns.items()}
+              for i, mu in enumerate(mus)}
 
     def curves(mu, column):
-        return np.array([row[column] for row in slices[mu]]).reshape(len(nus), len(betas))
+        return np.array(slices[mu][column]).reshape(len(nus), len(betas))
 
     violations: list[str] = []
     lines: list[str] = []
@@ -413,7 +424,7 @@ FIGURES = {"fig1": run_fig1, "fig2": run_fig2}
 def cmd_point(args: argparse.Namespace) -> int:
     _required(args, "beta", "mu", "nu")
     params = SqueezeParams(beta=args.beta, mu=args.mu, nu=args.nu)
-    cf, oracle = closed_values(params), oracle_values(evaluate_oracle(params))
+    cf, oracle = closed_values(params), oracle_values(params)
     xi2 = "xi2_std" if args.convention == "standard" else "xi2_literal"
     routes = {
         "in": {**vars(params), "convention": args.convention},
@@ -454,15 +465,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise UsageError("threads must be at least 1")
 
-    rows = [evaluate_row(p) for p in sweep_points(args.mu_list, args.nu_list, betas)]
+    columns = sweep_columns(sweep_points(args.mu_list, args.nu_list, betas))
 
     with _open_out(args.out) as handle:
         if args.format == "csv":
-            write_rows_csv(rows, handle)
+            write_rows_csv(columns, handle)
         else:
-            write_rows_json(rows, handle)
+            write_rows_json(columns, handle)
 
-    degenerate = sum(row["frame_status"] == FrameStatus.FULLY_DEGENERATE.value for row in rows)
+    degenerate = columns["frame_status"].count(FrameStatus.FULLY_DEGENERATE.value)
     if args.strict and degenerate:
         print(f"strict mode: {degenerate} fully-degenerate points in sweep", file=sys.stderr)
         return 2
@@ -475,21 +486,22 @@ def cmd_figure(args: argparse.Namespace) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     slices, violations, lines = FIGURES[name]()
-    for index, (mu, rows) in enumerate(slices.items()):
+    for index, (mu, columns) in enumerate(slices.items()):
         path = os.path.join(outdir, f"{name}_mu{index}.csv")
         with _open_out(path) as handle:
-            write_rows_csv(rows, handle)
+            write_rows_csv(columns, handle)
         lines.insert(index, f"{name} slice {index}: mu = {fmt(float(mu))} -> {path}")
 
     if name == "fig2":
         # squeezing versus concurrence diagnostic, reported but never asserted
-        diag = [{**row, "one_minus_concurrence": 1.0 - row["concurrence"],
-                 "abs_diff": abs(row["xi2_std"] - (1.0 - row["concurrence"]))}
-                for rows in slices.values() for row in rows]
+        diag = {key: [v for columns in slices.values() for v in columns[key]]
+                for key in ("beta", "mu", "nu", "xi2_std", "concurrence")}
+        diag["one_minus_concurrence"] = [1.0 - c for c in diag["concurrence"]]
+        diag["abs_diff"] = [abs(xi2 - (1.0 - c))
+                            for xi2, c in zip(diag["xi2_std"], diag["concurrence"])]
         with _open_out(os.path.join(outdir, "fig2_xi2_concurrence.csv")) as handle:
-            write_rows_csv(diag, handle, ("beta", "mu", "nu", "xi2_std", "concurrence",
-                                          "one_minus_concurrence", "abs_diff"))
-        max_gap = max([0.0] + [row["abs_diff"] for row in diag])
+            write_rows_csv(diag, handle, tuple(diag))
+        max_gap = max([0.0] + diag["abs_diff"])
         lines.append(f"fig2 diagnostic: max |xi2_std - (1 - concurrence)| = {max_gap:.6g}")
 
     summary_path = os.path.join(outdir, f"{name}_shapes.txt")

@@ -101,8 +101,8 @@ def frame_moments_closed_form(params: SqueezeParams, frame: SpinFrame) -> FrameM
         raise DegenerateFrameError(
             "transverse moments undefined on a fully-degenerate frame"
         )
-    cart = cartesian_from_raising(second_moments_closed_form(params))
-    jz_sq = second_moments_closed_form(params).jz_sq
+    raising = second_moments_closed_form(params)
+    cart, jz_sq = cartesian_from_raising(raising), raising.jz_sq
     half_sum = cart.jx2_plus_jy2 / 2.0
     half_diff = cart.jx2_minus_jy2 / 2.0
     sxy = cart.xy_anticomm / 2.0

@@ -14,8 +14,10 @@ grid against the operator oracle and selects whichever matches, reporting
 neither fits.  Quantities that are unaffected by either hypothesis must
 match as printed; those are the build-stopping ones.
 
-closed_values and oracle_values are the only readers of the two routes;
-the point and sweep commands select their output from these records too.
+closed_values and oracle.oracle_columns are the only readers of the two
+routes; the point and sweep commands select their output from these records
+too.  The closed forms are evaluated one point at a time, the oracle over
+the whole grid in one call.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .frame import (
     mean_spin_length,
     mean_spin_length_closed_form,
 )
-from .oracle import OraclePoint, evaluate_oracle
+from .oracle import oracle_columns
 from .spincore import SqueezeParams
 
 DEFAULT_TOL = 1e-10
@@ -160,37 +162,15 @@ def closed_values(params: SqueezeParams) -> dict[str, complex]:
     return values
 
 
-def oracle_values(point: OraclePoint) -> dict:
-    """Every oracle quantity at one parameter point under the same names,
-    frame entries NaN-marked the same way, and the frame and squeezing
-    result; lambda_min and chi_min come from whichever minimization ran."""
-    m, res = point.moments, point.result
-    table = m.table
-    values = {
-        **vars(m.mean),
-        "r": mean_spin_length(m.mean),
-        **vars(m.raising),
-        "xz_anticomm": 2.0 * table[0, 2],
-        "yz_anticomm": 2.0 * table[1, 2],
-        "jx2_plus_jy2": table[0, 0] + table[1, 1],
-        "jx2_minus_jy2": table[0, 0] - table[1, 1],
-        "xy_anticomm": 2.0 * table[0, 1],
-        "theta": point.frame.theta,
-        "phi": point.frame.phi,
-        "frame_status": res.frame_status.value,
-        "method": res.method,
-        "lambda_min": res.lambda_min,
-        "chi_min": res.chi_min,
-        "xi2_std": res.xi2_std,
-        "xi2_literal": res.xi2_literal,
-        "concurrence": res.concurrence,
-    }
-    values.update(vars(_NO_FRAME if point.frame_moments is None else point.frame_moments))
-    return values
+def oracle_values(params: SqueezeParams) -> dict:
+    """Every oracle quantity at one parameter point: the one row of
+    oracle.oracle_columns, named as closed_values names them."""
+    return {q: column[0] for q, column in oracle_columns([params]).items()}
 
 
-def _columns(rows: list[dict]) -> dict[str, np.ndarray]:
-    """One array per quantity, in grid order."""
+def _closed_columns(grid: list[SqueezeParams]) -> dict[str, np.ndarray]:
+    """closed_values over a grid, one array per quantity in grid order."""
+    rows = [closed_values(p) for p in grid]
     return {q: np.array([row[q] for row in rows]) for q in rows[0]}
 
 
@@ -229,11 +209,9 @@ def run_crosscheck(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
-    rows = [
-        (oracle_values(evaluate_oracle(p)), closed_values(p), closed_values(replace(p, nu=-p.nu)))
-        for p in grid
-    ]
-    oracle, printed, negated = map(_columns, zip(*rows))
+    oracle = {q: np.array(column) for q, column in oracle_columns(grid).items()}
+    printed = _closed_columns(grid)
+    negated = _closed_columns([replace(p, nu=-p.nu) for p in grid])
     # the all-directions minimum of a frameless point is not a transverse one
     oracle["lambda_min"][np.isnan(oracle["jn1_sq"])] = math.nan
     status = list(oracle["frame_status"])

@@ -92,6 +92,31 @@ def _clamp(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
+def frame_angles(ms: MeanSpin, eps: float = DEFAULT_EPS) -> tuple:
+    """theta, phi, r and status of the frame compute_frame builds, by the
+    scalar arithmetic of math alone."""
+    r = mean_spin_length(ms)
+    if r < eps:
+        return 0.0, 0.0, r, FrameStatus.FULLY_DEGENERATE
+    theta = math.acos(_clamp(ms.jz / r))
+    rho = math.hypot(ms.jx, ms.jy)
+    if rho / r < eps:
+        return theta, 0.0, r, FrameStatus.POLAR_DEGENERATE
+    base = math.acos(_clamp(ms.jx / rho))
+    phi = base if ms.jy > 0.0 else 2.0 * math.pi - base
+    if phi >= 2.0 * math.pi:
+        phi = 0.0
+    return theta, phi, r, FrameStatus.REGULAR
+
+
+def frame_triad(theta: float, phi: float) -> tuple[tuple[float, float, float], ...]:
+    """The rows n1, n2, n3 of the frame with n3 at polar angle theta and
+    azimuth phi."""
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    return (-sp, cp, 0.0), (-ct * cp, -ct * sp, st), (st * cp, st * sp, ct)
+
+
 def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
     """Build the frame (n1, n2, n3) from a mean-spin vector.
 
@@ -105,31 +130,19 @@ def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    r = mean_spin_length(ms)
-    if r < eps:
-        status = FrameStatus.FULLY_DEGENERATE
-        theta = 0.0
-        phi = 0.0
-    else:
-        theta = math.acos(_clamp(ms.jz / r))
-        rho = math.hypot(ms.jx, ms.jy)
-        if rho / r < eps:
-            status = FrameStatus.POLAR_DEGENERATE
-            phi = 0.0
-        else:
-            status = FrameStatus.REGULAR
-            base = math.acos(_clamp(ms.jx / rho))
-            phi = base if ms.jy > 0.0 else 2.0 * math.pi - base
-            if phi >= 2.0 * math.pi:
-                phi = 0.0
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    n1 = np.array([-sp, cp, 0.0])
-    n2 = np.array([-ct * cp, -ct * sp, st])
-    n3 = np.array([st * cp, st * sp, ct])
+    theta, phi, r, status = frame_angles(ms, eps)
+    n1, n2, n3 = (np.array(n) for n in frame_triad(theta, phi))
     for v in (n1, n2, n3):
         v.setflags(write=False)
     return SpinFrame(n1=n1, n2=n2, n3=n3, theta=theta, phi=phi, r=r, status=status)
+
+
+def transverse_operators(directions: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
+    """The spin components n_x Jx + n_y Jy + n_z Jz along every direction row
+    n of an array (..., 3), as dense matrices (..., d, d)."""
+    x, y, z = (directions[..., k, None, None] for k in range(3))
+    # the leading 0 + keeps sum()'s start (-0.0 entries become +0.0)
+    return 0 + x * ops.jx + y * ops.jy + z * ops.jz
 
 
 def project_transverse_operators(
@@ -144,8 +157,5 @@ def project_transverse_operators(
         raise DegenerateFrameError(
             "transverse projection undefined: mean spin length is below eps"
         )
-    # plain floats; the leading 0 + keeps sum()'s start (-0.0 entries become +0.0)
-    (x1, y1, z1), (x2, y2, z2) = frame.n1.tolist(), frame.n2.tolist()
-    jn1 = 0 + x1 * ops.jx + y1 * ops.jy + z1 * ops.jz
-    jn2 = 0 + x2 * ops.jx + y2 * ops.jy + z2 * ops.jz
+    jn1, jn2 = transverse_operators(np.array([frame.n1, frame.n2]), ops)
     return jn1, jn2

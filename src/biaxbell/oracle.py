@@ -6,18 +6,20 @@ twice on purpose: an analytic eigenvalue route and a brute grid scan refined
 by ever finer local grids.  The two must agree or the call fails loudly;
 agreement is the evidence that both are right.
 
-The moments are one contraction over a stack of operators (the read-only
-SpinOperatorSet.moment_stack, built once per operator set, or Jn1 and Jn2
-and their products) that sums exactly as spincore.expectation does, so each
-value equals the per-operator expectation bit for bit.
+oracle_columns evaluates a whole grid as arrays, in blocks of rows.  Where
+numpy would round differently from scalar code (frames, the 2x2 eigen route,
+the concurrence) it runs math row by row, so no value depends on the rows
+evaluated with it; the one-point functions are one-row calls of the same
+code.  When a check fails in a block, its rows are evaluated again one at a
+time, so the error is the one the earliest failing row raises alone.
 
-The scans never form a covariance matrix.  They apply the spin operators to
-the state once, split the vectors J_k psi (centred, (J_k - <J_k>) psi, for
-the transverse variance) into one real matrix S of real and imaginary parts,
-and read <J_u^2> = |u S|^2 for every direction u as row norms.  The coarse
-direction tables depend only on TRANSVERSE_GRID and SPHERE_GRID, so they are
-built once and kept read-only; refinement grids combine (cos, sin) columns
-with the rows of S.
+The moments are one contraction over a stack of operators (the read-only
+SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
+exactly as spincore.expectation does.  The scans never form a covariance
+matrix: with S the real split (real and imaginary parts) of the vectors
+J_k psi, centred for the transverse variance, <J_u^2> = |u S|^2.  Each row
+meets the cached, read-only coarse tables of TRANSVERSE_GRID and SPHERE_GRID
+directions alone; the refinement grids run over all rows of a block at once.
 """
 from __future__ import annotations
 
@@ -35,7 +37,10 @@ from .frame import (
     MeanSpin,
     SpinFrame,
     compute_frame,
+    frame_angles,
+    frame_triad,
     project_transverse_operators,
+    transverse_operators,
 )
 from .spincore import (
     SpinOperatorSet,
@@ -60,6 +65,16 @@ _ZOOM_MOVES = 64
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
 _ZOOM_OFFSETS.setflags(write=False)
 _HERMITICITY_TOL = 1e-9
+# rows per block: no refinement grid of a block holds more numbers than
+# one row's coarse transverse product
+_BLOCK = TRANSVERSE_GRID // _ZOOM_OFFSETS.size
+
+# the moment_stack entries checked for reality, in check order, and the
+# second-moment table as indices into moment_stack
+_REAL = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10]
+_REAL_NAMES = ("first moment",) * 3 + ("second moment",) * 6 + ("<Jz^2>",)
+_TABLE = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
+_TRANSVERSE_NAMES = ("<Jn1>", "<Jn2>", "<Jn1^2>", "<Jn2^2>", "<{Jn1,Jn2}>")
 
 
 @lru_cache(maxsize=None)
@@ -101,9 +116,8 @@ def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
     return state
 
 
-def _real_split(vectors) -> np.ndarray:
+def _real_split(vectors: np.ndarray) -> np.ndarray:
     """Complex vectors w_k as the rows [Re w_k, Im w_k] of one real matrix."""
-    vectors = np.asarray(vectors)
     return np.concatenate([vectors.real, vectors.imag], axis=-1)
 
 
@@ -111,19 +125,41 @@ def _norms(w: np.ndarray) -> np.ndarray:
     """Squared norms of the rows of w (any leading shape), squaring w in place;
     a product with a ones vector sums short rows faster than w.sum(-1)."""
     w *= w
-    return w @ np.ones(w.shape[-1])
+    return w @ _ones(w.shape[-1])
 
 
-def _expectations(stack: np.ndarray, state: np.ndarray) -> list[complex]:
-    """<state| op |state> for every op of a stack, each summed exactly as
-    spincore.expectation sums it: a matrix-vector product, then a dot product."""
-    return (state.conj()[None, None, :] @ (stack @ state)[..., None])[:, 0, 0].tolist()
+@lru_cache(maxsize=None)
+def _ones(n: int) -> np.ndarray:
+    return _frozen(np.ones(n))
 
 
-def _real(value: complex, what: str) -> float:
-    if abs(value.imag) > _HERMITICITY_TOL:
-        raise RuntimeError(f"{what} should be real, got imaginary part {value.imag!r}")
-    return value.real
+def _expectations(stack: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row psi of states (n, d) and each op of a stack (shared, or
+    one per row): the vectors op psi (n, k, d) and <psi| op |psi> (n, k),
+    summed exactly as spincore.expectation sums them."""
+    vectors = stack @ states[:, None, :, None]
+    return vectors[..., 0], (states.conj()[:, None, None, :] @ vectors)[..., 0, 0]
+
+
+def _real(values: np.ndarray, names) -> np.ndarray:
+    """Real parts of values (n, k); an imaginary part beyond _HERMITICITY_TOL
+    raises, the first row first and within it the first check."""
+    bad = np.argwhere(np.abs(values.imag) > _HERMITICITY_TOL)
+    if bad.size:
+        i, k = bad[0]
+        imag = values[i, k].imag.item()
+        raise RuntimeError(f"{names[k]} should be real, got imaginary part {imag!r}")
+    return values.real
+
+
+def _agree(what: str, lam, scan: np.ndarray, tol: float) -> None:
+    """The eigen-versus-scan gate: every row's minima agree within tol."""
+    bad = np.flatnonzero(np.abs(np.asarray(lam) - scan) > tol)
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(
+            f"{what} minimization mismatch: eigen {lam[i]!r} vs scan {scan[i].item()!r}"
+        )
 
 
 class OracleMoments(NamedTuple):
@@ -132,82 +168,150 @@ class OracleMoments(NamedTuple):
     table: np.ndarray          # symmetric 3x3, entries <{Ja, Jb}>/2
 
 
+def _moments(states, ops) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors J psi and the twelve moment_stack moments of every row."""
+    vectors, values = _expectations(ops.moment_stack, states)
+    _real(values[:, _REAL], _REAL_NAMES)
+    return vectors, values
+
+
+def _tables(values: np.ndarray) -> np.ndarray:
+    """The second-moment tables (n, 3, 3), entries <{Ja, Jb}>/2."""
+    return values.real[:, _TABLE] / 2.0
+
+
+def _oracle_moments(values: np.ndarray) -> OracleMoments:
+    """OracleMoments of one row of twelve moments."""
+    v = values.tolist()
+    mean, raising = MeanSpin(*(x.real for x in v[:3])), MomentSet(v[9], v[10].real, v[11])
+    return OracleMoments(mean, raising, _frozen(_tables(values[None])[0]))
+
+
 def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
     """All first and second moments of a state, from the matrices alone."""
-    state = _state_vector(state, ops)
-    values = _expectations(ops.moment_stack, state)
-    mean = MeanSpin(*(_real(v, "first moment") for v in values[:3]))
-    xx, xy, xz, yy, yz, zz = (_real(v, "second moment") / 2.0 for v in values[3:9])
-    table = _frozen(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
-    jplus_sq, jz_sq, jplus_2jz1 = values[9:]
-    raising = MomentSet(jplus_sq, _real(jz_sq, "<Jz^2>"), jplus_2jz1)
-    return OracleMoments(mean=mean, raising=raising, table=table)
+    return _oracle_moments(_moments(_state_vector(state, ops)[None], ops)[1][0])
 
 
-def _transverse_moments(state: np.ndarray, jn1: np.ndarray, jn2: np.ndarray) -> tuple:
-    """<Jn1>, <Jn2>, <Jn1^2>, <Jn2^2> and <{Jn1,Jn2}> in one contraction."""
-    stack = np.array([jn1, jn2, jn1 @ jn1, jn2 @ jn2, jn1 @ jn2 + jn2 @ jn1])
-    names = ("<Jn1>", "<Jn2>", "<Jn1^2>", "<Jn2^2>", "<{Jn1,Jn2}>")
-    return tuple(_real(v, what) for v, what in zip(_expectations(stack, state), names))
+def _transverse_moments(states, jn1, jn2):
+    """The vectors Jn1 psi and Jn2 psi (n, 2, d), and <Jn1>, <Jn2>, <Jn1^2>,
+    <Jn2^2> and <{Jn1,Jn2}> (n, 5), for per-row Jn1 and Jn2 (n, d, d)."""
+    stack = np.stack([jn1, jn2, jn1 @ jn1, jn2 @ jn2, jn1 @ jn2 + jn2 @ jn1], axis=1)
+    vectors, values = _expectations(stack, states)
+    return vectors[:, :2], _real(values, _TRANSVERSE_NAMES)
 
 
-def _zoom_min(f, best, step) -> tuple[tuple[float, ...], float]:
-    """Local minimum of a vectorized f(*coords) near the point best.
+def _zoom_min(f, best, step, *data) -> tuple[np.ndarray, np.ndarray]:
+    """Local minima of a vectorized f(*coords, *data) near the points best.
 
-    Each round evaluates f on an open grid (as np.ix_ builds) of 2k+1 points
-    per axis spanning best +- step and moves to the lowest point.  While that
-    point lies on the grid's edge and is strictly below the centre, the next
-    grid keeps the step (at most _ZOOM_MOVES times), so a minimum further
-    along a flat valley is followed; otherwise step is divided by k.  The
-    grid always contains its centre, so the value never rises.
+    best holds one coordinate per axis and row, step one span per axis, and
+    row i of each data array belongs to row i.  Each round evaluates f for
+    every live row on an open grid (rows first, then as np.ix_ builds it) of
+    2k+1 points per axis spanning best +- step, and moves the row to its
+    lowest point.  While that point lies on the grid's edge and is strictly
+    below the centre, the row keeps its step (at most _ZOOM_MOVES times), so
+    a minimum further along a flat valley is followed; otherwise its step is
+    divided by k, and after _ZOOM_ROUNDS divisions the row is done.  No value
+    ever rises.  Returns the minimizers (axes, rows) and the minima (rows,).
     """
-    shapes = [(-1,) + (1,) * k for k in reversed(range(len(best)))]
-    centre = (_ZOOM_K,) * len(best)
-    rounds = moves = 0
-    while rounds < _ZOOM_ROUNDS:
-        axes = [b + s * _ZOOM_OFFSETS for b, s in zip(best, step)]
-        values = f(*(axis.reshape(shape) for axis, shape in zip(axes, shapes)))
-        i = np.unravel_index(values.argmin(), values.shape)
-        best = [axis.item(j) for axis, j in zip(axes, i)]
-        if (0 in i or 2 * _ZOOM_K in i) and values[i] < values[centre] and moves < _ZOOM_MOVES:
-            moves += 1
+    dims = len(best)
+    best = np.array(best, dtype=float).reshape(dims, -1, 1)
+    live = rows = np.arange(best.shape[1])      # live: the input row of each row
+    step = np.array(step, dtype=float)[:, None, None].repeat(live.size, axis=1)
+    out, value = np.empty((dims, live.size)), np.empty(live.size)
+    grid = (_ZOOM_OFFSETS.size,) * dims
+    shapes = [(1,) * a + (-1,) + (1,) * (dims - 1 - a) for a in range(dims)]
+    edge = np.ones(grid, dtype=bool)
+    edge[(slice(1, -1),) * dims] = False
+    edge = edge.ravel()
+    moves, rounds = np.zeros((2, live.size), dtype=int)
+    while live.size:
+        axes = best + step * _ZOOM_OFFSETS
+        values = f(*(axis.reshape((live.size,) + shape) for axis, shape in zip(axes, shapes)),
+                   *data).reshape(live.size, -1)
+        low = values.argmin(axis=1)
+        at = low[None] if dims == 1 else np.array(np.unravel_index(low, grid))
+        best = axes[np.arange(dims)[:, None], rows, at][..., None]
+        move = edge[low]
+        if move.any():
+            move &= (values[rows, low] < values[:, edge.size // 2]) & (moves < _ZOOM_MOVES)
+            moves += move
+            rounds += ~move
+            step /= np.where(move, 1.0, _ZOOM_K)[:, None]
         else:
-            step = [s / _ZOOM_K for s in step]
             rounds += 1
-    return tuple(best), float(values[i])
+            step /= _ZOOM_K
+        done = rounds == _ZOOM_ROUNDS
+        if done.any():
+            out[:, live[done]], value[live[done]] = best[:, done, 0], values[rows, low][done]
+            keep = ~done
+            live, moves, rounds = live[keep], moves[keep], rounds[keep]
+            best, step, data = best[:, keep], step[:, keep], [d[keep] for d in data]
+            rows = np.arange(live.size)
+    return out, value
 
 
-def _ring(angle: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """cos(a) S_0 + sin(a) S_1, one row per angle a of a 1-D array, with S_0
-    and S_1 the first two rows of a real split."""
-    return np.array((np.cos(angle), np.sin(angle))).T @ split[:2]
+def _ring(angle: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """cos(a) S_0 + sin(a) S_1 for every angle a of a (rows, ...) array, with
+    S_0 and S_1 rows of each row's real split shaped to broadcast."""
+    return np.cos(angle)[..., None] * s0 + np.sin(angle)[..., None] * s1
+
+
+def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
+    """Brute minimum of Var(J_chi) per row and its angle chi in [0, pi), chi
+    parametrizing cos(chi) n1 + sin(chi) n2: each row's coarse minimum over
+    the TRANSVERSE_GRID table, refined by _zoom_min.  S is the real split of
+    ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>) psi)."""
+    split = _real_split(vectors - moments[:, :2, None] * states[:, None, :])
+    chis, dirs = _transverse_table()
+    start = chis[[int(np.argmin(_norms(dirs @ s))) for s in split]]
+    (chi,), val = _zoom_min(
+        lambda chi, s0, s1: _norms(_ring(chi, s0, s1)),
+        (start,), (math.pi / TRANSVERSE_GRID,), split[:, None, 0], split[:, None, 1],
+    )
+    return val, chi % math.pi
+
+
+def _eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm) -> tuple[float, float]:
+    """Smaller eigenvalue of the 2x2 transverse covariance matrix and its
+    angle in [0, pi), chi = 0 where the minimum is flat."""
+    g11 = jn1_sq - m1 * m1
+    g22 = jn2_sq - m2 * m2
+    g12 = anticomm / 2.0 - m1 * m2
+
+    half_gap = math.hypot(g11 - g22, 2.0 * g12) / 2.0
+    lam = (g11 + g22) / 2.0 - half_gap
+    scale = max(1.0, abs(g11), abs(g22))
+    if half_gap <= 1e-14 * scale:
+        return lam, 0.0                 # isotropic plane, minimum is flat
+    chi = math.atan2(-2.0 * g12, -(g11 - g22)) / 2.0
+    if chi < 0.0:
+        chi += math.pi
+    if chi >= math.pi:
+        chi -= math.pi
+    return lam, chi
+
+
+def _transverse(states, jn):
+    """Transverse moments (n, 5), minima and angles from each row's Jn1 and
+    Jn2 (n, 2, d, d): the eigen route, gated by the scan."""
+    vectors, moments = _transverse_moments(states, jn[:, 0], jn[:, 1])
+    lam, chi = zip(*(_eigen_min(*m) for m in moments.tolist()))
+    _agree("transverse", lam, _transverse_scan(states, vectors, moments)[0], TRANSVERSE_AGREE_TOL)
+    return moments, lam, chi
 
 
 def min_transverse_variance_scan(
     state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
-    """Brute minimum of Var(J_chi) over the transverse plane.
-
-    chi parametrizes the direction cos(chi) n1 + sin(chi) n2 over [0, pi).
-    The cached table of TRANSVERSE_GRID directions locates the basin and
-    _zoom_min refines it.  This route never forms a covariance matrix: with
-    S the real split of the centred vectors ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>)
-    psi), the variance at every direction row c is |c S|^2.
-    """
+    """Brute minimum of Var(J_chi) over the transverse plane and its angle
+    chi in [0, pi): the scan that gates min_transverse_variance, alone."""
     state = _state_vector(state, ops)
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse scan undefined: mean spin below eps")
+    psi = state[None]
     jn1, jn2 = project_transverse_operators(frame, ops)
-    w1, w2 = jn1 @ state, jn2 @ state
-    m1 = _real(complex(np.vdot(state, w1)), "<Jn1>")
-    m2 = _real(complex(np.vdot(state, w2)), "<Jn2>")
-    split = _real_split([w1 - m1 * state, w2 - m2 * state])
-    chis, dirs = _transverse_table()
-    i = int(np.argmin(_norms(dirs @ split)))
-    (chi_min,), val = _zoom_min(
-        lambda chi: _norms(_ring(chi, split)), (chis[i],), (math.pi / TRANSVERSE_GRID,)
-    )
-    return val, chi_min % math.pi
+    val, chi = _transverse_scan(psi, *_transverse_moments(psi, jn1[None], jn2[None]))
+    return val.item(), chi.item()
 
 
 def min_transverse_variance(
@@ -223,49 +327,46 @@ def min_transverse_variance(
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse variance undefined: mean spin below eps")
     state = _state_vector(state, ops)
-    m1, m2, jn1_sq, jn2_sq, anticomm = _transverse_moments(
-        state, *project_transverse_operators(frame, ops)
-    )
-    g11 = jn1_sq - m1 * m1
-    g22 = jn2_sq - m2 * m2
-    g12 = anticomm / 2.0 - m1 * m2
-
-    half_gap = math.hypot(g11 - g22, 2.0 * g12) / 2.0
-    lam = (g11 + g22) / 2.0 - half_gap
-    scale = max(1.0, abs(g11), abs(g22))
-    if half_gap <= 1e-14 * scale:
-        chi = 0.0                      # isotropic plane, minimum is flat
-    else:
-        chi = math.atan2(-2.0 * g12, -(g11 - g22)) / 2.0
-        if chi < 0.0:
-            chi += math.pi
-        if chi >= math.pi:
-            chi -= math.pi
-
-    lam_scan, _ = min_transverse_variance_scan(state, frame, ops)
-    if abs(lam - lam_scan) > TRANSVERSE_AGREE_TOL:
-        raise RuntimeError(
-            f"transverse minimization mismatch: eigen {lam!r} vs scan {lam_scan!r}"
-        )
+    jn = np.array([project_transverse_operators(frame, ops)])
+    _, (lam,), (chi,) = _transverse(state[None], jn)
     return lam, chi
 
 
-def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
-    """Minimum of <J_u^2> over all unit directions: the cached SPHERE_GRID
-    table of polar and azimuth angles, refined by _zoom_min.  <J_u^2> is
-    |u S|^2 with S the real split of (Jx psi, Jy psi, Jz psi)."""
-    state = _state_vector(state, ops)
-    split = _real_split(ops.moment_stack[:3] @ state)
+def _sphere_min(split: np.ndarray) -> np.ndarray:
+    """Minimum of <J_u^2> over all unit directions per row, S the real split
+    of (Jx psi, Jy psi, Jz psi): each row's coarse minimum over the
+    SPHERE_GRID table, refined by _zoom_min in blocks as large as the
+    transverse ones."""
     thetas, phis, dirs = _sphere_table()
-    i_theta, i_phi = divmod(int(np.argmin(_norms(dirs @ split))), phis.size)
-    _, val = _zoom_min(
-        lambda theta, phi: _norms(
-            np.sin(theta)[..., None] * _ring(phi, split) + np.cos(theta)[..., None] * split[2]
-        ),
-        (thetas[i_theta], phis[i_phi]),
-        (math.pi / (thetas.size - 1), 2.0 * math.pi / phis.size),
-    )
+    i_theta, i_phi = np.divmod([int(np.argmin(_norms(dirs @ s))) for s in split], phis.size)
+    block = TRANSVERSE_GRID // _ZOOM_OFFSETS.size ** 2
+    val = np.empty(len(split))
+    for rows in (slice(lo, lo + block) for lo in range(0, len(split), block)):
+        _, val[rows] = _zoom_min(
+            lambda theta, phi, s0, s1, s2: _norms(
+                np.sin(theta)[..., None] * _ring(phi, s0, s1) + np.cos(theta)[..., None] * s2
+            ),
+            (thetas[i_theta[rows]], phis[i_phi[rows]]),
+            (math.pi / (thetas.size - 1), 2.0 * math.pi / phis.size),
+            *(split[rows, None, None, k] for k in range(3)),
+        )
     return val
+
+
+def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
+    """Minimum of <J_u^2> over all unit directions, by the sphere scan alone."""
+    vectors, _ = _expectations(ops.moment_stack[:3], _state_vector(state, ops)[None])
+    return _sphere_min(_real_split(vectors)).item()
+
+
+def _all_directions(vectors, values):
+    """Eigenvalues and eigenvectors of each row's second-moment table, the
+    smallest eigenvalue gated by the sphere scan."""
+    eigvals, eigvecs = np.linalg.eigh(_tables(values))
+    lam = eigvals[:, 0].tolist()
+    scan = _sphere_min(_real_split(vectors[:, :3]))
+    _agree("all-direction", lam, scan, ALL_DIRECTIONS_AGREE_TOL)
+    return lam, eigvecs
 
 
 def min_variance_all_directions(
@@ -279,20 +380,12 @@ def min_variance_all_directions(
     second-moment matrix; the spherical grid scan _sphere_scan must agree
     within ALL_DIRECTIONS_AGREE_TOL.
     """
-    table = moments_oracle(state, ops).table
-    eigvals, eigvecs = np.linalg.eigh(table)
-    lam = float(eigvals[0])
-    direction = eigvecs[:, 0].copy()
+    (lam,), eigvecs = _all_directions(*_moments(_state_vector(state, ops)[None], ops))
+    direction = eigvecs[0, :, 0].copy()
     pivot = int(np.argmax(np.abs(direction)))
     if direction[pivot] < 0.0:
         direction = -direction
     direction.setflags(write=False)
-
-    lam_scan = _sphere_scan(state, ops)
-    if abs(lam - lam_scan) > ALL_DIRECTIONS_AGREE_TOL:
-        raise RuntimeError(
-            f"all-direction minimization mismatch: eigen {lam!r} vs scan {lam_scan!r}"
-        )
     return lam, direction
 
 
@@ -305,8 +398,68 @@ def concurrence(state: np.ndarray) -> float:
     state = np.asarray(state)
     if state.shape != (3,):
         raise ValueError(f"expected a length-3 state, got shape {state.shape}")
-    value = 2.0 * abs(state[0] * state[2] - state[1] ** 2 / 2.0)
-    return min(value, 1.0)
+    up, zero, down = state.tolist()
+    return min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0)
+
+
+def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, list], list, np.ndarray]:
+    """One block of the pipeline: its oracle_columns record, states and
+    moments."""
+    ops, n = _spin1(), len(grid)
+    states = [build_superposition_state(p) for p in grid]
+    psi = np.array(states)
+    vectors, values = _moments(psi, ops)
+    theta, phi, r, status = zip(*(frame_angles(MeanSpin(*v[:3])) for v in values.real.tolist()))
+    flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status])
+    plane, sphere = np.flatnonzero(~flat), np.flatnonzero(flat)
+    moments = np.full((n, 5), math.nan)
+    lam, chi = np.empty(n), np.zeros(n)         # chi = 0 without a transverse plane
+    if plane.size:
+        n12 = np.array([frame_triad(theta[i], phi[i])[:2] for i in plane])
+        moments[plane], lam[plane], chi[plane] = _transverse(
+            psi[plane], transverse_operators(n12, ops))
+    if sphere.size:
+        lam[sphere] = _all_directions(vectors[sphere], values[sphere])[0]
+    re, tables = values.real, _tables(values)
+    record = {
+        "jx": re[:, 0], "jy": re[:, 1], "jz": re[:, 2], "r": r,
+        "jplus_sq": values[:, 9], "jz_sq": re[:, 10], "jplus_2jz1": values[:, 11],
+        "xz_anticomm": 2.0 * tables[:, 0, 2],
+        "yz_anticomm": 2.0 * tables[:, 1, 2],
+        "jx2_plus_jy2": tables[:, 0, 0] + tables[:, 1, 1],
+        "jx2_minus_jy2": tables[:, 0, 0] - tables[:, 1, 1],
+        "xy_anticomm": 2.0 * tables[:, 0, 1],
+        "theta": theta, "phi": phi,
+        "frame_status": [s.value for s in status],
+        "method": np.where(flat, METHOD_ALL_DIRECTIONS, METHOD_TRANSVERSE),
+        "lambda_min": lam, "chi_min": chi,
+        "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
+        "xi2_literal": 2.0 * (2.0 * lam),
+        "concurrence": [concurrence(s) for s in states],
+        "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
+    }
+    record = {q: v.tolist() if isinstance(v, np.ndarray) else list(v) for q, v in record.items()}
+    return record, states, values
+
+
+def oracle_columns(grid: list[SqueezeParams]) -> dict[str, list]:
+    """Every oracle quantity over a grid, one list per quantity in grid
+    order, named as the fields of MeanSpin, MomentSet,
+    CartesianSecondMoments and FrameMoments, with the mean-spin length r,
+    the frame angles and status, and the squeezing result; lambda_min and
+    chi_min come from whichever minimization ran.  Frame entries are NaN
+    where the frame is fully degenerate."""
+    columns: dict[str, list] = {}
+    for block in (grid[start:start + _BLOCK] for start in range(0, len(grid), _BLOCK)):
+        try:
+            record = _evaluate(block)[0]
+        except RuntimeError:
+            for params in block:        # the earliest failing row raises its own error
+                _evaluate([params])
+            raise
+        for name, column in record.items():
+            columns.setdefault(name, []).extend(column)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -339,41 +492,19 @@ class OraclePoint:
 
 
 def evaluate_oracle(params: SqueezeParams) -> OraclePoint:
-    """Run the full oracle pipeline: state, moments, frame, minimization."""
-    ops = _spin1()
-    state = build_superposition_state(params)
-    moments = moments_oracle(state, ops)
+    """Run the full oracle pipeline for one point: a one-row oracle_columns
+    call, kept as records."""
+    record, (state,), values = _evaluate([params])
+    one = {name: column for name, (column,) in record.items()}
+    moments = _oracle_moments(values[0])
     frame = compute_frame(moments.mean)
-
-    if frame.status is FrameStatus.FULLY_DEGENERATE:
-        lam, _ = min_variance_all_directions(state, ops)
-        chi = 0.0                       # no transverse plane; conventional
-        frame_moments = None
-        method = METHOD_ALL_DIRECTIONS
-    else:
-        lam, chi = min_transverse_variance(state, frame, ops)
-        _, _, *second = _transverse_moments(state, *project_transverse_operators(frame, ops))
-        frame_moments = FrameMoments(*second)
-        method = METHOD_TRANSVERSE
-
-    xi2_std = 2.0 * lam                 # 4 lambda / N at N = 2
     result = SqueezeResult(
-        lambda_min=lam,
-        chi_min=chi,
-        xi2_std=xi2_std,
-        xi2_literal=2.0 * xi2_std,
-        concurrence=concurrence(state),
-        frame_status=frame.status,
-        method=method,
+        *(one[q] for q in ("lambda_min", "chi_min", "xi2_std", "xi2_literal", "concurrence")),
+        frame_status=frame.status, method=one["method"],
     )
-    return OraclePoint(
-        params=params,
-        state=state,
-        moments=moments,
-        frame=frame,
-        frame_moments=frame_moments,
-        result=result,
-    )
+    frame_moments = None if frame.status is FrameStatus.FULLY_DEGENERATE else FrameMoments(
+        *(one[q] for q in ("jn1_sq", "jn2_sq", "anticomm")))
+    return OraclePoint(params, state, moments, frame, frame_moments, result)
 
 
 def squeeze_oracle(params: SqueezeParams) -> SqueezeResult:

@@ -241,12 +241,10 @@ def test_criterion_09_concurrence_anchors(fig2_run, tmp_path):
     rows = 0
     with table.open("w") as handle:
         handle.write("beta,mu,xi2_std,one_minus_concurrence\n")
-        for rows_for_mu in slices.values():
-            for row in rows_for_mu:
-                handle.write(
-                    f"{row['beta']!r},{row['mu']!r},{row['xi2_std']!r},"
-                    f"{1.0 - row['concurrence']!r}\n"
-                )
+        for columns in slices.values():
+            for beta, mu, xi2, c in zip(columns["beta"], columns["mu"], columns["xi2_std"],
+                                        columns["concurrence"]):
+                handle.write(f"{beta!r},{mu!r},{xi2!r},{1.0 - c!r}\n")
                 rows += 1
     assert rows == 3 * 201
     assert table.stat().st_size > 0

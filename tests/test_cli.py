@@ -1,5 +1,7 @@
 """CLI: parsing, sweep output contract, figures, exit codes, determinism."""
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaxbell import SqueezeParams
+from biaxbell import SqueezeParams, build_spin_operators, oracle
 from biaxbell.cli import (
     SWEEP_COLUMNS,
     UsageError,
     build_parser,
-    evaluate_row,
+    fmt,
     main,
     monotone_nonincreasing,
     parse_angle,
@@ -28,6 +30,9 @@ from biaxbell.cli import (
     run_fig1,
     run_fig2,
     squeezed_interval_width,
+    sweep_columns,
+    sweep_points,
+    write_rows_csv,
 )
 
 
@@ -220,13 +225,17 @@ def test_squeezed_interval_width():
 # row evaluation
 
 
+def _row(params):
+    return {name: column[0] for name, column in sweep_columns([params]).items()}
+
+
 def test_row_has_exact_columns():
-    row = evaluate_row(SqueezeParams(beta=0.3, mu=1.0, nu=0.5))
+    row = _row(SqueezeParams(beta=0.3, mu=1.0, nu=0.5))
     assert tuple(row.keys()) == SWEEP_COLUMNS
 
 
 def test_degenerate_row_moment_columns_are_nan():
-    row = evaluate_row(SqueezeParams(beta=1.0, mu=1.0, nu=0.5))
+    row = _row(SqueezeParams(beta=1.0, mu=1.0, nu=0.5))
     assert row["frame_status"] == "fully-degenerate"
     assert row["method"] == "all-directions"
     assert math.isnan(row["jn1sq"]) and math.isnan(row["jn2sq"])
@@ -386,6 +395,70 @@ def test_sweep_strict_flags_degenerate_rows(tmp_path, capsys):
     assert code == 2
     assert "fully-degenerate" in capsys.readouterr().err
     assert out.exists()      # output still written before the strict exit
+
+
+def test_csv_writer_formats_as_the_csv_module_does():
+    # one "%.17g" pass over the columns writes what csv.writer wrote from
+    # fmt(value) row by row, NaN cells and signed zeros included
+    columns = {
+        "beta": [0.0, 0.1, 1.0 / 3.0, 1.0],
+        "lambda_min": [-0.0, 5e-324, 1e300, 0.2368194536064644],
+        "jn1sq": [math.nan, 0.5, math.nan, -math.inf],
+        "frame_status": ["regular", "polar-degenerate", "fully-degenerate", "regular"],
+    }
+    names = tuple(columns)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(names)
+    for row in zip(*columns.values()):
+        writer.writerow([fmt(value) for value in row])
+    written = io.StringIO()
+    write_rows_csv(columns, written, names)
+    assert written.getvalue() == expected.getvalue()
+    assert "nan" in written.getvalue().splitlines()[1].split(",")
+
+
+def _spin1_with(**operators):
+    ops = build_spin_operators(1.0)
+    replaced = dataclasses.replace(ops, **{k: getattr(ops, v) for k, v in operators.items()})
+    return lambda: replaced
+
+
+# with mu = pi/2 first, rows 0-5 (nu = 0, and beta = 0 at nu = 1) have no
+# transverse plane and row 6 is the first that has one
+@pytest.mark.parametrize(
+    "patches,mus",
+    [
+        ({"TRANSVERSE_AGREE_TOL": -1.0}, "pi/2,0,pi/3"),
+        ({"ALL_DIRECTIONS_AGREE_TOL": -1.0}, "pi/2,0,pi/3"),
+        # the transverse gate of row 0 comes before the all-directions gate
+        # of the fully-degenerate row 4 (beta = 1)
+        ({"TRANSVERSE_AGREE_TOL": -1.0, "ALL_DIRECTIONS_AGREE_TOL": -1.0}, "0,pi/2"),
+        # as test_moments_reality_check_still_fires: <J+> is not real
+        ({"_spin1": _spin1_with(jx="jplus")}, "pi/2,0,pi/3"),
+        # row 0 fails the all-directions gate and row 6 the first-moment check,
+        # which comes earlier in a row: grid order wins over check order
+        ({"_spin1": _spin1_with(jy="jplus")}, "pi/2,0,pi/3"),
+    ],
+    ids=["transverse-tol", "all-directions-tol", "both-tols", "jx-not-hermitian",
+         "jy-not-hermitian"],
+)
+def test_gates_fire_inside_a_multi_row_sweep(monkeypatch, capsys, patches, mus):
+    for name, value in patches.items():
+        monkeypatch.setattr(oracle, name, value)
+    # the message that evaluating the rows one at a time raises first
+    for params in sweep_points(parse_float_list(mus), [0.0, 1.0], np.linspace(0.0, 1.0, 5)):
+        try:
+            oracle.evaluate_oracle(params)
+        except RuntimeError as exc:
+            expected = str(exc)
+            break
+    else:
+        pytest.fail("no row fails the patched checks")
+    capsys.readouterr()
+    argv = ["sweep", "--mu-list", mus, "--nu-list", "0,1", "--beta-steps", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"biaxbell: internal check failed: {expected}\n"
 
 
 def test_sweep_json_format(tmp_path):

@@ -27,12 +27,14 @@ from biaxbell import (
     squeeze_oracle,
 )
 from biaxbell.oracle import (
+    _BLOCK,
     _ZOOM_OFFSETS,
     _sphere_scan,
     _sphere_table,
     _transverse_moments,
     _transverse_table,
     _zoom_min,
+    oracle_columns,
 )
 from biaxbell.spincore import expectation
 
@@ -132,9 +134,8 @@ def test_transverse_moments_equal_per_operator_expectations():
             continue
         jn1, jn2 = project_transverse_operators(frame, OPS)
         ops = (jn1, jn2, jn1 @ jn1, jn2 @ jn2, jn1 @ jn2 + jn2 @ jn1)
-        assert _transverse_moments(state, jn1, jn2) == tuple(
-            expectation(op, state).real for op in ops
-        )
+        _, moments = _transverse_moments(state[None], jn1[None], jn2[None])
+        assert moments[0].tolist() == [expectation(op, state).real for op in ops]
         checked += 1
     assert checked >= 300
 
@@ -278,7 +279,7 @@ def test_zoom_min_reaches_off_grid_minimum_2d():
     (x, y), val = _zoom_min(f, (0.0, 0.0), (0.1, 0.1))
     assert val <= f(0.0, 0.0)
     assert abs(val + 0.7) <= 1e-12
-    assert math.hypot(x - a, y - b) <= 1e-6
+    assert math.hypot(x.item() - a, y.item() - b) <= 1e-6
 
 
 def test_zoom_min_follows_a_flat_valley():
@@ -288,6 +289,49 @@ def test_zoom_min_follows_a_flat_valley():
     (x, _), val = _zoom_min(f, (0.0, 0.0), (0.05, 0.05))
     assert val <= 1e-12
     assert abs(x - 0.5) <= 1e-5
+
+
+def test_zoom_min_rows_are_independent():
+    # each row of one call, the one that follows a flat valley included,
+    # ends where it ends alone
+    f = lambda x, y, a: 0.01 * (x - a) ** 2 + (y + 0.02) ** 2
+    starts = (np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.02, 0.0]))
+    a = np.array([0.5, 0.01, -0.003])[:, None, None]
+    best, val = _zoom_min(f, starts, (0.05, 0.05), a)
+    for i in range(3):
+        alone, alone_val = _zoom_min(f, [s[i:i + 1] for s in starts], (0.05, 0.05), a[i:i + 1])
+        assert alone[:, 0].tolist() == best[:, i].tolist() and alone_val[0] == val[i]
+    assert abs(best[0, 0] - 0.5) <= 1e-5 and val.max() <= 1e-12
+
+
+def _batch_test_grid():
+    """At least 3,000 seeded points: random ones, the beta in {0, 1} and
+    mu in {0, pi/2, pi} edges, and zero-mean (fully-degenerate) lines."""
+    rng = np.random.default_rng(20261018)
+    points = [tuple(p) for p in rng.uniform([0.0, 0.0, -math.pi], [1.0, math.pi, math.pi],
+                                            size=(2400, 3))]
+    points += [(b, m, n) for n in rng.uniform(-2 * math.pi, 2 * math.pi, 40)
+               for b in (0.0, 1.0, rng.uniform()) for m in (0.0, math.pi / 2, math.pi)]
+    points += [(b, math.pi / 2, n) for b in rng.uniform(0.0, 1.0, 120) for n in (0.0, math.pi)]
+    points += [(1.0, m, n) for m, n in rng.uniform([0.0, -math.pi], [math.pi, math.pi], (100, 2))]
+    return [SqueezeParams(beta=float(b), mu=float(m), nu=float(n)) for b, m, n in points]
+
+
+def test_oracle_columns_do_not_depend_on_batch_composition():
+    grid = _batch_test_grid()
+    whole = oracle_columns(grid)
+    status = whole["frame_status"]
+    assert len(grid) >= 3000 and len(grid) > _BLOCK
+    assert status.count("fully-degenerate") >= 200 and status.count("polar-degenerate") >= 40
+
+    def exact(columns):      # repr tells -0.0 from 0.0 and compares NaN with NaN
+        return {name: list(map(repr, column)) for name, column in columns.items()}
+
+    expected = exact(whole)
+    for size in (1, 7):
+        parts = [oracle_columns(grid[i:i + size]) for i in range(0, len(grid), size)]
+        joined = {name: [v for part in parts for v in part[name]] for name in whole}
+        assert exact(joined) == expected, size
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])

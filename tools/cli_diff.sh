@@ -55,9 +55,14 @@ cases=(
     "sweep_csv|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11"
     "sweep_json|sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11 --format json"
     "sweep_strict|sweep --mu-list pi/2 --nu-list 0,1 --beta-steps 5 --strict"
+    # regular, polar-degenerate (beta = 0 at mu = 0) and fully-degenerate rows
+    # (mu = pi/2, nu = 0) in one call
+    "sweep_mixed_status|sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9"
     "sweep_config|sweep --config $tmp/sweep.cfg"
     # the flags override the file's format and beta-steps
     "crosscheck_config_flags_win|crosscheck --config $tmp/crosscheck.cfg --format text --beta-steps 3"
+    "figure_fig1|figure fig1 --outdir figs"
+    # exits 2 by design: its mu=pi shape clause contradicts a rotation symmetry
     "figure_fig2|figure fig2 --outdir figs"
 )
 
