@@ -20,14 +20,14 @@ import numpy as np
 
 from .crosscheck import (
     BETA_STEPS, DEFAULT_TOL, MUS, NUS, CrosscheckReport, closed_values, default_grid,
-    mean_spin_values, oracle_values, run_crosscheck,
+    mean_spin_columns, oracle_values, run_crosscheck,
 )
 from .frame import FrameStatus
 from .oracle import oracle_columns
 from .spincore import SqueezeParams
 
 # each output key is (route, quantity): "in" is the input point, "cf" and "or"
-# the records of crosscheck.closed_values and oracle.oracle_columns
+# the quantities of crosscheck.closed_columns and oracle.oracle_columns
 SWEEP_TABLE = {
     "beta": ("in", "beta"),
     "mu": ("in", "mu"),
@@ -231,9 +231,10 @@ def _columns(records: list[dict]) -> dict[str, list]:
 
 def sweep_columns(grid: list[SqueezeParams]) -> dict[str, list]:
     """All sweep columns over a grid, one list per column in grid order; the
-    oracle columns come from one oracle_columns call."""
+    closed-form mean spin comes from one mean_spin_columns call and the
+    oracle columns from one oracle_columns call."""
     routes = {"in": _columns([vars(p) for p in grid]),
-              "cf": _columns([mean_spin_values(p) for p in grid]),
+              "cf": mean_spin_columns(grid),
               "or": oracle_columns(grid)}
     return _select(SWEEP_TABLE, routes)
 

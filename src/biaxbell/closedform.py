@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .frame import DegenerateFrameError, FrameStatus, SpinFrame
+from .frame import DegenerateFrameError, FrameStatus, SpinFrame, ladder_prefactors
 from .spincore import N_QUBITS, TOTAL_SPIN, SqueezeParams
 
 
@@ -48,18 +48,62 @@ class FrameMoments:
     anticomm: float
 
 
+# s(s+1) at s = N/2, the Casimir of the symmetric sector
+_CASIMIR = TOTAL_SPIN * (TOTAL_SPIN + 1.0)
+
+
+def raising_moments(alpha: float, beta: float, mu: float, nu: float) -> tuple:
+    """<J+^2>, <Jz^2>, <J+(2Jz+1)> from their closed forms, as a complex, a
+    float and a complex."""
+    cmu, smu2 = math.cos(mu), math.sin(mu) ** 2
+    denom, k = ladder_prefactors(alpha, beta, cmu)
+    return (
+        complex(-alpha ** 2 * smu2 / denom, 0.0),
+        2.0 * alpha ** 2 / denom * (1.0 - 0.5 * smu2),
+        k * complex(math.cos(nu), -math.sin(nu) * cmu),
+    )
+
+
+def cartesian_moments(jplus_sq: complex, jz_sq: float, jplus_2jz1: complex) -> tuple:
+    """The CartesianSecondMoments fields, in order, from the raising moments."""
+    return _CASIMIR - jz_sq, jplus_sq.real, jplus_sq.imag, jplus_2jz1.real, jplus_2jz1.imag
+
+
+def transverse_moments(cart: tuple, jz_sq: float, theta: float, phi: float) -> tuple:
+    """<Jn1^2>, <Jn2^2>, <{Jn1, Jn2}> from the Cartesian moments (in the
+    order of CartesianSecondMoments), <Jz^2> and the frame angles;
+    frame_moments_closed_form gives the formulas."""
+    jx2_plus_jy2, jx2_minus_jy2, xy_anticomm, xz_anticomm, yz_anticomm = cart
+    half_sum = jx2_plus_jy2 / 2.0
+    half_diff = jx2_minus_jy2 / 2.0
+    sxy = xy_anticomm / 2.0
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    c2p, s2p = math.cos(2.0 * phi), math.sin(2.0 * phi)
+
+    jn1_sq = half_sum - c2p * half_diff - s2p * sxy
+    jn2_sq = (
+        ct ** 2 * (half_sum + c2p * half_diff + s2p * sxy)
+        + st ** 2 * jz_sq
+        - ct * st * (cp * xz_anticomm + sp * yz_anticomm)
+    )
+    anticomm = (
+        s2p * ct * jx2_minus_jy2
+        - 2.0 * c2p * ct * sxy
+        - st * (sp * xz_anticomm - cp * yz_anticomm)
+    )
+    return jn1_sq, jn2_sq, anticomm
+
+
+def variance_radical(jn1_sq: float, jn2_sq: float, anticomm: float) -> float:
+    """(A + B) - sqrt((A - B)^2 + C^2): twice the smallest transverse variance."""
+    return (jn1_sq + jn2_sq) - math.hypot(jn1_sq - jn2_sq, anticomm)
+
+
 def second_moments_closed_form(params: SqueezeParams) -> MomentSet:
     """Raising-operator moments from their closed forms (same nu convention
     as the closed-form first moments)."""
-    alpha, beta, mu, nu = params.alpha, params.beta, params.mu, params.nu
-    cmu, smu2 = math.cos(mu), math.sin(mu) ** 2
-    denom = 1.0 + cmu ** 2
-    k = 2.0 * alpha * beta / math.sqrt(denom)
-    return MomentSet(
-        jplus_sq=complex(-alpha ** 2 * smu2 / denom, 0.0),
-        jz_sq=2.0 * alpha ** 2 / denom * (1.0 - 0.5 * smu2),
-        jplus_2jz1=k * complex(math.cos(nu), -math.sin(nu) * cmu),
-    )
+    return MomentSet(*raising_moments(params.alpha, params.beta, params.mu, params.nu))
 
 
 def cartesian_from_raising(moments: MomentSet) -> CartesianSecondMoments:
@@ -68,13 +112,8 @@ def cartesian_from_raising(moments: MomentSet) -> CartesianSecondMoments:
     <Jx^2 + Jy^2> = s(s+1) - <Jz^2> with s = N/2, <Jx^2 - Jy^2> = Re<J+^2>,
     <{Jx,Jy}> = Im<J+^2>, <{Jx,Jz}> = Re<J+(2Jz+1)>, <{Jy,Jz}> = Im<J+(2Jz+1)>.
     """
-    casimir = TOTAL_SPIN * (TOTAL_SPIN + 1.0)
     return CartesianSecondMoments(
-        jx2_plus_jy2=casimir - moments.jz_sq,
-        jx2_minus_jy2=moments.jplus_sq.real,
-        xy_anticomm=moments.jplus_sq.imag,
-        xz_anticomm=moments.jplus_2jz1.real,
-        yz_anticomm=moments.jplus_2jz1.imag,
+        *cartesian_moments(moments.jplus_sq, moments.jz_sq, moments.jplus_2jz1)
     )
 
 
@@ -101,32 +140,13 @@ def frame_moments_closed_form(params: SqueezeParams, frame: SpinFrame) -> FrameM
         raise DegenerateFrameError(
             "transverse moments undefined on a fully-degenerate frame"
         )
-    raising = second_moments_closed_form(params)
-    cart, jz_sq = cartesian_from_raising(raising), raising.jz_sq
-    half_sum = cart.jx2_plus_jy2 / 2.0
-    half_diff = cart.jx2_minus_jy2 / 2.0
-    sxy = cart.xy_anticomm / 2.0
-    st, ct = math.sin(frame.theta), math.cos(frame.theta)
-    sp, cp = math.sin(frame.phi), math.cos(frame.phi)
-    c2p, s2p = math.cos(2.0 * frame.phi), math.sin(2.0 * frame.phi)
-
-    jn1_sq = half_sum - c2p * half_diff - s2p * sxy
-    jn2_sq = (
-        ct ** 2 * (half_sum + c2p * half_diff + s2p * sxy)
-        + st ** 2 * jz_sq
-        - ct * st * (cp * cart.xz_anticomm + sp * cart.yz_anticomm)
-    )
-    anticomm = (
-        s2p * ct * cart.jx2_minus_jy2
-        - 2.0 * c2p * ct * sxy
-        - st * (sp * cart.xz_anticomm - cp * cart.yz_anticomm)
-    )
-    return FrameMoments(jn1_sq=jn1_sq, jn2_sq=jn2_sq, anticomm=anticomm)
+    raising = raising_moments(params.alpha, params.beta, params.mu, params.nu)
+    cart = cartesian_moments(*raising)
+    return FrameMoments(*transverse_moments(cart, raising[1], frame.theta, frame.phi))
 
 
 def _minimal_variance_radical(fm: FrameMoments) -> float:
-    a, b, c = fm.jn1_sq, fm.jn2_sq, fm.anticomm
-    return (a + b) - math.hypot(a - b, c)
+    return variance_radical(fm.jn1_sq, fm.jn2_sq, fm.anticomm)
 
 
 def minimal_variance_closed_form(fm: FrameMoments) -> float:

@@ -14,33 +14,29 @@ grid against the operator oracle and selects whichever matches, reporting
 neither fits.  Quantities that are unaffected by either hypothesis must
 match as printed; those are the build-stopping ones.
 
-closed_values and oracle.oracle_columns are the only readers of the two
-routes; the point and sweep commands select their output from these records
-too.  The closed forms are evaluated one point at a time, the oracle over
-the whole grid in one call.
+closed_columns and oracle.oracle_columns are the only readers of the two
+routes; the point and sweep commands select their output from these columns
+too.  Each evaluates a whole grid in one call, one row per point: the closed
+forms through the plain-float helpers of frame and closedform, the oracle
+through its batched core.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .closedform import (
+    CartesianSecondMoments,
     FrameMoments,
-    cartesian_from_raising,
-    frame_moments_closed_form,
-    minimal_variance_closed_form,
-    second_moments_closed_form,
+    MomentSet,
+    cartesian_moments,
+    raising_moments,
+    transverse_moments,
+    variance_radical,
 )
-from .frame import (
-    FrameStatus,
-    MeanSpin,
-    compute_frame,
-    mean_spin_closed_form,
-    mean_spin_length,
-    mean_spin_length_closed_form,
-)
+from .frame import FrameStatus, frame_angles, mean_spin_components, radical_length, spin_length
 from .oracle import oracle_columns
 from .spincore import SqueezeParams
 
@@ -71,8 +67,20 @@ FRAME_DEPENDENT = ("jn1_sq", "jn2_sq", "anticomm")
 NU_SELECTED = ("jy", "yz_anticomm", *FRAME_DEPENDENT)
 _REPORTED = (*CONVENTION_INDEPENDENT, *NU_SELECTED, "lambda_min")
 
+# the closed-form record: the mean spin with its length from the components
+# (r_eq9) and from the single-radical form (r), then the fields of MomentSet,
+# CartesianSecondMoments and FrameMoments, then the radical
+MEAN_SPIN_QUANTITIES = ("jx", "jy", "jz", "r_eq9", "r")
+CLOSED_QUANTITIES = (
+    *MEAN_SPIN_QUANTITIES,
+    *(f.name for f in fields(MomentSet)),
+    *CartesianSecondMoments._fields,
+    *(f.name for f in fields(FrameMoments)),
+    "radical",
+)
+
 # frame quantities of a route without a transverse frame
-_NO_FRAME = FrameMoments(jn1_sq=math.nan, jn2_sq=math.nan, anticomm=math.nan)
+_NO_FRAME = (math.nan, math.nan, math.nan)
 
 
 BETA_STEPS = 21
@@ -135,43 +143,65 @@ class CrosscheckReport:
         return data
 
 
+def _mean_spin_row(alpha: float, beta: float, mu: float, nu: float) -> tuple:
+    jx, jy, jz = mean_spin_components(alpha, beta, mu, nu)
+    return jx, jy, jz, spin_length(jx, jy, jz), radical_length(alpha, beta, mu, nu)
+
+
+def _closed_row(alpha: float, beta: float, mu: float, nu: float) -> tuple:
+    """One point's CLOSED_QUANTITIES; the frame entries, taken in the frame of
+    the closed-form mean spin, and the radical are NaN when that frame is
+    fully degenerate."""
+    mean = _mean_spin_row(alpha, beta, mu, nu)
+    raising = raising_moments(alpha, beta, mu, nu)
+    cart = cartesian_moments(*raising)
+    theta, phi, _, status = frame_angles(*mean[:3])
+    if status is FrameStatus.FULLY_DEGENERATE:
+        moments = _NO_FRAME
+    else:
+        moments = transverse_moments(cart, raising[1], theta, phi)
+    return (*mean, *raising, *cart, *moments, variance_radical(*moments))
+
+
+def _columns(names: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
+    return dict(zip(names, map(list, zip(*rows))))
+
+
+def mean_spin_columns(grid: list[SqueezeParams]) -> dict[str, list]:
+    """The closed-form MEAN_SPIN_QUANTITIES over a grid, one list per
+    quantity in grid order; no second moment is evaluated."""
+    return _columns(
+        MEAN_SPIN_QUANTITIES, [_mean_spin_row(p.alpha, p.beta, p.mu, p.nu) for p in grid]
+    )
+
+
+def closed_columns(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[str, list]:
+    """Every closed-form quantity over a grid, one list per CLOSED_QUANTITIES
+    entry in grid order; with negate_nu, each point is evaluated at -nu.
+
+    "radical" is the minimal transverse variance without its one-half factor
+    (xi2_std at N = 2); it and the frame entries are NaN on a row whose
+    closed-form frame is fully degenerate.
+    """
+    rows = [_closed_row(p.alpha, p.beta, p.mu, -p.nu if negate_nu else p.nu) for p in grid]
+    return _columns(CLOSED_QUANTITIES, rows)
+
+
 def mean_spin_values(params: SqueezeParams) -> dict[str, float]:
-    """Closed-form mean spin jx, jy, jz, with its length from the components
-    (r_eq9) and from the single-radical form (r)."""
-    ms = mean_spin_closed_form(params)
-    return {**vars(ms), "r_eq9": mean_spin_length(ms), "r": mean_spin_length_closed_form(params)}
+    """The one row of mean_spin_columns."""
+    return {q: column[0] for q, column in mean_spin_columns([params]).items()}
 
 
 def closed_values(params: SqueezeParams) -> dict[str, complex]:
-    """Every closed-form quantity at one parameter point, named as the
-    fields of MeanSpin, MomentSet, CartesianSecondMoments and FrameMoments.
-
-    Frame entries are evaluated in the frame of the closed-form mean spin
-    and are NaN when that frame is fully degenerate; so is "radical", the
-    minimal transverse variance without its one-half factor (xi2_std at N = 2).
-    """
-    values = mean_spin_values(params)
-    raising = second_moments_closed_form(params)
-    values.update(vars(raising))
-    values.update(cartesian_from_raising(raising)._asdict())
-    frame = compute_frame(MeanSpin(values["jx"], values["jy"], values["jz"]))
-    degenerate = frame.status is FrameStatus.FULLY_DEGENERATE
-    moments = _NO_FRAME if degenerate else frame_moments_closed_form(params, frame)
-    values.update(vars(moments))
-    values["radical"] = 2.0 * minimal_variance_closed_form(moments)
-    return values
+    """Every closed-form quantity at one parameter point: the one row of
+    closed_columns."""
+    return {q: column[0] for q, column in closed_columns([params]).items()}
 
 
 def oracle_values(params: SqueezeParams) -> dict:
     """Every oracle quantity at one parameter point: the one row of
     oracle.oracle_columns, named as closed_values names them."""
     return {q: column[0] for q, column in oracle_columns([params]).items()}
-
-
-def _closed_columns(grid: list[SqueezeParams]) -> dict[str, np.ndarray]:
-    """closed_values over a grid, one array per quantity in grid order."""
-    rows = [closed_values(p) for p in grid]
-    return {q: np.array([row[q] for row in rows]) for q in rows[0]}
 
 
 def _nanmax_abs(d: np.ndarray) -> float:
@@ -209,9 +239,12 @@ def run_crosscheck(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
-    oracle = {q: np.array(column) for q, column in oracle_columns(grid).items()}
-    printed = _closed_columns(grid)
-    negated = _closed_columns([replace(p, nu=-p.nu) for p in grid])
+    oracle, printed, negated = (
+        {q: np.array(column) for q, column in columns.items()}
+        for columns in (
+            oracle_columns(grid), closed_columns(grid), closed_columns(grid, negate_nu=True)
+        )
+    )
     # the all-directions minimum of a frameless point is not a transverse one
     oracle["lambda_min"][np.isnan(oracle["jn1_sq"])] = math.nan
     status = list(oracle["frame_status"])

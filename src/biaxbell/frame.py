@@ -58,26 +58,27 @@ class SpinFrame:
     status: FrameStatus
 
 
-def mean_spin_closed_form(params: SqueezeParams) -> MeanSpin:
-    """First moments (<Jx>, <Jy>, <Jz>) from the closed-form expressions."""
-    alpha, beta, mu, nu = params.alpha, params.beta, params.mu, params.nu
-    denom = 1.0 + math.cos(mu) ** 2
-    k = 2.0 * alpha * beta / math.sqrt(denom)
-    return MeanSpin(
-        jx=k * math.cos(nu) * math.cos(mu),
-        jy=-k * math.sin(nu),
-        jz=2.0 * alpha ** 2 * math.cos(mu) / denom,
-    )
+def ladder_prefactors(alpha: float, beta: float, cmu: float) -> tuple[float, float]:
+    """1 + cos^2(mu) and the alpha-beta coherence 2 alpha beta / sqrt(1 + cos^2(mu))
+    that every nu-dependent moment carries."""
+    denom = 1.0 + cmu ** 2
+    return denom, 2.0 * alpha * beta / math.sqrt(denom)
 
 
-def mean_spin_length(ms: MeanSpin) -> float:
-    """Euclidean length of the mean-spin vector."""
-    return math.sqrt(ms.jx ** 2 + ms.jy ** 2 + ms.jz ** 2)
+def mean_spin_components(alpha: float, beta: float, mu: float, nu: float) -> tuple:
+    """Closed-form (<Jx>, <Jy>, <Jz>) as plain floats."""
+    cmu = math.cos(mu)
+    denom, k = ladder_prefactors(alpha, beta, cmu)
+    return k * math.cos(nu) * cmu, -k * math.sin(nu), 2.0 * alpha ** 2 * cmu / denom
 
 
-def mean_spin_length_closed_form(params: SqueezeParams) -> float:
-    """Mean-spin length evaluated directly from the single-radical closed form."""
-    alpha, beta, mu, nu = params.alpha, params.beta, params.mu, params.nu
+def spin_length(jx: float, jy: float, jz: float) -> float:
+    """Euclidean length of (jx, jy, jz)."""
+    return math.sqrt(jx ** 2 + jy ** 2 + jz ** 2)
+
+
+def radical_length(alpha: float, beta: float, mu: float, nu: float) -> float:
+    """Mean-spin length from the single-radical closed form, as a plain float."""
     cmu = math.cos(mu)
     denom = 1.0 + cmu ** 2
     radicand = (
@@ -88,22 +89,37 @@ def mean_spin_length_closed_form(params: SqueezeParams) -> float:
     return 2.0 * alpha / denom * math.sqrt(radicand)
 
 
+def mean_spin_closed_form(params: SqueezeParams) -> MeanSpin:
+    """First moments (<Jx>, <Jy>, <Jz>) from the closed-form expressions."""
+    return MeanSpin(*mean_spin_components(params.alpha, params.beta, params.mu, params.nu))
+
+
+def mean_spin_length(ms: MeanSpin) -> float:
+    """Euclidean length of the mean-spin vector."""
+    return spin_length(ms.jx, ms.jy, ms.jz)
+
+
+def mean_spin_length_closed_form(params: SqueezeParams) -> float:
+    """Mean-spin length evaluated directly from the single-radical closed form."""
+    return radical_length(params.alpha, params.beta, params.mu, params.nu)
+
+
 def _clamp(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
-def frame_angles(ms: MeanSpin, eps: float = DEFAULT_EPS) -> tuple:
-    """theta, phi, r and status of the frame compute_frame builds, by the
-    scalar arithmetic of math alone."""
-    r = mean_spin_length(ms)
+def frame_angles(jx: float, jy: float, jz: float, eps: float = DEFAULT_EPS) -> tuple:
+    """theta, phi, r and status of the frame compute_frame builds for the
+    mean spin (jx, jy, jz), by the scalar arithmetic of math alone."""
+    r = spin_length(jx, jy, jz)
     if r < eps:
         return 0.0, 0.0, r, FrameStatus.FULLY_DEGENERATE
-    theta = math.acos(_clamp(ms.jz / r))
-    rho = math.hypot(ms.jx, ms.jy)
+    theta = math.acos(_clamp(jz / r))
+    rho = math.hypot(jx, jy)
     if rho / r < eps:
         return theta, 0.0, r, FrameStatus.POLAR_DEGENERATE
-    base = math.acos(_clamp(ms.jx / rho))
-    phi = base if ms.jy > 0.0 else 2.0 * math.pi - base
+    base = math.acos(_clamp(jx / rho))
+    phi = base if jy > 0.0 else 2.0 * math.pi - base
     if phi >= 2.0 * math.pi:
         phi = 0.0
     return theta, phi, r, FrameStatus.REGULAR
@@ -130,7 +146,7 @@ def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    theta, phi, r, status = frame_angles(ms, eps)
+    theta, phi, r, status = frame_angles(ms.jx, ms.jy, ms.jz, eps)
     n1, n2, n3 = (np.array(n) for n in frame_triad(theta, phi))
     for v in (n1, n2, n3):
         v.setflags(write=False)

@@ -409,7 +409,7 @@ def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, list], list, np.ndar
     states = [build_superposition_state(p) for p in grid]
     psi = np.array(states)
     vectors, values = _moments(psi, ops)
-    theta, phi, r, status = zip(*(frame_angles(MeanSpin(*v[:3])) for v in values.real.tolist()))
+    theta, phi, r, status = zip(*(frame_angles(*v[:3]) for v in values.real.tolist()))
     flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status])
     plane, sphere = np.flatnonzero(~flat), np.flatnonzero(flat)
     moments = np.full((n, 5), math.nan)

@@ -13,20 +13,28 @@ from biaxbell import (
     run_crosscheck,
 )
 from biaxbell.closedform import (
+    FrameMoments,
+    cartesian_from_raising,
     frame_moments_closed_form,
+    minimal_variance_closed_form,
+    second_moments_closed_form,
     squeezing_literal,
     squeezing_standard,
 )
 from biaxbell.crosscheck import (
+    CLOSED_QUANTITIES,
     CONVENTION_INDEPENDENT,
     FACTOR_HALF,
     INCONCLUSIVE,
+    MEAN_SPIN_QUANTITIES,
     NU_NEGATED,
+    closed_columns,
     closed_values,
+    mean_spin_columns,
     mean_spin_values,
     oracle_values,
 )
-from biaxbell.frame import compute_frame
+from biaxbell.frame import FrameStatus, compute_frame, mean_spin_length
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +266,85 @@ def test_radical_is_the_closed_form_squeezing_bit_for_bit():
         radical = closed_values(params)["radical"]
         assert radical == squeezing_standard(moments)
         assert 2.0 * radical == squeezing_literal(moments)
+
+
+@pytest.fixture(scope="module")
+def column_grid():
+    """The default grid (beta in {0, 1}, mu in {0, pi/2, pi}, zero-mean rows
+    at mu = pi/2 with nu in {0, pi}) and 2,400 seeded points with |nu| up to 9."""
+    rng = np.random.default_rng(13)
+    extra = [
+        SqueezeParams(
+            beta=rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]),
+            mu=rng.choice([0.0, math.pi / 2, math.pi, rng.uniform(0.0, math.pi)]),
+            nu=rng.uniform(-9.0, 9.0),
+        )
+        for _ in range(2400)
+    ]
+    grid = default_grid() + extra
+    assert len(grid) >= 3000
+    assert any(abs(p.nu) > 2 * math.pi for p in grid)
+    return grid
+
+
+def _bits(column) -> tuple:
+    """dtype and raw bits of a column: NaN payloads and the sign of zero count."""
+    a = np.array(column)
+    return a.dtype, a.view(np.uint64).tolist()
+
+
+def _scalar_record(params: SqueezeParams) -> dict:
+    """One closed-form record composed from the public scalar functions."""
+    ms = mean_spin_closed_form(params)
+    raising = second_moments_closed_form(params)
+    frame = compute_frame(ms)
+    if frame.status is FrameStatus.FULLY_DEGENERATE:
+        moments = FrameMoments(jn1_sq=math.nan, jn2_sq=math.nan, anticomm=math.nan)
+    else:
+        moments = frame_moments_closed_form(params, frame)
+    return {
+        **vars(ms),
+        "r_eq9": mean_spin_length(ms),
+        "r": mean_spin_length_closed_form(params),
+        **vars(raising),
+        **cartesian_from_raising(raising)._asdict(),
+        **vars(moments),
+        "radical": 2.0 * minimal_variance_closed_form(moments),
+    }
+
+
+def test_closed_columns_match_scalar_functions_bit_for_bit(column_grid):
+    records = [_scalar_record(p) for p in column_grid]
+    columns = closed_columns(column_grid)
+    assert tuple(columns) == tuple(records[0]) == CLOSED_QUANTITIES
+    statuses = {compute_frame(mean_spin_closed_form(p)).status for p in column_grid}
+    assert statuses == set(FrameStatus)
+    for q in CLOSED_QUANTITIES:
+        assert _bits(columns[q]) == _bits([r[q] for r in records]), q
+    means = mean_spin_columns(column_grid)
+    assert tuple(means) == MEAN_SPIN_QUANTITIES
+    for q in MEAN_SPIN_QUANTITIES:
+        assert _bits(means[q]) == _bits(columns[q]), q
+    for i in (0, 1, len(column_grid) - 1):
+        one, mean = closed_values(column_grid[i]), mean_spin_values(column_grid[i])
+        assert tuple(one) == CLOSED_QUANTITIES and tuple(mean) == MEAN_SPIN_QUANTITIES
+        assert all(_bits([one[q]]) == _bits(columns[q][i:i + 1]) for q in one)
+        assert all(_bits([mean[q]]) == _bits(means[q][i:i + 1]) for q in mean)
+
+
+def test_negated_columns_match_the_replaced_grid(column_grid):
+    negated = closed_columns(column_grid, negate_nu=True)
+    replaced = closed_columns([replace(p, nu=-p.nu) for p in column_grid])
+    for q in CLOSED_QUANTITIES:
+        assert _bits(negated[q]) == _bits(replaced[q]), q
+
+
+@pytest.mark.parametrize("negate_nu", [False, True], ids=["nu", "minus-nu"])
+def test_closed_columns_do_not_depend_on_batch_size(column_grid, negate_nu):
+    whole = closed_columns(column_grid, negate_nu)
+    for size in (1, 7):
+        chunks = [closed_columns(column_grid[i:i + size], negate_nu)
+                  for i in range(0, len(column_grid), size)]
+        for q in CLOSED_QUANTITIES:
+            joined = [v for chunk in chunks for v in chunk[q]]
+            assert _bits(joined) == _bits(whole[q]), (size, q)

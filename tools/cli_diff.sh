@@ -45,6 +45,9 @@ cases=(
     "crosscheck_tight_json|crosscheck --tol 1e-18 --beta-steps 3 --format json"
     "crosscheck_nu_inconclusive|crosscheck --nu-list 0 --beta-steps 5"
     "crosscheck_nu_pair_json|crosscheck --tol 1e-17 --beta-steps 6 --nu-list 0.3,-2 --format json"
+    # polar-degenerate frames (mu = 0, pi) and |nu| > 2 pi on both nu candidates,
+    # with every FAIL line printed
+    "crosscheck_polar_wide_nu|crosscheck --mu-list 0,pi/3,pi --nu-list=-7.5,9 --beta-steps 5 --tol 1e-17 --format json"
     # mu = pi/2 with nu in {0, pi}: 6 fully-degenerate points, 30 failures, exit 2
     "crosscheck_degenerate|crosscheck --beta-steps 3 --mu-list pi/2 --nu-list 0,pi --tol 1e-18"
     "point_text|point --beta 0.6 --mu pi/3 --nu pi/4"
