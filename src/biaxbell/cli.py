@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -259,13 +260,33 @@ def write_rows_csv(columns: dict[str, list], handle, names=SWEEP_COLUMNS) -> Non
         handle.write("".join([line % row for row in zip(*values)]))
 
 
+# json's spelling of the floats that repr spells otherwise
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(column: list) -> list[str]:
+    """The cells of a column of strings or of floats as json.dump writes
+    them, by one formatter chosen from the first cell."""
+    if isinstance(column[0], str):
+        return list(map(encode_basestring_ascii, column))
+    cells = list(map(float.__repr__, column))
+    if any(text in cells for text in _JSON_FLOATS):
+        cells = [_JSON_FLOATS.get(cell, cell) for cell in cells]
+    return cells
+
+
 def write_rows_json(columns: dict[str, list], handle) -> None:
-    payload = {
-        "columns": list(SWEEP_COLUMNS),
-        "rows": [list(row) for row in zip(*(columns[name] for name in SWEEP_COLUMNS))],
-    }
-    json.dump(payload, handle, indent=2)
-    handle.write("\n")
+    """{"columns": [...], "rows": [[...], ...]} byte for byte as
+    json.dump(payload, handle, indent=2) writes it, with one formatter per
+    column, and a final newline."""
+    values = [columns[name] for name in SWEEP_COLUMNS]
+    names = ",\n    ".join(map(encode_basestring_ascii, SWEEP_COLUMNS))
+    handle.write('{\n  "columns": [\n    ' + names + '\n  ],\n  "rows": [')
+    if values[0]:
+        cells = [_json_cells(v) for v in values]
+        row = "    [\n      " + ",\n      ".join(["%s"] * len(cells)) + "\n    ]"
+        handle.write("\n" + ",\n".join([row % r for r in zip(*cells)]) + "\n  ")
+    handle.write("]\n}\n")
 
 
 def _open_out(path: str | None):

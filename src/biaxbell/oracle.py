@@ -15,11 +15,14 @@ time, so the error is the one the earliest failing row raises alone.
 
 The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
-exactly as spincore.expectation does.  The scans never form a covariance
-matrix: with S the real split (real and imaginary parts) of the vectors
-J_k psi, centred for the transverse variance, <J_u^2> = |u S|^2.  Each row
-meets the cached, read-only coarse tables of TRANSVERSE_GRID and SPHERE_GRID
-directions alone; the refinement grids run over all rows of a block at once.
+exactly as spincore.expectation does.  With S the real split (real and
+imaginary parts) of the vectors J_k psi, centred for the transverse
+variance, the scanned value is <J_u^2> = |u S|^2 = u P u^T, P = S S^T.  The
+coarse pass reads each row's Gram matrix P, for a whole block at once,
+against cached, read-only tables of TRANSVERSE_GRID and SPHERE_GRID
+direction products; the refinement evaluates |u S|^2 itself, on grids that
+run over all rows of a block at once.  The eigen route never reads P: it
+builds its covariance from operator products.
 """
 from __future__ import annotations
 
@@ -66,8 +69,10 @@ _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
 _ZOOM_OFFSETS.setflags(write=False)
 _HERMITICITY_TOL = 1e-9
 # rows per block: no refinement grid of a block holds more numbers than
-# one row's coarse transverse product
+# one row's coarse transverse values
 _BLOCK = TRANSVERSE_GRID // _ZOOM_OFFSETS.size
+# numbers per coarse pass: as many as six rows of the transverse grid
+_COARSE = 6 * TRANSVERSE_GRID
 
 # the moment_stack entries checked for reality, in check order, and the
 # second-moment table as indices into moment_stack
@@ -88,23 +93,40 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _pairs(k: int) -> np.ndarray:
+    """The indices (2, entries) of the upper triangle a <= b of a k x k
+    matrix."""
+    return _frozen(np.array(np.triu_indices(k)))
+
+
+def _products(*u: np.ndarray) -> np.ndarray:
+    """The products u_a u_b of direction components, one row per pair of
+    _pairs and doubled off the diagonal, so that the sum of row k times
+    entry k of a Gram matrix's upper triangle is u P u^T."""
+    return _frozen(np.array([
+        u[a] * u[b] * (1.0 if a == b else 2.0) for a, b in _pairs(len(u)).T.tolist()
+    ]))
+
+
+@lru_cache(maxsize=None)
 def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
-    """The TRANSVERSE_GRID angles chi over [0, pi) and their rows
-    (cos chi, sin chi), the coefficients of cos(chi) n1 + sin(chi) n2."""
+    """The TRANSVERSE_GRID angles chi over [0, pi) and the products (3, n)
+    of their directions cos(chi) n1 + sin(chi) n2."""
     chis = _frozen(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
-    return chis, _frozen(np.stack([np.cos(chis), np.sin(chis)], axis=-1))
+    return chis, _products(np.cos(chis), np.sin(chis))
 
 
 @lru_cache(maxsize=None)
 def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The SPHERE_GRID polar and azimuth axes and their unit vectors, one
-    row per (theta, phi) pair in row-major order."""
+    """The SPHERE_GRID polar and azimuth axes and the products (6, n) of
+    their unit vectors, one column per (theta, phi) pair in row-major
+    order."""
     n_theta, n_phi = SPHERE_GRID
     thetas = _frozen(np.linspace(0.0, math.pi, n_theta))
     phis = _frozen(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
     sin_theta, cos_theta = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
     dirs = np.broadcast_arrays(sin_theta * np.cos(phis), sin_theta * np.sin(phis), cos_theta)
-    return thetas, phis, _frozen(np.stack(dirs, axis=-1).reshape(-1, 3))
+    return thetas, phis, _products(*(d.ravel() for d in dirs))
 
 
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
@@ -119,6 +141,32 @@ def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
 def _real_split(vectors: np.ndarray) -> np.ndarray:
     """Complex vectors w_k as the rows [Re w_k, Im w_k] of one real matrix."""
     return np.concatenate([vectors.real, vectors.imag], axis=-1)
+
+
+def _coarse(split: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row of split (rows, k, 2d), the index of the smallest u P u^T over
+    the directions whose products table (see _products) holds: the grid
+    minimum of |u S|^2, read from the Gram matrix P = S S^T.  P and every
+    value are sums of elementwise products in a fixed order, so no index
+    depends on the rows evaluated with it."""
+    pairs = split[:, _pairs(split.shape[1])]
+    terms = pairs[:, 0] * pairs[:, 1]                # (rows, entries, 2d)
+    d = split.shape[-1] // 2
+    terms = terms[..., :d] + terms[..., d:]          # real plus imaginary parts
+    gram = terms[..., 0] + terms[..., 1]
+    for j in range(2, d):
+        gram += terms[..., j]
+    step = max(1, min(len(gram), _COARSE // table.shape[1]))
+    low = np.empty(len(gram), dtype=int)
+    values, term = np.empty((2, step, table.shape[1]))     # reused by every pass
+    for lo in range(0, len(gram), step):
+        entries = gram[lo:lo + step, :, None]
+        v, t = values[:len(entries)], term[:len(entries)]
+        np.multiply(entries[:, 0], table[0], out=v)
+        for k in range(1, len(table)):
+            v += np.multiply(entries[:, k], table[k], out=t)
+        low[lo:lo + step] = v.argmin(axis=1)
+    return low
 
 
 def _norms(w: np.ndarray) -> np.ndarray:
@@ -258,12 +306,12 @@ def _ring(angle: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
 
 def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     """Brute minimum of Var(J_chi) per row and its angle chi in [0, pi), chi
-    parametrizing cos(chi) n1 + sin(chi) n2: each row's coarse minimum over
-    the TRANSVERSE_GRID table, refined by _zoom_min.  S is the real split of
+    parametrizing cos(chi) n1 + sin(chi) n2: the coarse minimum over the
+    TRANSVERSE_GRID angles, refined by _zoom_min.  S is the real split of
     ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>) psi)."""
     split = _real_split(vectors - moments[:, :2, None] * states[:, None, :])
-    chis, dirs = _transverse_table()
-    start = chis[[int(np.argmin(_norms(dirs @ s))) for s in split]]
+    chis, table = _transverse_table()
+    start = chis[_coarse(split, table)]
     (chi,), val = _zoom_min(
         lambda chi, s0, s1: _norms(_ring(chi, s0, s1)),
         (start,), (math.pi / TRANSVERSE_GRID,), split[:, None, 0], split[:, None, 1],
@@ -334,11 +382,11 @@ def min_transverse_variance(
 
 def _sphere_min(split: np.ndarray) -> np.ndarray:
     """Minimum of <J_u^2> over all unit directions per row, S the real split
-    of (Jx psi, Jy psi, Jz psi): each row's coarse minimum over the
-    SPHERE_GRID table, refined by _zoom_min in blocks as large as the
+    of (Jx psi, Jy psi, Jz psi): the coarse minimum over the SPHERE_GRID
+    directions, refined by _zoom_min in blocks as large as the
     transverse ones."""
-    thetas, phis, dirs = _sphere_table()
-    i_theta, i_phi = np.divmod([int(np.argmin(_norms(dirs @ s))) for s in split], phis.size)
+    thetas, phis, table = _sphere_table()
+    i_theta, i_phi = np.divmod(_coarse(split, table), phis.size)
     block = TRANSVERSE_GRID // _ZOOM_OFFSETS.size ** 2
     val = np.empty(len(split))
     for rows in (slice(lo, lo + block) for lo in range(0, len(split), block)):

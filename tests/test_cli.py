@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaxbell import SqueezeParams, build_spin_operators, oracle
+from biaxbell import FrameStatus, SqueezeParams, build_spin_operators, oracle
 from biaxbell.cli import (
     SWEEP_COLUMNS,
     UsageError,
@@ -33,6 +33,7 @@ from biaxbell.cli import (
     sweep_columns,
     sweep_points,
     write_rows_csv,
+    write_rows_json,
 )
 
 
@@ -417,6 +418,47 @@ def test_csv_writer_formats_as_the_csv_module_does():
     assert written.getvalue() == expected.getvalue()
     assert "nan" in written.getvalue().splitlines()[1].split(",")
 
+
+
+def _json_test_columns(rows):
+    """rows rows of every sweep column: NaN, +-inf, signed zeros and
+    subnormals in the float columns, every frame_status and method."""
+    cells = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072e-309,
+             0.1, 1.0 / 3.0, -1e300, 0.2368194536064644]
+    words = {"frame_status": [s.value for s in FrameStatus],
+             "method": [oracle.METHOD_TRANSVERSE, oracle.METHOD_ALL_DIRECTIONS]}
+    return {
+        name: [(words.get(name) or cells)[(7 * i + k) % len(words.get(name) or cells)]
+               for i in range(rows)]
+        for k, name in enumerate(SWEEP_COLUMNS)
+    }
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        _json_test_columns(1),
+        _json_test_columns(23),
+        # regular, polar-degenerate and fully-degenerate rows with their NaN cells
+        sweep_columns(sweep_points([0.0, math.pi / 2], [0.0, 1.0], np.linspace(0.0, 1.0, 9))),
+    ],
+    ids=["one-row", "special-cells", "mixed-status-sweep"],
+)
+def test_json_writer_writes_what_json_dump_writes(columns):
+    # one formatter per column writes json.dump's bytes: NaN and +-Infinity,
+    # signed zeros, the shortest repr of every float and ASCII-escaped strings
+    payload = {
+        "columns": list(SWEEP_COLUMNS),
+        "rows": [list(row) for row in zip(*(columns[name] for name in SWEEP_COLUMNS))],
+    }
+    expected = io.StringIO()
+    json.dump(payload, expected, indent=2)
+    expected.write("\n")
+    written = io.StringIO()
+    write_rows_json(columns, written)
+    assert written.getvalue() == expected.getvalue()
+    if len(columns["frame_status"]) > 1:
+        assert set(columns["frame_status"]) == {s.value for s in FrameStatus}
 
 def _spin1_with(**operators):
     ops = build_spin_operators(1.0)

@@ -29,9 +29,14 @@ from biaxbell import (
 from biaxbell.oracle import (
     _BLOCK,
     _ZOOM_OFFSETS,
+    _coarse,
+    _expectations,
+    _real_split,
+    _sphere_min,
     _sphere_scan,
     _sphere_table,
     _transverse_moments,
+    _transverse_scan,
     _transverse_table,
     _zoom_min,
     oracle_columns,
@@ -333,6 +338,56 @@ def test_oracle_columns_do_not_depend_on_batch_composition():
         joined = {name: [v for part in parts for v in part[name]] for name in whole}
         assert exact(joined) == expected, size
 
+
+@pytest.fixture(scope="module")
+def scan_rows():
+    """The scan inputs of 1,400 states: 700 family points of the batch grid
+    (fully-degenerate ones included) and 700 random normalized spin-1
+    states.  Returns the sphere split of every state, and the states, the
+    vectors Jn1 psi, Jn2 psi and the transverse moments of those that have a
+    transverse plane."""
+    rng = np.random.default_rng(14)
+    states = [build_superposition_state(p) for p in _batch_test_grid()[::4][:700]]
+    for z in rng.normal(size=(700, 3)) + 1j * rng.normal(size=(700, 3)):
+        states.append(z / np.linalg.norm(z))
+    psi = np.array(states)
+    sphere = _real_split(_expectations(OPS.moment_stack[:3], psi)[0])
+    frames = [_frame_of(state) for state in states]
+    plane = [i for i, f in enumerate(frames) if f.status is not FrameStatus.FULLY_DEGENERATE]
+    jn1, jn2 = map(np.array, zip(*(project_transverse_operators(frames[i], OPS) for i in plane)))
+    return sphere, (psi[plane], *_transverse_moments(psi[plane], jn1, jn2))
+
+
+def test_scans_do_not_depend_on_batch(scan_rows):
+    # every scan value and transverse angle, bit for bit, whatever rows share
+    # the call: the coarse pass and the refinement are per-row arithmetic
+    sphere, transverse = scan_rows
+    assert len(sphere) >= 1000 and len(transverse[0]) >= 1000
+    whole = (*_transverse_scan(*transverse), _sphere_min(sphere))
+    for size in (1, 7):
+        parts = [(*_transverse_scan(*(a[i:i + size] for a in transverse)),
+                  _sphere_min(sphere[i:i + size])) for i in range(0, len(sphere), size)]
+        for k, column in enumerate(whole):
+            assert np.concatenate([part[k] for part in parts]).tobytes() == column.tobytes()
+
+
+def test_coarse_pass_picks_a_grid_minimum(scan_rows):
+    # |u S|^2 at the index read from the Gram matrix is the minimum of the
+    # direct table to rounding; values, not indices, since the sphere's
+    # theta = 0 and theta = pi rows are ties
+    sphere, (psi, vectors, moments) = scan_rows
+    chis, circle_products = _transverse_table()
+    thetas, phis, sphere_products = _sphere_table()
+    theta, phi = np.meshgrid(thetas, phis, indexing="ij")
+    units = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                     axis=-1).reshape(-1, 3)
+    circle = np.stack([np.cos(chis), np.sin(chis)], axis=-1)
+    transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
+    for split, dirs, products in ((transverse, circle, circle_products),
+                                  (sphere, units, sphere_products)):
+        for s, i in zip(split, _coarse(split, products)):
+            direct = ((dirs @ s) ** 2).sum(axis=-1)
+            assert direct[i] - direct.min() <= 1e-15
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
 def test_scans_reject_wrong_state_shape(shape):

@@ -61,6 +61,8 @@ cases=(
     # regular, polar-degenerate (beta = 0 at mu = 0) and fully-degenerate rows
     # (mu = pi/2, nu = 0) in one call
     "sweep_mixed_status|sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9"
+    # the same rows and their NaN cells through the JSON writer
+    "sweep_mixed_status_json|sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9 --format json"
     "sweep_config|sweep --config $tmp/sweep.cfg"
     # the flags override the file's format and beta-steps
     "crosscheck_config_flags_win|crosscheck --config $tmp/crosscheck.cfg --format text --beta-steps 3"
