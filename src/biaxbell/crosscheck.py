@@ -187,11 +187,6 @@ def closed_columns(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[s
     return _columns(CLOSED_QUANTITIES, rows)
 
 
-def mean_spin_values(params: SqueezeParams) -> dict[str, float]:
-    """The one row of mean_spin_columns."""
-    return {q: column[0] for q, column in mean_spin_columns([params]).items()}
-
-
 def closed_values(params: SqueezeParams) -> dict[str, complex]:
     """Every closed-form quantity at one parameter point: the one row of
     closed_columns."""

@@ -17,12 +17,13 @@ The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
 exactly as spincore.expectation does.  With S the real split (real and
 imaginary parts) of the vectors J_k psi, centred for the transverse
-variance, the scanned value is <J_u^2> = |u S|^2 = u P u^T, P = S S^T.  The
-coarse pass reads each row's Gram matrix P, for a whole block at once,
-against cached, read-only tables of TRANSVERSE_GRID and SPHERE_GRID
-direction products; the refinement evaluates |u S|^2 itself, on grids that
-run over all rows of a block at once.  The eigen route never reads P: it
-builds its covariance from operator products.
+variance, the scanned value is <J_u^2> = |u S|^2 = u P u^T, P = S S^T.  One
+scan serves both minimizations: it builds each row's Gram matrix P once, and
+both its passes read u P u^T from P, the coarse pass against cached,
+read-only tables of TRANSVERSE_GRID and SPHERE_GRID direction products, the
+refinement on local grids that run over all rows of a block at once.  The
+eigen routes never read P: they build their covariances from operator
+products.
 """
 from __future__ import annotations
 
@@ -68,8 +69,9 @@ _ZOOM_MOVES = 64
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
 _ZOOM_OFFSETS.setflags(write=False)
 _HERMITICITY_TOL = 1e-9
-# rows per block: no refinement grid of a block holds more numbers than
-# one row's coarse transverse values
+# rows per block: a block's transverse refinement grid holds no more values
+# than one row's coarse transverse pass, its sphere refinement grid 17 times
+# as many (at most 240 x 17^2 = 69,360)
 _BLOCK = TRANSVERSE_GRID // _ZOOM_OFFSETS.size
 # numbers per coarse pass: as many as six rows of the transverse grid
 _COARSE = 6 * TRANSVERSE_GRID
@@ -99,34 +101,42 @@ def _pairs(k: int) -> np.ndarray:
     return _frozen(np.array(np.triu_indices(k)))
 
 
-def _products(*u: np.ndarray) -> np.ndarray:
-    """The products u_a u_b of direction components, one row per pair of
-    _pairs and doubled off the diagonal, so that the sum of row k times
-    entry k of a Gram matrix's upper triangle is u P u^T."""
-    return _frozen(np.array([
-        u[a] * u[b] * (1.0 if a == b else 2.0) for a, b in _pairs(len(u)).T.tolist()
-    ]))
+def _products(*u: np.ndarray) -> list[np.ndarray]:
+    """The products u_a u_b of direction components, one per pair of _pairs,
+    so that _form of a _gram and these products is u P u^T."""
+    return [u[a] * u[b] for a, b in _pairs(len(u)).T.tolist()]
+
+
+def _circle(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The components of the transverse direction cos(chi) n1 + sin(chi) n2."""
+    return np.cos(chi), np.sin(chi)
+
+
+def _sphere(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The components of the unit vector at polar angle theta and azimuth
+    phi."""
+    sin_theta = np.sin(theta)
+    return sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)
 
 
 @lru_cache(maxsize=None)
 def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
     """The TRANSVERSE_GRID angles chi over [0, pi) and the products (3, n)
-    of their directions cos(chi) n1 + sin(chi) n2."""
+    of their _circle directions."""
     chis = _frozen(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
-    return chis, _products(np.cos(chis), np.sin(chis))
+    return chis, _frozen(np.array(_products(*_circle(chis))))
 
 
 @lru_cache(maxsize=None)
 def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The SPHERE_GRID polar and azimuth axes and the products (6, n) of
-    their unit vectors, one column per (theta, phi) pair in row-major
+    their _sphere directions, one column per (theta, phi) pair in row-major
     order."""
     n_theta, n_phi = SPHERE_GRID
     thetas = _frozen(np.linspace(0.0, math.pi, n_theta))
     phis = _frozen(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
-    sin_theta, cos_theta = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    dirs = np.broadcast_arrays(sin_theta * np.cos(phis), sin_theta * np.sin(phis), cos_theta)
-    return thetas, phis, _products(*(d.ravel() for d in dirs))
+    units = np.broadcast_arrays(*_sphere(thetas[:, None], phis))
+    return thetas, phis, _frozen(np.array(_products(*(u.ravel() for u in units))))
 
 
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
@@ -143,42 +153,46 @@ def _real_split(vectors: np.ndarray) -> np.ndarray:
     return np.concatenate([vectors.real, vectors.imag], axis=-1)
 
 
-def _coarse(split: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per row of split (rows, k, 2d), the index of the smallest u P u^T over
-    the directions whose products table (see _products) holds: the grid
-    minimum of |u S|^2, read from the Gram matrix P = S S^T.  P and every
-    value are sums of elementwise products in a fixed order, so no index
-    depends on the rows evaluated with it."""
-    pairs = split[:, _pairs(split.shape[1])]
+def _gram(split: np.ndarray) -> np.ndarray:
+    """The Gram matrices P = S S^T of split (rows, k, 2d), as the upper
+    triangle (rows, entries) in _pairs order with the off-diagonal entries
+    doubled.  Each entry sums real products in a fixed order, with no complex
+    product and no matmul, so no bit depends on the rows evaluated with it."""
+    k, d = split.shape[1], split.shape[-1] // 2
+    pairs = split[:, _pairs(k)]
     terms = pairs[:, 0] * pairs[:, 1]                # (rows, entries, 2d)
-    d = split.shape[-1] // 2
     terms = terms[..., :d] + terms[..., d:]          # real plus imaginary parts
     gram = terms[..., 0] + terms[..., 1]
     for j in range(2, d):
         gram += terms[..., j]
+    gram[:, np.not_equal(*_pairs(k))] *= 2.0
+    return gram
+
+
+def _form(gram: np.ndarray, products, out=None) -> np.ndarray:
+    """u P u^T for every direction u whose _products are given: the sum over
+    entries k of gram[..., k] * products[k] in order, each term broadcasting
+    to the shape of the first.  out, when given, is a pair of arrays of the
+    result's shape that hold the sum and each term, so that a repeated call
+    allocates nothing."""
+    value, term = (None, None) if out is None else out
+    value = np.multiply(gram[..., 0], products[0], out=value)
+    for k in range(1, len(products)):
+        value += np.multiply(gram[..., k], products[k], out=term)
+    return value
+
+
+def _coarse(gram: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row of gram (rows, entries), the index of the smallest u P u^T
+    over the directions whose products table holds, at most _COARSE values
+    at a time."""
     step = max(1, min(len(gram), _COARSE // table.shape[1]))
     low = np.empty(len(gram), dtype=int)
-    values, term = np.empty((2, step, table.shape[1]))     # reused by every pass
+    buffers = np.empty((2, step, table.shape[1]))      # reused by every pass
     for lo in range(0, len(gram), step):
-        entries = gram[lo:lo + step, :, None]
-        v, t = values[:len(entries)], term[:len(entries)]
-        np.multiply(entries[:, 0], table[0], out=v)
-        for k in range(1, len(table)):
-            v += np.multiply(entries[:, k], table[k], out=t)
-        low[lo:lo + step] = v.argmin(axis=1)
+        rows = gram[lo:lo + step, None]
+        low[lo:lo + step] = _form(rows, table, buffers[:, :len(rows)]).argmin(axis=1)
     return low
-
-
-def _norms(w: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows of w (any leading shape), squaring w in place;
-    a product with a ones vector sums short rows faster than w.sum(-1)."""
-    w *= w
-    return w @ _ones(w.shape[-1])
-
-
-@lru_cache(maxsize=None)
-def _ones(n: int) -> np.ndarray:
-    return _frozen(np.ones(n))
 
 
 def _expectations(stack: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,24 +312,29 @@ def _zoom_min(f, best, step, *data) -> tuple[np.ndarray, np.ndarray]:
     return out, value
 
 
-def _ring(angle: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """cos(a) S_0 + sin(a) S_1 for every angle a of a (rows, ...) array, with
-    S_0 and S_1 rows of each row's real split shaped to broadcast."""
-    return np.cos(angle)[..., None] * s0 + np.sin(angle)[..., None] * s1
+def _scan(split: np.ndarray, unit, *grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brute minimum of u P u^T per row of split (rows, k, 2d), u = unit(*coords)
+    with one coordinate per axis of grid, whose last entry is the products
+    table of the axes' directions: the coarse minimum over the grid, refined
+    by _zoom_min from steps of one grid spacing.  Returns the minimizers
+    (axes, rows) and the minima (rows,)."""
+    *axes, table = grid
+    gram = _gram(split)
+    start = np.unravel_index(_coarse(gram, table), [axis.size for axis in axes])
+    return _zoom_min(
+        lambda *coords: _form(coords[-1], _products(*unit(*coords[:-1]))),
+        [axis[i] for axis, i in zip(axes, start)], [axis[1] - axis[0] for axis in axes],
+        np.expand_dims(gram, tuple(range(1, 1 + len(axes)))),
+    )
 
 
 def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     """Brute minimum of Var(J_chi) per row and its angle chi in [0, pi), chi
-    parametrizing cos(chi) n1 + sin(chi) n2: the coarse minimum over the
-    TRANSVERSE_GRID angles, refined by _zoom_min.  S is the real split of
-    ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>) psi)."""
+    parametrizing cos(chi) n1 + sin(chi) n2, by _scan over the
+    TRANSVERSE_GRID angles.  S is the real split of ((Jn1 - <Jn1>) psi,
+    (Jn2 - <Jn2>) psi)."""
     split = _real_split(vectors - moments[:, :2, None] * states[:, None, :])
-    chis, table = _transverse_table()
-    start = chis[_coarse(split, table)]
-    (chi,), val = _zoom_min(
-        lambda chi, s0, s1: _norms(_ring(chi, s0, s1)),
-        (start,), (math.pi / TRANSVERSE_GRID,), split[:, None, 0], split[:, None, 1],
-    )
+    (chi,), val = _scan(split, _circle, *_transverse_table())
     return val, chi % math.pi
 
 
@@ -382,23 +401,8 @@ def min_transverse_variance(
 
 def _sphere_min(split: np.ndarray) -> np.ndarray:
     """Minimum of <J_u^2> over all unit directions per row, S the real split
-    of (Jx psi, Jy psi, Jz psi): the coarse minimum over the SPHERE_GRID
-    directions, refined by _zoom_min in blocks as large as the
-    transverse ones."""
-    thetas, phis, table = _sphere_table()
-    i_theta, i_phi = np.divmod(_coarse(split, table), phis.size)
-    block = TRANSVERSE_GRID // _ZOOM_OFFSETS.size ** 2
-    val = np.empty(len(split))
-    for rows in (slice(lo, lo + block) for lo in range(0, len(split), block)):
-        _, val[rows] = _zoom_min(
-            lambda theta, phi, s0, s1, s2: _norms(
-                np.sin(theta)[..., None] * _ring(phi, s0, s1) + np.cos(theta)[..., None] * s2
-            ),
-            (thetas[i_theta[rows]], phis[i_phi[rows]]),
-            (math.pi / (thetas.size - 1), 2.0 * math.pi / phis.size),
-            *(split[rows, None, None, k] for k in range(3)),
-        )
-    return val
+    of (Jx psi, Jy psi, Jz psi), by _scan over the SPHERE_GRID directions."""
+    return _scan(split, _sphere, *_sphere_table())[1]
 
 
 def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:

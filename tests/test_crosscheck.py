@@ -31,7 +31,6 @@ from biaxbell.crosscheck import (
     closed_columns,
     closed_values,
     mean_spin_columns,
-    mean_spin_values,
     oracle_values,
 )
 from biaxbell.frame import FrameStatus, compute_frame, mean_spin_length
@@ -232,7 +231,8 @@ def test_records_share_quantity_names():
         "theta", "phi", "frame_status", "method",
         "lambda_min", "chi_min", "xi2_std", "xi2_literal", "concurrence",
     }
-    assert mean_spin_values(params) == {k: closed[k] for k in ("jx", "jy", "jz", "r_eq9", "r")}
+    mean = {q: column[0] for q, column in mean_spin_columns([params]).items()}
+    assert mean == {k: closed[k] for k in ("jx", "jy", "jz", "r_eq9", "r")}
 
 
 @pytest.mark.parametrize(
@@ -326,7 +326,8 @@ def test_closed_columns_match_scalar_functions_bit_for_bit(column_grid):
     for q in MEAN_SPIN_QUANTITIES:
         assert _bits(means[q]) == _bits(columns[q]), q
     for i in (0, 1, len(column_grid) - 1):
-        one, mean = closed_values(column_grid[i]), mean_spin_values(column_grid[i])
+        one = closed_values(column_grid[i])
+        mean = {q: column[0] for q, column in mean_spin_columns([column_grid[i]]).items()}
         assert tuple(one) == CLOSED_QUANTITIES and tuple(mean) == MEAN_SPIN_QUANTITIES
         assert all(_bits([one[q]]) == _bits(columns[q][i:i + 1]) for q in one)
         assert all(_bits([mean[q]]) == _bits(means[q][i:i + 1]) for q in mean)

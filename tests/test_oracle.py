@@ -29,9 +29,13 @@ from biaxbell import (
 from biaxbell.oracle import (
     _BLOCK,
     _ZOOM_OFFSETS,
+    _circle,
     _coarse,
     _expectations,
+    _gram,
     _real_split,
+    _scan,
+    _sphere,
     _sphere_min,
     _sphere_scan,
     _sphere_table,
@@ -385,9 +389,22 @@ def test_coarse_pass_picks_a_grid_minimum(scan_rows):
     transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
     for split, dirs, products in ((transverse, circle, circle_products),
                                   (sphere, units, sphere_products)):
-        for s, i in zip(split, _coarse(split, products)):
+        for s, i in zip(split, _coarse(_gram(split), products)):
             direct = ((dirs @ s) ** 2).sum(axis=-1)
             assert direct[i] - direct.min() <= 1e-15
+
+
+def test_scan_minimum_is_the_direct_value_at_its_minimizer(scan_rows):
+    # both passes read u P u^T from the Gram entries; at every minimizer it
+    # equals |u S|^2, the squared norm of the direction's combination of S
+    sphere, (psi, vectors, moments) = scan_rows
+    transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
+    for split, unit, grid in ((transverse, _circle, _transverse_table()),
+                              (sphere, _sphere, _sphere_table())):
+        coords, minima = _scan(split, unit, *grid)
+        u = np.stack(unit(*coords), axis=-1)
+        direct = (((u[:, :, None] * split).sum(axis=1)) ** 2).sum(axis=-1)
+        assert np.abs(minima - direct).max() <= 1e-14
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
 def test_scans_reject_wrong_state_shape(shape):
