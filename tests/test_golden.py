@@ -1,0 +1,92 @@
+"""The byte contract: SHA-256 digests of what the CLI writes, pinned.
+
+Each case runs main() in-process in a fresh directory, with the argv of the
+case of the same name in tools/cli_diff.sh.  Its stdout, its stderr, its
+exit code (as cli_diff.sh's exit_code file spells it, "N\\n") and every file
+it writes are hashed and compared with golden_digests.json.  A numpy or
+LAPACK that moves the last bit of any printed value fails here.
+
+A digest is re-pinned only with the case and the cause named in CHANGES.md.
+To print the table for the code under test:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from biaxbell.cli import main
+
+TABLE = Path(__file__).with_name("golden_digests.json")
+
+# name -> argv, split on spaces; output paths are relative to the case directory
+CASES = {
+    # the three benchmark argv shapes (perfbench/workloads.py)
+    "bench_sweep_fig1": "sweep --mu-list pi/3 --nu-list=2.0943951023931953 --beta-steps 41 "
+                        "--format csv --out out0.csv",
+    "bench_crosscheck": "crosscheck --format json --beta-min=0.35 --beta-max=0.65 "
+                        "--beta-steps 7 --nu-list=-1.0471975511965976 --out out0.json",
+    "bench_sweep_zero_mean": "sweep --mu-list pi/2 --nu-list pi --beta-min=0.0625 "
+                             "--beta-max=0.3 --beta-steps 26 --format json --out out0.json",
+    "sweep_zero_mean_wide": "sweep --mu-list pi/2 --nu-list 0,pi --beta-steps 101 --format json",
+    "crosscheck_text": "crosscheck",
+    "crosscheck_json": "crosscheck --format json",
+    "point_text": "point --beta 0.6 --mu pi/3 --nu pi/4",
+    "point_json": "point --beta 0.6 --mu pi/3 --nu pi/4 --format json",
+    "sweep_mixed_status": "sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9",
+    "sweep_mixed_status_json": "sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9 --format json",
+    # ν = −0.0, |ν| > 2π, both poles and β ∈ {0, 1}
+    "sweep_signed_zero": "sweep --mu-list 0,pi/2,pi --nu-list=-0,9,0 --beta-steps 3 --format json",
+    # exits 2 by design: its mu=pi shape clause contradicts a rotation symmetry
+    "figure_fig2": "figure fig2 --outdir figs",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv: str, where: Path) -> dict[str, str]:
+    """The digests of one case run in the empty directory where: stdout,
+    stderr, exit_code and each written file by its relative path."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv.split())
+    finally:
+        os.chdir(cwd)
+    digests = {
+        "stdout": _sha(out.getvalue().encode()),
+        "stderr": _sha(err.getvalue().encode()),
+        "exit_code": _sha(f"{code}\n".encode()),
+    }
+    for path in sorted(p for p in where.rglob("*") if p.is_file()):
+        digests[path.relative_to(where).as_posix()] = _sha(path.read_bytes())
+    return digests
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_bytes_match_golden_digests(name, tmp_path):
+    want = json.loads(TABLE.read_text())[name]
+    got = run_case(CASES[name], tmp_path)
+    changed = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not changed, f"{name}: digests differ for {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    table = {}
+    for case, case_argv in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            table[case] = run_case(case_argv, Path(tmp))
+    json.dump(table, sys.stdout, indent=2)
+    sys.stdout.write("\n")

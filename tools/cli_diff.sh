@@ -66,6 +66,9 @@ cases=(
     "sweep_mixed_status|sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9"
     # the same rows and their NaN cells through the JSON writer
     "sweep_mixed_status_json|sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9 --format json"
+    # nu = -0.0, |nu| > 2 pi, both poles and beta in {0, 1}: where assembling
+    # complex values can flip the sign of a zero
+    "sweep_signed_zero|sweep --mu-list 0,pi/2,pi --nu-list=-0,9,0 --beta-steps 3 --format json"
     "sweep_config|sweep --config $tmp/sweep.cfg"
     # the flags override the file's format and beta-steps
     "crosscheck_config_flags_win|crosscheck --config $tmp/crosscheck.cfg --format text --beta-steps 3"
