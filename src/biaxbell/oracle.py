@@ -131,9 +131,11 @@ def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
 def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The SPHERE_GRID polar and azimuth axes and the products (6, n) of
     their _sphere directions, one column per (theta, phi) pair in row-major
-    order."""
+    order.  The polar axis sits at cell midpoints: a grid row on a pole
+    would tie every phi there and could seed the refinement in the wrong
+    phi wedge."""
     n_theta, n_phi = SPHERE_GRID
-    thetas = _frozen(np.linspace(0.0, math.pi, n_theta))
+    thetas = _frozen((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
     phis = _frozen(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
     units = np.broadcast_arrays(*_sphere(thetas[:, None], phis))
     return thetas, phis, _frozen(np.array(_products(*(u.ravel() for u in units))))

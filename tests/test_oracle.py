@@ -477,6 +477,23 @@ def test_all_directions_on_random_states(seed, index):
     assert abs(_sphere_scan(state, OPS) - lam) <= 1e-10
 
 
+# rows of 20,000 seeded random states whose sphere scan, with grid rows on the
+# poles, seeded its refinement in the wrong phi wedge (gaps 3.4e-6 to 3.2e-4)
+_POLE_WEDGE_ROWS = {1: [10449], 3: [5193], 5: [814, 6723], 6: [9142, 15828],
+                    7: [2492, 13993], 8: [7426], 9: [3125, 5890], 10: [6393]}
+
+
+@pytest.mark.parametrize("seed", list(_POLE_WEDGE_ROWS))
+def test_all_directions_near_the_pole(seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
+    for state in states[_POLE_WEDGE_ROWS[seed]]:
+        state = state / np.linalg.norm(state)
+        min_variance_all_directions(state, OPS)
+        smallest = np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]
+        assert abs(_sphere_scan(state, OPS) - smallest) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # concurrence
 
