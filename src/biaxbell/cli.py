@@ -25,7 +25,7 @@ from .crosscheck import (
 )
 from .frame import FrameStatus
 from .oracle import oracle_columns
-from .spincore import SqueezeParams
+from .spincore import SqueezeParams, param_columns
 
 # each output key is (route, quantity): "in" is the input point, "cf" and "or"
 # the quantities of crosscheck.closed_columns and oracle.oracle_columns
@@ -226,15 +226,11 @@ def _select(table: dict, routes: dict) -> dict:
     return {key: routes[route][quantity] for key, (route, quantity) in table.items()}
 
 
-def _columns(records: list[dict]) -> dict[str, list]:
-    return {key: [record[key] for record in records] for key in records[0]}
-
-
 def sweep_columns(grid: list[SqueezeParams]) -> dict[str, list]:
     """All sweep columns over a grid, one list per column in grid order; the
     closed-form mean spin comes from one mean_spin_columns call and the
     oracle columns from one oracle_columns call."""
-    routes = {"in": _columns([vars(p) for p in grid]),
+    routes = {"in": dict(zip(("alpha", "beta", "mu", "nu"), param_columns(grid).tolist())),
               "cf": mean_spin_columns(grid),
               "or": oracle_columns(grid)}
     return _select(SWEEP_TABLE, routes)

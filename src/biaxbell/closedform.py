@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .frame import DegenerateFrameError, FrameStatus, SpinFrame, ladder_prefactors
-from .spincore import N_QUBITS, TOTAL_SPIN, SqueezeParams
+from .spincore import N_QUBITS, TOTAL_SPIN, SqueezeParams, complex_column, param_columns, square
 
 
 @dataclass(frozen=True)
@@ -52,39 +54,39 @@ class FrameMoments:
 _CASIMIR = TOTAL_SPIN * (TOTAL_SPIN + 1.0)
 
 
-def raising_moments(alpha: float, beta: float, mu: float, nu: float) -> tuple:
-    """<J+^2>, <Jz^2>, <J+(2Jz+1)> from their closed forms, as a complex, a
-    float and a complex."""
-    cmu, smu2 = math.cos(mu), math.sin(mu) ** 2
+def raising_moments(alpha, beta, mu, nu) -> tuple[np.ndarray, ...]:
+    """<J+^2>, <Jz^2>, <J+(2Jz+1)> columns from their closed forms: complex,
+    float and complex."""
+    cmu, smu2 = np.cos(mu), square(np.sin(mu))
     denom, k = ladder_prefactors(alpha, beta, cmu)
     return (
-        complex(-alpha ** 2 * smu2 / denom, 0.0),
-        2.0 * alpha ** 2 / denom * (1.0 - 0.5 * smu2),
-        k * complex(math.cos(nu), -math.sin(nu) * cmu),
+        (-square(alpha) * smu2 / denom).astype(complex),
+        2.0 * square(alpha) / denom * (1.0 - 0.5 * smu2),
+        k * complex_column(np.cos(nu), -np.sin(nu) * cmu),
     )
 
 
-def cartesian_moments(jplus_sq: complex, jz_sq: float, jplus_2jz1: complex) -> tuple:
+def cartesian_moments(jplus_sq, jz_sq, jplus_2jz1) -> tuple:
     """The CartesianSecondMoments fields, in order, from the raising moments."""
     return _CASIMIR - jz_sq, jplus_sq.real, jplus_sq.imag, jplus_2jz1.real, jplus_2jz1.imag
 
 
-def transverse_moments(cart: tuple, jz_sq: float, theta: float, phi: float) -> tuple:
-    """<Jn1^2>, <Jn2^2>, <{Jn1, Jn2}> from the Cartesian moments (in the
-    order of CartesianSecondMoments), <Jz^2> and the frame angles;
+def transverse_moments(cart: tuple, jz_sq, theta, phi) -> tuple[np.ndarray, ...]:
+    """<Jn1^2>, <Jn2^2>, <{Jn1, Jn2}> columns from the Cartesian moments (in
+    the order of CartesianSecondMoments), <Jz^2> and the frame angles;
     frame_moments_closed_form gives the formulas."""
     jx2_plus_jy2, jx2_minus_jy2, xy_anticomm, xz_anticomm, yz_anticomm = cart
     half_sum = jx2_plus_jy2 / 2.0
     half_diff = jx2_minus_jy2 / 2.0
     sxy = xy_anticomm / 2.0
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    c2p, s2p = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    c2p, s2p = np.cos(2.0 * phi), np.sin(2.0 * phi)
 
     jn1_sq = half_sum - c2p * half_diff - s2p * sxy
     jn2_sq = (
-        ct ** 2 * (half_sum + c2p * half_diff + s2p * sxy)
-        + st ** 2 * jz_sq
+        square(ct) * (half_sum + c2p * half_diff + s2p * sxy)
+        + square(st) * jz_sq
         - ct * st * (cp * xz_anticomm + sp * yz_anticomm)
     )
     anticomm = (
@@ -103,7 +105,7 @@ def variance_radical(jn1_sq: float, jn2_sq: float, anticomm: float) -> float:
 def second_moments_closed_form(params: SqueezeParams) -> MomentSet:
     """Raising-operator moments from their closed forms (same nu convention
     as the closed-form first moments)."""
-    return MomentSet(*raising_moments(params.alpha, params.beta, params.mu, params.nu))
+    return MomentSet(*(c[0].item() for c in raising_moments(*param_columns([params]))))
 
 
 def cartesian_from_raising(moments: MomentSet) -> CartesianSecondMoments:
@@ -140,13 +142,11 @@ def frame_moments_closed_form(params: SqueezeParams, frame: SpinFrame) -> FrameM
         raise DegenerateFrameError(
             "transverse moments undefined on a fully-degenerate frame"
         )
-    raising = raising_moments(params.alpha, params.beta, params.mu, params.nu)
-    cart = cartesian_moments(*raising)
-    return FrameMoments(*transverse_moments(cart, raising[1], frame.theta, frame.phi))
-
-
-def _minimal_variance_radical(fm: FrameMoments) -> float:
-    return variance_radical(fm.jn1_sq, fm.jn2_sq, fm.anticomm)
+    raising = raising_moments(*param_columns([params]))
+    moments = transverse_moments(
+        cartesian_moments(*raising), raising[1], np.array([frame.theta]), np.array([frame.phi])
+    )
+    return FrameMoments(*(c[0].item() for c in moments))
 
 
 def minimal_variance_closed_form(fm: FrameMoments) -> float:
@@ -156,17 +156,17 @@ def minimal_variance_closed_form(fm: FrameMoments) -> float:
     Directly comparable to the oracle minimum; the literal normalization
     drops the one-half and is handled by squeezing_literal instead.
     """
-    return 0.5 * _minimal_variance_radical(fm)
+    return 0.5 * variance_radical(fm.jn1_sq, fm.jn2_sq, fm.anticomm)
 
 
 def squeezing_literal(fm: FrameMoments) -> float:
     """Squeezing parameter from the minimal-variance form without the
     one-half factor: (4/N) [(A + B) - sqrt((A - B)^2 + C^2)]."""
-    return (4.0 / N_QUBITS) * _minimal_variance_radical(fm)
+    return (4.0 / N_QUBITS) * variance_radical(fm.jn1_sq, fm.jn2_sq, fm.anticomm)
 
 
 def squeezing_standard(fm: FrameMoments) -> float:
     """Squeezing parameter with the minimal variance taken as the smallest
     eigenvalue of the transverse moment matrix, so a coherent state gives 1.
     Identically half of squeezing_literal."""
-    return (4.0 / N_QUBITS) * 0.5 * _minimal_variance_radical(fm)
+    return (4.0 / N_QUBITS) * 0.5 * variance_radical(fm.jn1_sq, fm.jn2_sq, fm.anticomm)

@@ -38,7 +38,7 @@ from .closedform import (
 )
 from .frame import FrameStatus, frame_angles, mean_spin_components, radical_length, spin_length
 from .oracle import oracle_columns
-from .spincore import SqueezeParams
+from .spincore import SqueezeParams, param_columns
 
 DEFAULT_TOL = 1e-10
 
@@ -78,10 +78,6 @@ CLOSED_QUANTITIES = (
     *(f.name for f in fields(FrameMoments)),
     "radical",
 )
-
-# frame quantities of a route without a transverse frame
-_NO_FRAME = (math.nan, math.nan, math.nan)
-
 
 BETA_STEPS = 21
 MUS = (0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, np.pi)
@@ -143,48 +139,42 @@ class CrosscheckReport:
         return data
 
 
-def _mean_spin_row(alpha: float, beta: float, mu: float, nu: float) -> tuple:
+def _lists(names: tuple[str, ...], columns) -> dict[str, list]:
+    return {name: np.asarray(column).tolist() for name, column in zip(names, columns)}
+
+
+def _mean_spin(alpha, beta, mu, nu) -> tuple[np.ndarray, ...]:
+    """The MEAN_SPIN_QUANTITIES columns of the parameter columns."""
     jx, jy, jz = mean_spin_components(alpha, beta, mu, nu)
     return jx, jy, jz, spin_length(jx, jy, jz), radical_length(alpha, beta, mu, nu)
-
-
-def _closed_row(alpha: float, beta: float, mu: float, nu: float) -> tuple:
-    """One point's CLOSED_QUANTITIES; the frame entries, taken in the frame of
-    the closed-form mean spin, and the radical are NaN when that frame is
-    fully degenerate."""
-    mean = _mean_spin_row(alpha, beta, mu, nu)
-    raising = raising_moments(alpha, beta, mu, nu)
-    cart = cartesian_moments(*raising)
-    theta, phi, _, status = frame_angles(*mean[:3])
-    if status is FrameStatus.FULLY_DEGENERATE:
-        moments = _NO_FRAME
-    else:
-        moments = transverse_moments(cart, raising[1], theta, phi)
-    return (*mean, *raising, *cart, *moments, variance_radical(*moments))
-
-
-def _columns(names: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
-    return dict(zip(names, map(list, zip(*rows))))
 
 
 def mean_spin_columns(grid: list[SqueezeParams]) -> dict[str, list]:
     """The closed-form MEAN_SPIN_QUANTITIES over a grid, one list per
     quantity in grid order; no second moment is evaluated."""
-    return _columns(
-        MEAN_SPIN_QUANTITIES, [_mean_spin_row(p.alpha, p.beta, p.mu, p.nu) for p in grid]
-    )
+    return _lists(MEAN_SPIN_QUANTITIES, _mean_spin(*param_columns(grid)))
 
 
 def closed_columns(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[str, list]:
     """Every closed-form quantity over a grid, one list per CLOSED_QUANTITIES
     entry in grid order; with negate_nu, each point is evaluated at -nu.
 
+    The frame entries are taken in the frame of the closed-form mean spin.
     "radical" is the minimal transverse variance without its one-half factor
     (xi2_std at N = 2); it and the frame entries are NaN on a row whose
     closed-form frame is fully degenerate.
     """
-    rows = [_closed_row(p.alpha, p.beta, p.mu, -p.nu if negate_nu else p.nu) for p in grid]
-    return _columns(CLOSED_QUANTITIES, rows)
+    alpha, beta, mu, nu = param_columns(grid)
+    if negate_nu:
+        nu = -nu
+    mean = _mean_spin(alpha, beta, mu, nu)
+    raising = raising_moments(alpha, beta, mu, nu)
+    cart = cartesian_moments(*raising)
+    theta, phi, status = frame_angles(*mean[:4])
+    flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status], dtype=bool)
+    moments = np.where(flat, math.nan, transverse_moments(cart, raising[1], theta, phi))
+    radical = [variance_radical(*row) for row in moments.T.tolist()]
+    return _lists(CLOSED_QUANTITIES, (*mean, *raising, *cart, *moments, radical))
 
 
 def closed_values(params: SqueezeParams) -> dict[str, complex]:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spincore import SpinOperatorSet, SqueezeParams
+from .spincore import SpinOperatorSet, SqueezeParams, param_columns, readonly, square
 
 DEFAULT_EPS = 1e-12
 
@@ -58,79 +58,83 @@ class SpinFrame:
     status: FrameStatus
 
 
-def ladder_prefactors(alpha: float, beta: float, cmu: float) -> tuple[float, float]:
+def ladder_prefactors(alpha, beta, cmu) -> tuple[np.ndarray, np.ndarray]:
     """1 + cos^2(mu) and the alpha-beta coherence 2 alpha beta / sqrt(1 + cos^2(mu))
-    that every nu-dependent moment carries."""
-    denom = 1.0 + cmu ** 2
-    return denom, 2.0 * alpha * beta / math.sqrt(denom)
+    that every nu-dependent moment carries, over columns."""
+    denom = 1.0 + square(cmu)
+    return denom, 2.0 * alpha * beta / np.sqrt(denom)
 
 
-def mean_spin_components(alpha: float, beta: float, mu: float, nu: float) -> tuple:
-    """Closed-form (<Jx>, <Jy>, <Jz>) as plain floats."""
-    cmu = math.cos(mu)
+def mean_spin_components(alpha, beta, mu, nu) -> tuple[np.ndarray, ...]:
+    """Closed-form <Jx>, <Jy>, <Jz> columns of the parameter columns."""
+    cmu = np.cos(mu)
     denom, k = ladder_prefactors(alpha, beta, cmu)
-    return k * math.cos(nu) * cmu, -k * math.sin(nu), 2.0 * alpha ** 2 * cmu / denom
+    return k * np.cos(nu) * cmu, -k * np.sin(nu), 2.0 * square(alpha) * cmu / denom
 
 
-def spin_length(jx: float, jy: float, jz: float) -> float:
-    """Euclidean length of (jx, jy, jz)."""
-    return math.sqrt(jx ** 2 + jy ** 2 + jz ** 2)
+def spin_length(jx, jy, jz) -> np.ndarray:
+    """Euclidean length of each row (jx, jy, jz) of three columns."""
+    return np.sqrt(square(jx) + square(jy) + square(jz))
 
 
-def radical_length(alpha: float, beta: float, mu: float, nu: float) -> float:
-    """Mean-spin length from the single-radical closed form, as a plain float."""
-    cmu = math.cos(mu)
-    denom = 1.0 + cmu ** 2
+def radical_length(alpha, beta, mu, nu) -> np.ndarray:
+    """Mean-spin length column from the single-radical closed form."""
+    cmu = np.cos(mu)
+    denom = 1.0 + square(cmu)
     radicand = (
-        beta ** 2 * math.cos(nu) ** 2 * cmu ** 4
-        + beta ** 2 * math.sin(nu) ** 2
-        + cmu ** 2
+        square(beta) * square(np.cos(nu)) * np.float_power(cmu, 4)
+        + square(beta) * square(np.sin(nu))
+        + square(cmu)
     )
-    return 2.0 * alpha / denom * math.sqrt(radicand)
+    return 2.0 * alpha / denom * np.sqrt(radicand)
 
 
 def mean_spin_closed_form(params: SqueezeParams) -> MeanSpin:
     """First moments (<Jx>, <Jy>, <Jz>) from the closed-form expressions."""
-    return MeanSpin(*mean_spin_components(params.alpha, params.beta, params.mu, params.nu))
+    return MeanSpin(*(float(c[0]) for c in mean_spin_components(*param_columns([params]))))
 
 
 def mean_spin_length(ms: MeanSpin) -> float:
     """Euclidean length of the mean-spin vector."""
-    return spin_length(ms.jx, ms.jy, ms.jz)
+    return float(spin_length(*np.array([[ms.jx], [ms.jy], [ms.jz]]))[0])
 
 
 def mean_spin_length_closed_form(params: SqueezeParams) -> float:
     """Mean-spin length evaluated directly from the single-radical closed form."""
-    return radical_length(params.alpha, params.beta, params.mu, params.nu)
+    return float(radical_length(*param_columns([params]))[0])
 
 
-def _clamp(x: float) -> float:
-    return min(1.0, max(-1.0, x))
-
-
-def frame_angles(jx: float, jy: float, jz: float, eps: float = DEFAULT_EPS) -> tuple:
-    """theta, phi, r and status of the frame compute_frame builds for the
-    mean spin (jx, jy, jz), by the scalar arithmetic of math alone."""
-    r = spin_length(jx, jy, jz)
+def _angles(jx: float, jy: float, jz: float, r: float, eps: float) -> tuple:
     if r < eps:
-        return 0.0, 0.0, r, FrameStatus.FULLY_DEGENERATE
-    theta = math.acos(_clamp(jz / r))
+        return 0.0, 0.0, FrameStatus.FULLY_DEGENERATE
+    theta = math.acos(min(1.0, max(-1.0, jz / r)))
     rho = math.hypot(jx, jy)
     if rho / r < eps:
-        return theta, 0.0, r, FrameStatus.POLAR_DEGENERATE
-    base = math.acos(_clamp(jx / rho))
+        return theta, 0.0, FrameStatus.POLAR_DEGENERATE
+    base = math.acos(min(1.0, max(-1.0, jx / rho)))
     phi = base if jy > 0.0 else 2.0 * math.pi - base
     if phi >= 2.0 * math.pi:
         phi = 0.0
-    return theta, phi, r, FrameStatus.REGULAR
+    return theta, phi, FrameStatus.REGULAR
 
 
-def frame_triad(theta: float, phi: float) -> tuple[tuple[float, float, float], ...]:
-    """The rows n1, n2, n3 of the frame with n3 at polar angle theta and
-    azimuth phi."""
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    return (-sp, cp, 0.0), (-ct * cp, -ct * sp, st), (st * cp, st * sp, ct)
+def frame_angles(jx, jy, jz, r, eps: float = DEFAULT_EPS) -> tuple:
+    """theta and phi columns and the list of statuses of the frames
+    compute_frame builds for the mean spins (jx, jy, jz) of spin_length r.
+    Each row is evaluated by the scalar arithmetic of math: np.arccos and
+    np.hypot round differently."""
+    rows = [_angles(*row, eps) for row in zip(*(np.asarray(c).tolist() for c in (jx, jy, jz, r)))]
+    theta, phi = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2).T
+    return theta, phi, [row[2] for row in rows]
+
+
+def frame_triad(theta, phi) -> np.ndarray:
+    """The rows n1, n2, n3 (n, 3, 3) of the frames with n3 at polar angle
+    theta and azimuth phi, one per entry of the angle columns."""
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    rows = ((-sp, cp, np.zeros_like(sp)), (-ct * cp, -ct * sp, st), (st * cp, st * sp, ct))
+    return np.moveaxis(np.array(rows), -1, 0)
 
 
 def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
@@ -146,11 +150,10 @@ def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    theta, phi, r, status = frame_angles(ms.jx, ms.jy, ms.jz, eps)
-    n1, n2, n3 = (np.array(n) for n in frame_triad(theta, phi))
-    for v in (n1, n2, n3):
-        v.setflags(write=False)
-    return SpinFrame(n1=n1, n2=n2, n3=n3, theta=theta, phi=phi, r=r, status=status)
+    r = mean_spin_length(ms)
+    theta, phi, (status,) = frame_angles([ms.jx], [ms.jy], [ms.jz], [r], eps)
+    n1, n2, n3 = readonly(frame_triad(theta, phi)[0])
+    return SpinFrame(n1, n2, n3, theta.item(), phi.item(), r, status)
 
 
 def transverse_operators(directions: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:

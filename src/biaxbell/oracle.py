@@ -44,13 +44,16 @@ from .frame import (
     frame_angles,
     frame_triad,
     project_transverse_operators,
+    spin_length,
     transverse_operators,
 )
 from .spincore import (
     SpinOperatorSet,
     SqueezeParams,
     build_spin_operators,
-    build_superposition_state,
+    param_columns,
+    readonly,
+    superposition_states,
 )
 
 METHOD_TRANSVERSE = "transverse-eigen"
@@ -89,16 +92,11 @@ def _spin1() -> SpinOperatorSet:
     return build_spin_operators(1.0)
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 @lru_cache(maxsize=None)
 def _pairs(k: int) -> np.ndarray:
     """The indices (2, entries) of the upper triangle a <= b of a k x k
     matrix."""
-    return _frozen(np.array(np.triu_indices(k)))
+    return readonly(np.array(np.triu_indices(k)))
 
 
 def _products(*u: np.ndarray) -> list[np.ndarray]:
@@ -123,8 +121,8 @@ def _sphere(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
     """The TRANSVERSE_GRID angles chi over [0, pi) and the products (3, n)
     of their _circle directions."""
-    chis = _frozen(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
-    return chis, _frozen(np.array(_products(*_circle(chis))))
+    chis = readonly(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
+    return chis, readonly(np.array(_products(*_circle(chis))))
 
 
 @lru_cache(maxsize=None)
@@ -135,10 +133,10 @@ def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     would tie every phi there and could seed the refinement in the wrong
     phi wedge."""
     n_theta, n_phi = SPHERE_GRID
-    thetas = _frozen((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
-    phis = _frozen(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
+    thetas = readonly((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
+    phis = readonly(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
     units = np.broadcast_arrays(*_sphere(thetas[:, None], phis))
-    return thetas, phis, _frozen(np.array(_products(*(u.ravel() for u in units))))
+    return thetas, phis, readonly(np.array(_products(*(u.ravel() for u in units))))
 
 
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
@@ -248,7 +246,7 @@ def _oracle_moments(values: np.ndarray) -> OracleMoments:
     """OracleMoments of one row of twelve moments."""
     v = values.tolist()
     mean, raising = MeanSpin(*(x.real for x in v[:3])), MomentSet(v[9], v[10].real, v[11])
-    return OracleMoments(mean, raising, _frozen(_tables(values[None])[0]))
+    return OracleMoments(mean, raising, readonly(_tables(values[None])[0]))
 
 
 def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
@@ -439,8 +437,7 @@ def min_variance_all_directions(
     pivot = int(np.argmax(np.abs(direction)))
     if direction[pivot] < 0.0:
         direction = -direction
-    direction.setflags(write=False)
-    return lam, direction
+    return lam, readonly(direction)
 
 
 def concurrence(state: np.ndarray) -> float:
@@ -456,25 +453,25 @@ def concurrence(state: np.ndarray) -> float:
     return min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0)
 
 
-def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, list], list, np.ndarray]:
+def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, list], np.ndarray, np.ndarray]:
     """One block of the pipeline: its oracle_columns record, states and
     moments."""
     ops, n = _spin1(), len(grid)
-    states = [build_superposition_state(p) for p in grid]
-    psi = np.array(states)
+    psi = superposition_states(*param_columns(grid))
     vectors, values = _moments(psi, ops)
-    theta, phi, r, status = zip(*(frame_angles(*v[:3]) for v in values.real.tolist()))
+    re, tables = values.real, _tables(values)
+    r = spin_length(re[:, 0], re[:, 1], re[:, 2])
+    theta, phi, status = frame_angles(re[:, 0], re[:, 1], re[:, 2], r)
     flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status])
     plane, sphere = np.flatnonzero(~flat), np.flatnonzero(flat)
     moments = np.full((n, 5), math.nan)
     lam, chi = np.empty(n), np.zeros(n)         # chi = 0 without a transverse plane
     if plane.size:
-        n12 = np.array([frame_triad(theta[i], phi[i])[:2] for i in plane])
+        n12 = frame_triad(theta[plane], phi[plane])[:, :2]
         moments[plane], lam[plane], chi[plane] = _transverse(
             psi[plane], transverse_operators(n12, ops))
     if sphere.size:
         lam[sphere] = _all_directions(vectors[sphere], values[sphere])[0]
-    re, tables = values.real, _tables(values)
     record = {
         "jx": re[:, 0], "jy": re[:, 1], "jz": re[:, 2], "r": r,
         "jplus_sq": values[:, 9], "jz_sq": re[:, 10], "jplus_2jz1": values[:, 11],
@@ -489,11 +486,11 @@ def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, list], list, np.ndar
         "lambda_min": lam, "chi_min": chi,
         "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
         "xi2_literal": 2.0 * (2.0 * lam),
-        "concurrence": [concurrence(s) for s in states],
+        "concurrence": [concurrence(s) for s in psi],
         "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
     }
-    record = {q: v.tolist() if isinstance(v, np.ndarray) else list(v) for q, v in record.items()}
-    return record, states, values
+    record = {q: v.tolist() if isinstance(v, np.ndarray) else v for q, v in record.items()}
+    return record, psi, values
 
 
 def oracle_columns(grid: list[SqueezeParams]) -> dict[str, list]:
@@ -558,7 +555,7 @@ def evaluate_oracle(params: SqueezeParams) -> OraclePoint:
     )
     frame_moments = None if frame.status is FrameStatus.FULLY_DEGENERATE else FrameMoments(
         *(one[q] for q in ("jn1_sq", "jn2_sq", "anticomm")))
-    return OraclePoint(params, state, moments, frame, frame_moments, result)
+    return OraclePoint(params, readonly(state), moments, frame, frame_moments, result)
 
 
 def squeeze_oracle(params: SqueezeParams) -> SqueezeResult:

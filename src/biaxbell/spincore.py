@@ -69,10 +69,10 @@ class SpinOperatorSet:
         sym = [cart[a] @ cart[b] + cart[b] @ cart[a] for a in range(3) for b in range(a, 3)]
         two_jz_plus_1 = 2.0 * self.jz + np.eye(self.dim)
         raising = [self.jplus @ self.jplus, self.jz @ self.jz, self.jplus @ two_jz_plus_1]
-        return _readonly(np.array([*cart, *sym, *raising]))
+        return readonly(np.array([*cart, *sym, *raising]))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
@@ -93,43 +93,51 @@ def build_spin_operators(j: float, max_dim: int = DEFAULT_MAX_DIM) -> SpinOperat
         raise ValueError(f"dimension {dim} exceeds the configured maximum {max_dim}")
 
     m = j - np.arange(dim)               # m = +j ... -j down the basis
-    jplus = np.zeros((dim, dim), dtype=complex)
     # j+ maps column state m to row state m+1
-    for k in range(1, dim):
-        jplus[k - 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
+    jplus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     jminus = jplus.conj().T
     jz = np.diag(m).astype(complex)
     jx = (jplus + jminus) / 2.0
     jy = (jplus - jminus) / 2.0j
-    return SpinOperatorSet(
-        j=j,
-        dim=dim,
-        jx=_readonly(jx),
-        jy=_readonly(jy),
-        jz=_readonly(jz),
-        jplus=_readonly(jplus),
-        jminus=_readonly(jminus),
-    )
+    return SpinOperatorSet(j, dim, *map(readonly, (jx, jy, jz, jplus, jminus)))
 
 
-def build_superposition_state(params: SqueezeParams) -> np.ndarray:
-    """Amplitudes of the biaxial + Bell superposition in the j = 1 basis.
+def square(x):
+    """x ** 2 rounded as Python's float power rounds it (libm pow), over a
+    column; numpy's own ** multiplies, which differs in the last bit."""
+    return np.float_power(x, 2)
+
+
+def complex_column(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex column with exactly these real and imaginary parts
+    (re + 1j * im can flip the sign of a zero)."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def param_columns(grid: list[SqueezeParams]) -> np.ndarray:
+    """The alpha, beta, mu and nu columns (4, n) of a grid of points."""
+    return np.array([(p.alpha, p.beta, p.mu, p.nu) for p in grid], dtype=float).reshape(-1, 4).T
+
+
+def superposition_states(alpha, beta, mu, nu) -> np.ndarray:
+    """Amplitudes (n, 3) of the biaxial + Bell superposition in the j = 1
+    basis, one row per entry of the parameter columns.
 
     (a cos^2(mu/2), beta e^{i nu}, -a sin^2(mu/2)) with
     a = alpha sqrt(2) / sqrt(1 + cos^2 mu).  Unit norm holds analytically;
     no renormalization is applied.
     """
-    a = params.alpha * math.sqrt(2.0) / math.sqrt(1.0 + math.cos(params.mu) ** 2)
-    half = params.mu / 2.0
-    state = np.array(
-        [
-            a * math.cos(half) ** 2,
-            params.beta * complex(math.cos(params.nu), math.sin(params.nu)),
-            -a * math.sin(half) ** 2,
-        ],
-        dtype=complex,
-    )
-    return _readonly(state)
+    a = alpha * math.sqrt(2.0) / np.sqrt(1.0 + square(np.cos(mu)))
+    half = mu / 2.0
+    phase = complex_column(np.cos(nu), np.sin(nu))
+    return np.stack([a * square(np.cos(half)), beta * phase, -a * square(np.sin(half))], axis=-1)
+
+
+def build_superposition_state(params: SqueezeParams) -> np.ndarray:
+    """The superposition_states row of one parameter point, read-only."""
+    return readonly(superposition_states(*param_columns([params]))[0])
 
 
 def expectation(op: np.ndarray, state: np.ndarray) -> complex:
@@ -139,7 +147,5 @@ def expectation(op: np.ndarray, state: np.ndarray) -> complex:
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"operator must be square, got shape {op.shape}")
     if state.ndim != 1 or state.shape[0] != op.shape[0]:
-        raise ValueError(
-            f"state shape {state.shape} does not match operator shape {op.shape}"
-        )
+        raise ValueError(f"state shape {state.shape} does not match operator shape {op.shape}")
     return complex(state.conj() @ (op @ state))

@@ -1,0 +1,252 @@
+"""Bit safety of the column forms of the closed-form formulas.
+
+Each column helper is compared bit for bit, signed zeros included, with a
+reference that evaluates the same formula one row at a time in plain floats
+with math, in the same operation order.  numpy's cos, sin, sqrt and
+float_power, and its float-times-complex product, must round as math and
+Python's float arithmetic do; a host where they do not fails here, with
+the helper's name, before any golden digest does.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from biaxbell.closedform import (
+    cartesian_moments,
+    frame_moments_closed_form,
+    raising_moments,
+    second_moments_closed_form,
+    transverse_moments,
+)
+from biaxbell.frame import (
+    FrameStatus,
+    MeanSpin,
+    compute_frame,
+    frame_triad,
+    ladder_prefactors,
+    mean_spin_closed_form,
+    mean_spin_components,
+    mean_spin_length,
+    mean_spin_length_closed_form,
+    radical_length,
+    spin_length,
+)
+from biaxbell.spincore import (
+    SqueezeParams,
+    build_superposition_state,
+    param_columns,
+    superposition_states,
+)
+
+# ---------------------------------------------------------------------------
+# the formulas in plain floats, one row at a time
+
+
+def ref_ladder_prefactors(alpha, beta, cmu):
+    denom = 1.0 + cmu ** 2
+    return denom, 2.0 * alpha * beta / math.sqrt(denom)
+
+
+def ref_mean_spin_components(alpha, beta, mu, nu):
+    cmu = math.cos(mu)
+    denom, k = ref_ladder_prefactors(alpha, beta, cmu)
+    return k * math.cos(nu) * cmu, -k * math.sin(nu), 2.0 * alpha ** 2 * cmu / denom
+
+
+def ref_spin_length(jx, jy, jz):
+    return math.sqrt(jx ** 2 + jy ** 2 + jz ** 2)
+
+
+def ref_radical_length(alpha, beta, mu, nu):
+    cmu = math.cos(mu)
+    denom = 1.0 + cmu ** 2
+    radicand = (
+        beta ** 2 * math.cos(nu) ** 2 * cmu ** 4
+        + beta ** 2 * math.sin(nu) ** 2
+        + cmu ** 2
+    )
+    return 2.0 * alpha / denom * math.sqrt(radicand)
+
+
+def ref_raising_moments(alpha, beta, mu, nu):
+    cmu, smu2 = math.cos(mu), math.sin(mu) ** 2
+    denom, k = ref_ladder_prefactors(alpha, beta, cmu)
+    return (
+        complex(-alpha ** 2 * smu2 / denom, 0.0),
+        2.0 * alpha ** 2 / denom * (1.0 - 0.5 * smu2),
+        k * complex(math.cos(nu), -math.sin(nu) * cmu),
+    )
+
+
+def ref_transverse_moments(cart, jz_sq, theta, phi):
+    jx2_plus_jy2, jx2_minus_jy2, xy_anticomm, xz_anticomm, yz_anticomm = cart
+    half_sum = jx2_plus_jy2 / 2.0
+    half_diff = jx2_minus_jy2 / 2.0
+    sxy = xy_anticomm / 2.0
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    c2p, s2p = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    jn1_sq = half_sum - c2p * half_diff - s2p * sxy
+    jn2_sq = (
+        ct ** 2 * (half_sum + c2p * half_diff + s2p * sxy)
+        + st ** 2 * jz_sq
+        - ct * st * (cp * xz_anticomm + sp * yz_anticomm)
+    )
+    anticomm = (
+        s2p * ct * jx2_minus_jy2
+        - 2.0 * c2p * ct * sxy
+        - st * (sp * xz_anticomm - cp * yz_anticomm)
+    )
+    return jn1_sq, jn2_sq, anticomm
+
+
+def ref_state(alpha, beta, mu, nu):
+    a = alpha * math.sqrt(2.0) / math.sqrt(1.0 + math.cos(mu) ** 2)
+    half = mu / 2.0
+    return (
+        complex(a * math.cos(half) ** 2),
+        beta * complex(math.cos(nu), math.sin(nu)),
+        complex(-a * math.sin(half) ** 2),
+    )
+
+
+def ref_frame_triad(theta, phi):
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    return -sp, cp, 0.0, -ct * cp, -ct * sp, st, st * cp, st * sp, ct
+
+
+def ref_cartesian(jplus_sq, jz_sq, jplus_2jz1):
+    return 2.0 - jz_sq, jplus_sq.real, jplus_sq.imag, jplus_2jz1.real, jplus_2jz1.imag
+
+
+# ---------------------------------------------------------------------------
+# seeded points: poles, equator, beta in {0, 1}, |nu| <= 9 and nu = -0.0
+
+
+def _points(n=24_000, seed=16):
+    rng = np.random.default_rng(seed)
+
+    def mixed(special, share, low, high):
+        values = rng.uniform(low, high, n)
+        pick = rng.random(n) < share
+        values[pick] = rng.choice(special, pick.sum())
+        return values
+
+    beta = mixed([0.0, 1.0], 0.2, 0.0, 1.0)
+    mu = mixed([0.0, math.pi / 2, math.pi], 0.3, 0.0, math.pi)
+    nu = mixed([-0.0, 0.0, math.pi, -9.0, 9.0], 0.2, -9.0, 9.0)
+    theta = mixed([0.0, math.pi / 2, math.pi], 0.2, 0.0, math.pi)
+    phi = mixed([0.0, math.pi], 0.2, 0.0, 2.0 * math.pi)
+    grid = [SqueezeParams(b, m, v) for b, m, v in zip(beta.tolist(), mu.tolist(), nu.tolist())]
+    return grid, theta.tolist(), phi.tolist()
+
+
+GRID, THETA, PHI = _points()
+ROWS = [(p.alpha, p.beta, p.mu, p.nu) for p in GRID]
+COLUMNS = param_columns(GRID)
+
+
+def _bits(values) -> np.ndarray:
+    """The IEEE bit patterns of a float or complex column."""
+    a = np.ascontiguousarray(values)
+    return (a.view(np.float64) if a.dtype == complex else a).view(np.int64).reshape(len(a), -1)
+
+
+def _assert_bit_equal(name, got, want, points=GRID):
+    """got: the helper's output columns; want: the reference's row tuples,
+    one per point."""
+    for k, (column, ref) in enumerate(zip(got, zip(*want))):
+        bad = np.flatnonzero((_bits(column) != _bits(np.array(ref))).any(axis=1))
+        assert bad.size == 0, (
+            f"{name}, output {k}: {bad.size} of {len(ref)} rows differ in their bits, "
+            f"first at {points[bad[0]]}"
+        )
+
+
+def test_param_columns_keep_every_bit():
+    _assert_bit_equal("param_columns", COLUMNS, ROWS)
+
+
+def _ladder_prefactors():
+    cmu = [math.cos(mu) for _, _, mu, _ in ROWS]
+    want = [ref_ladder_prefactors(a, b, c) for (a, b, _, _), c in zip(ROWS, cmu)]
+    return ladder_prefactors(COLUMNS[0], COLUMNS[1], np.array(cmu)), want
+
+
+def _spin_length():
+    mean = [ref_mean_spin_components(*row) for row in ROWS]
+    return (spin_length(*np.array(mean).T),), [(ref_spin_length(*m),) for m in mean]
+
+
+def _transverse_moments():
+    raising = [ref_raising_moments(*row) for row in ROWS]
+    cart = [ref_cartesian(*r) for r in raising]
+    want = [ref_transverse_moments(c, r[1], t, p)
+            for c, r, t, p in zip(cart, raising, THETA, PHI)]
+    got = transverse_moments(tuple(np.array(cart).T), np.array([r[1] for r in raising]),
+                             np.array(THETA), np.array(PHI))
+    return got, want
+
+
+def _frame_triad():
+    got = frame_triad(np.array(THETA), np.array(PHI)).reshape(-1, 9).T
+    return got, [ref_frame_triad(t, p) for t, p in zip(THETA, PHI)]
+
+
+HELPERS = {
+    "ladder_prefactors": _ladder_prefactors,
+    "mean_spin_components": lambda: (
+        mean_spin_components(*COLUMNS), [ref_mean_spin_components(*row) for row in ROWS]),
+    "spin_length": _spin_length,
+    "radical_length": lambda: (
+        (radical_length(*COLUMNS),), [(ref_radical_length(*row),) for row in ROWS]),
+    "raising_moments": lambda: (
+        raising_moments(*COLUMNS), [ref_raising_moments(*row) for row in ROWS]),
+    "cartesian_moments": lambda: (
+        cartesian_moments(*raising_moments(*COLUMNS)),
+        [ref_cartesian(*ref_raising_moments(*row)) for row in ROWS]),
+    "transverse_moments": _transverse_moments,
+    "superposition_states": lambda: (
+        superposition_states(*COLUMNS).T, [ref_state(*row) for row in ROWS]),
+    "frame_triad": _frame_triad,
+}
+
+
+@pytest.mark.parametrize("name", list(HELPERS))
+def test_column_helper_matches_plain_float_reference(name):
+    _assert_bit_equal(name, *HELPERS[name]())
+
+
+def test_one_point_functions_are_bit_equal_to_the_reference():
+    one, rows = GRID[:400], ROWS[:400]
+    mean = [ref_mean_spin_components(*row) for row in rows]
+    raising = [ref_raising_moments(*row) for row in rows]
+    frames = [compute_frame(MeanSpin(*m)) for m in mean]
+    framed = [i for i, f in enumerate(frames) if f.status is not FrameStatus.FULLY_DEGENERATE]
+    checks = {
+        "mean_spin_closed_form": (
+            [tuple(vars(mean_spin_closed_form(p)).values()) for p in one], mean),
+        "mean_spin_length": (
+            [(mean_spin_length(MeanSpin(*m)),) for m in mean],
+            [(ref_spin_length(*m),) for m in mean]),
+        "mean_spin_length_closed_form": (
+            [(mean_spin_length_closed_form(p),) for p in one],
+            [(ref_radical_length(*row),) for row in rows]),
+        "second_moments_closed_form": (
+            [tuple(vars(second_moments_closed_form(p)).values()) for p in one], raising),
+        "build_superposition_state": (
+            [tuple(build_superposition_state(p)) for p in one], [ref_state(*row) for row in rows]),
+        "compute_frame": (
+            [(*f.n1, *f.n2, *f.n3) for f in frames],
+            [ref_frame_triad(f.theta, f.phi) for f in frames]),
+        "frame_moments_closed_form": (
+            [tuple(vars(frame_moments_closed_form(one[i], frames[i])).values()) for i in framed],
+            [ref_transverse_moments(ref_cartesian(*raising[i]), raising[i][1],
+                                    frames[i].theta, frames[i].phi) for i in framed]),
+    }
+    assert framed and len(framed) < len(one)
+    for name, (got, want) in checks.items():
+        points = [one[i] for i in framed] if name == "frame_moments_closed_form" else one
+        _assert_bit_equal(name, [np.array(c) for c in zip(*got)], want, points)
