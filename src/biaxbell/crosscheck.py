@@ -16,9 +16,9 @@ match as printed; those are the build-stopping ones.
 
 closed_columns and oracle.oracle_columns are the only readers of the two
 routes; the point and sweep commands select their output from these columns
-too.  Each evaluates a whole grid in one call, one row per point: the closed
-forms through the plain-float helpers of frame and closedform, the oracle
-through its batched core.
+too.  Each evaluates a whole grid in one call: the closed forms as columns,
+with per-row math only for the frame angles and the variance radical's
+hypot, the oracle through its batched core.
 """
 from __future__ import annotations
 

@@ -6,12 +6,14 @@ twice on purpose: an analytic eigenvalue route and a brute grid scan refined
 by ever finer local grids.  The two must agree or the call fails loudly;
 agreement is the evidence that both are right.
 
-oracle_columns evaluates a whole grid as arrays, in blocks of rows.  Where
-numpy would round differently from scalar code (frames, the 2x2 eigen route,
-the concurrence) it runs math row by row, so no value depends on the rows
-evaluated with it; the one-point functions are one-row calls of the same
-code.  When a check fails in a block, its rows are evaluated again one at a
-time, so the error is the one the earliest failing row raises alone.
+oracle_columns evaluates a whole grid as arrays, in blocks of rows, states
+and frame triads included.  Only the steps numpy rounds differently from
+math run row by row in math: the frame angles (acos, hypot), the 2x2 eigen
+route (hypot, atan2) and the concurrence (complex abs).  So no value
+depends on the rows evaluated with it, and the one-point functions are
+one-row calls of the same code.  When a check fails in a block, its rows
+are evaluated again one at a time, so the error is the one the earliest
+failing row raises alone.
 
 The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums

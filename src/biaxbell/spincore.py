@@ -147,5 +147,7 @@ def expectation(op: np.ndarray, state: np.ndarray) -> complex:
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"operator must be square, got shape {op.shape}")
     if state.ndim != 1 or state.shape[0] != op.shape[0]:
-        raise ValueError(f"state shape {state.shape} does not match operator shape {op.shape}")
+        raise ValueError(
+            f"state shape {state.shape} does not match operator shape {op.shape}"
+        )
     return complex(state.conj() @ (op @ state))
