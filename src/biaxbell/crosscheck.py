@@ -14,11 +14,12 @@ grid against the operator oracle and selects whichever matches, reporting
 neither fits.  Quantities that are unaffected by either hypothesis must
 match as printed; those are the build-stopping ones.
 
-closed_columns and oracle.oracle_columns are the only readers of the two
-routes; the point and sweep commands select their output from these columns
-too.  Each evaluates a whole grid in one call: the closed forms as columns,
-with per-row math only for the frame angles and the variance radical's
-hypot, the oracle through its batched core.
+closed_arrays and oracle.oracle_arrays are the only readers of the two
+routes; run_crosscheck reads them as arrays, and the point and sweep
+commands select their output from their list forms, closed_columns and
+oracle.oracle_columns.  Each evaluates a whole grid in one call: the closed
+forms as columns, with per-row math only for the frame angles and the
+variance radical's hypot, the oracle through its batched core.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .closedform import (
     variance_radical,
 )
 from .frame import FrameStatus, frame_angles, mean_spin_components, radical_length, spin_length
-from .oracle import oracle_columns
+from .oracle import oracle_arrays, oracle_columns
 from .spincore import SqueezeParams, param_columns
 
 DEFAULT_TOL = 1e-10
@@ -155,8 +156,8 @@ def mean_spin_columns(grid: list[SqueezeParams]) -> dict[str, list]:
     return _lists(MEAN_SPIN_QUANTITIES, _mean_spin(*param_columns(grid)))
 
 
-def closed_columns(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[str, list]:
-    """Every closed-form quantity over a grid, one list per CLOSED_QUANTITIES
+def closed_arrays(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[str, np.ndarray]:
+    """Every closed-form quantity over a grid, one array per CLOSED_QUANTITIES
     entry in grid order; with negate_nu, each point is evaluated at -nu.
 
     The frame entries are taken in the frame of the closed-form mean spin.
@@ -174,7 +175,13 @@ def closed_columns(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[s
     flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status], dtype=bool)
     moments = np.where(flat, math.nan, transverse_moments(cart, raising[1], theta, phi))
     radical = [variance_radical(*row) for row in moments.T.tolist()]
-    return _lists(CLOSED_QUANTITIES, (*mean, *raising, *cart, *moments, radical))
+    columns = (*mean, *raising, *cart, *moments, radical)
+    return {name: np.asarray(column) for name, column in zip(CLOSED_QUANTITIES, columns)}
+
+
+def closed_columns(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[str, list]:
+    """The closed_arrays of a grid as lists of Python scalars."""
+    return {name: column.tolist() for name, column in closed_arrays(grid, negate_nu).items()}
 
 
 def closed_values(params: SqueezeParams) -> dict[str, complex]:
@@ -224,12 +231,8 @@ def run_crosscheck(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
-    oracle, printed, negated = (
-        {q: np.array(column) for q, column in columns.items()}
-        for columns in (
-            oracle_columns(grid), closed_columns(grid), closed_columns(grid, negate_nu=True)
-        )
-    )
+    oracle = oracle_arrays(grid)
+    printed, negated = closed_arrays(grid), closed_arrays(grid, negate_nu=True)
     # the all-directions minimum of a frameless point is not a transverse one
     oracle["lambda_min"][np.isnan(oracle["jn1_sq"])] = math.nan
     status = list(oracle["frame_status"])

@@ -6,12 +6,12 @@ twice on purpose: an analytic eigenvalue route and a brute grid scan refined
 by ever finer local grids.  The two must agree or the call fails loudly;
 agreement is the evidence that both are right.
 
-oracle_columns evaluates a whole grid as arrays, in blocks of rows, states
-and frame triads included.  Only the steps numpy rounds differently from
-math run row by row in math: the frame angles (acos, hypot), the 2x2 eigen
-route (hypot, atan2) and the concurrence (complex abs).  So no value
-depends on the rows evaluated with it, and the one-point functions are
-one-row calls of the same code.  When a check fails in a block, its rows
+oracle_arrays evaluates a whole grid as arrays, in blocks of rows, states
+and frame triads included; oracle_columns is its list form.  Only the steps
+numpy rounds differently from math run row by row in math: the frame angles
+(acos, hypot), the 2x2 eigen route (hypot, atan2) and the concurrence
+(complex abs).  So no value depends on the rows evaluated with it, and the
+one-point functions are one-row calls of the same code.  When a check fails in a block, its rows
 are evaluated again one at a time, so the error is the one the earliest
 failing row raises alone.
 
@@ -20,12 +20,17 @@ SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
 exactly as spincore.expectation does.  With S the real split (real and
 imaginary parts) of the vectors J_k psi, centred for the transverse
 variance, the scanned value is <J_u^2> = |u S|^2 = u P u^T, P = S S^T.  One
-scan serves both minimizations: it builds each row's Gram matrix P once, and
-both its passes read u P u^T from P, the coarse pass against cached,
-read-only tables of TRANSVERSE_GRID and SPHERE_GRID direction products, the
-refinement on local grids that run over all rows of a block at once.  The
-eigen routes never read P: they build their covariances from operator
-products.
+scan serves both minimizations, and both its passes read a quadratic form
+through one _form.  The coarse pass reads each row's Gram matrix P against
+cached, read-only tables of TRANSVERSE_GRID and SPHERE_GRID direction
+products.  The refinement runs in a gnomonic chart centred on the row's
+coarse best direction u0, u ~ u0 + a t1 + b t2 with t1, t2 orthogonal to
+u0, on local grids that run over all rows of a block at once; there the
+value is the Rayleigh quotient of Q = T P T^T in the basis T = (u0, t1, t2).
+The chart has no pole, and every local minimum of a Rayleigh quotient on the
+sphere is a global one, so the coarse grids only seed the refinement and
+stay small.  The eigen routes never read P: they build their covariances
+from operator products.
 """
 from __future__ import annotations
 
@@ -42,7 +47,6 @@ from .frame import (
     FrameStatus,
     MeanSpin,
     SpinFrame,
-    compute_frame,
     frame_angles,
     frame_triad,
     project_transverse_operators,
@@ -61,8 +65,8 @@ from .spincore import (
 METHOD_TRANSVERSE = "transverse-eigen"
 METHOD_ALL_DIRECTIONS = "all-directions"
 
-TRANSVERSE_GRID = 4096
-SPHERE_GRID = (64, 128)
+TRANSVERSE_GRID = 64
+SPHERE_GRID = (9, 16)
 # eigen-versus-scan agreement the two minimizations must reach
 TRANSVERSE_AGREE_TOL = 1e-8
 ALL_DIRECTIONS_AGREE_TOL = 1e-6
@@ -74,12 +78,11 @@ _ZOOM_MOVES = 64
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
 _ZOOM_OFFSETS.setflags(write=False)
 _HERMITICITY_TOL = 1e-9
-# rows per block: a block's transverse refinement grid holds no more values
-# than one row's coarse transverse pass, its sphere refinement grid 17 times
-# as many (at most 240 x 17^2 = 69,360)
-_BLOCK = TRANSVERSE_GRID // _ZOOM_OFFSETS.size
-# numbers per coarse pass: as many as six rows of the transverse grid
-_COARSE = 6 * TRANSVERSE_GRID
+# rows per block: a block's sphere refinement grid holds at most
+# 240 x 17^2 = 69,360 values per buffer
+_BLOCK = 240
+# numbers per coarse pass, whatever the grid sizes
+_COARSE = 24_576
 
 # the moment_stack entries checked for reality, in check order, and the
 # second-moment table as indices into moment_stack
@@ -107,38 +110,40 @@ def _products(*u: np.ndarray) -> list[np.ndarray]:
     return [u[a] * u[b] for a, b in _pairs(len(u)).T.tolist()]
 
 
-def _circle(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The components of the transverse direction cos(chi) n1 + sin(chi) n2."""
-    return np.cos(chi), np.sin(chi)
+def _circle_basis(chi: np.ndarray) -> np.ndarray:
+    """Per angle chi, the rows (n, 2, 2): the components of the transverse
+    direction cos(chi) n1 + sin(chi) n2, then of the direction a right angle
+    further on."""
+    c, s = np.cos(chi), np.sin(chi)
+    return np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=1)
 
 
-def _sphere(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The components of the unit vector at polar angle theta and azimuth
-    phi."""
-    sin_theta = np.sin(theta)
-    return sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)
+def _sphere_basis(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Per (theta, phi), the rows (n, 3, 3): the unit vector at polar angle
+    theta and azimuth phi, then the two tangents frame_triad puts orthogonal
+    to it."""
+    return frame_triad(theta, phi)[:, [2, 0, 1]]
 
 
 @lru_cache(maxsize=None)
 def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
     """The TRANSVERSE_GRID angles chi over [0, pi) and the products (3, n)
-    of their _circle directions."""
+    of their _circle_basis directions."""
     chis = readonly(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
-    return chis, readonly(np.array(_products(*_circle(chis))))
+    return chis, readonly(np.array(_products(*_circle_basis(chis)[:, 0].T)))
 
 
 @lru_cache(maxsize=None)
 def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The SPHERE_GRID polar and azimuth axes and the products (6, n) of
-    their _sphere directions, one column per (theta, phi) pair in row-major
-    order.  The polar axis sits at cell midpoints: a grid row on a pole
-    would tie every phi there and could seed the refinement in the wrong
-    phi wedge."""
+    their _sphere_basis directions, one column per (theta, phi) pair in
+    row-major order.  The polar axis sits at cell midpoints, so no direction
+    repeats: a grid row on a pole would hold one direction n_phi times."""
     n_theta, n_phi = SPHERE_GRID
     thetas = readonly((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
     phis = readonly(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
-    units = np.broadcast_arrays(*_sphere(thetas[:, None], phis))
-    return thetas, phis, readonly(np.array(_products(*(u.ravel() for u in units))))
+    theta, phi = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    return thetas, phis, readonly(np.array(_products(*_sphere_basis(theta, phi)[:, 0].T)))
 
 
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
@@ -314,30 +319,73 @@ def _zoom_min(f, best, step, *data) -> tuple[np.ndarray, np.ndarray]:
     return out, value
 
 
-def _scan(split: np.ndarray, unit, *grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brute minimum of u P u^T per row of split (rows, k, 2d), u = unit(*coords)
-    with one coordinate per axis of grid, whose last entry is the products
-    table of the axes' directions: the coarse minimum over the grid, refined
-    by _zoom_min from steps of one grid spacing.  Returns the minimizers
-    (axes, rows) and the minima (rows,)."""
+def _rotate(basis: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """T S per row: the rows of each basis T (rows, k, k) combining the rows
+    of its split S (rows, k, 2d), summed in a fixed order as _gram sums."""
+    terms = basis[..., None] * split[:, None]       # (rows, k, k, 2d)
+    rotated = terms[:, :, 0] + terms[:, :, 1]
+    for j in range(2, basis.shape[-1]):
+        rotated += terms[:, :, j]
+    return rotated
+
+
+def _chart_form(rows: int, dims: int):
+    """The f of _zoom_min for the chart of _scan: at u = (1, c_1, ...,
+    c_dims), u Q u^T / |u|^2 for each row's chart Gram matrix Q, its last
+    argument.  The sum, its terms and |u|^2 go to three buffers, sized once
+    for all rows of the call and reused by every round."""
+    buffers = np.empty((3, rows * _ZOOM_OFFSETS.size ** dims))
+    diagonal = np.flatnonzero(np.equal(*_pairs(dims + 1)))[1:]
+
+    def form(*coords: np.ndarray) -> np.ndarray:
+        *coords, gram = coords
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        value, term, norm = buffers[:, :math.prod(shape)].reshape((3,) + shape)
+        products = _products(1.0, *coords)
+        _form(gram, products, (value, term))
+        norm.fill(1.0)
+        for k in diagonal:
+            norm += products[k]
+        return np.divide(value, norm, out=value)
+
+    return form
+
+
+def _scan(split: np.ndarray, basis, *grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brute minimum of u P u^T over unit u per row of split (rows, k, 2d).
+
+    The coarse pass runs over the directions of grid, whose last entry is
+    their products table and whose other entries are their coordinate axes.
+    _zoom_min then refines each row in the gnomonic chart centred on its
+    coarse best u0, u = (u0 + sum_j c_j t_j) / |(1, c)|, where the rows
+    (u0, t_1, ...) of basis(*coords) are orthonormal.  There the value is the
+    Rayleigh quotient (1, c) Q (1, c)^T / |(1, c)|^2 of Q = T P T^T, the Gram
+    matrix of T S: no grid point needs trig or a square root, and the chart
+    has no pole.  The chart steps start at the widest grid spacing.  Returns
+    the minimizing unit vectors (rows, k) and the minima (rows,)."""
     *axes, table = grid
-    gram = _gram(split)
-    start = np.unravel_index(_coarse(gram, table), [axis.size for axis in axes])
-    return _zoom_min(
-        lambda *coords: _form(coords[-1], _products(*unit(*coords[:-1]))),
-        [axis[i] for axis, i in zip(axes, start)], [axis[1] - axis[0] for axis in axes],
-        np.expand_dims(gram, tuple(range(1, 1 + len(axes)))),
+    start = np.unravel_index(_coarse(_gram(split), table), [axis.size for axis in axes])
+    basis = basis(*(axis[i] for axis, i in zip(axes, start)))
+    gram = _gram(_rotate(basis, split))
+    dims, step = len(axes), max(axis[1] - axis[0] for axis in axes)
+    coords, minima = _zoom_min(
+        _chart_form(len(split), dims), np.zeros((dims, len(split))), (step,) * dims,
+        np.expand_dims(gram, tuple(range(1, 1 + dims))),
     )
+    u, norm = basis[:, 0], 1.0
+    for j, c in enumerate(coords, 1):
+        u, norm = u + c[:, None] * basis[:, j], norm + c * c
+    return u / np.sqrt(norm)[:, None], minima
 
 
 def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     """Brute minimum of Var(J_chi) per row and its angle chi in [0, pi), chi
-    parametrizing cos(chi) n1 + sin(chi) n2, by _scan over the
+    parametrizing cos(chi) n1 + sin(chi) n2, by _scan seeded from the
     TRANSVERSE_GRID angles.  S is the real split of ((Jn1 - <Jn1>) psi,
     (Jn2 - <Jn2>) psi)."""
     split = _real_split(vectors - moments[:, :2, None] * states[:, None, :])
-    (chi,), val = _scan(split, _circle, *_transverse_table())
-    return val, chi % math.pi
+    u, val = _scan(split, _circle_basis, *_transverse_table())
+    return val, np.arctan2(u[:, 1], u[:, 0]) % math.pi
 
 
 def _eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm) -> tuple[float, float]:
@@ -403,8 +451,10 @@ def min_transverse_variance(
 
 def _sphere_min(split: np.ndarray) -> np.ndarray:
     """Minimum of <J_u^2> over all unit directions per row, S the real split
-    of (Jx psi, Jy psi, Jz psi), by _scan over the SPHERE_GRID directions."""
-    return _scan(split, _sphere, *_sphere_table())[1]
+    of (Jx psi, Jy psi, Jz psi), by _scan seeded from the SPHERE_GRID
+    directions.  The (theta, phi) grid only seeds: the refinement runs in the
+    pole-free chart of _scan, with the tangents of _sphere_basis."""
+    return _scan(split, _sphere_basis, *_sphere_table())[1]
 
 
 def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
@@ -455,23 +505,24 @@ def concurrence(state: np.ndarray) -> float:
     return min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0)
 
 
-def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, list], np.ndarray, np.ndarray]:
-    """One block of the pipeline: its oracle_columns record, states and
-    moments."""
+def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+    """One block of the pipeline: its oracle_arrays record, states, moments
+    and frame triads."""
     ops, n = _spin1(), len(grid)
     psi = superposition_states(*param_columns(grid))
     vectors, values = _moments(psi, ops)
     re, tables = values.real, _tables(values)
     r = spin_length(re[:, 0], re[:, 1], re[:, 2])
     theta, phi, status = frame_angles(re[:, 0], re[:, 1], re[:, 2], r)
+    triad = frame_triad(theta, phi)
     flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status])
     plane, sphere = np.flatnonzero(~flat), np.flatnonzero(flat)
     moments = np.full((n, 5), math.nan)
     lam, chi = np.empty(n), np.zeros(n)         # chi = 0 without a transverse plane
     if plane.size:
-        n12 = frame_triad(theta[plane], phi[plane])[:, :2]
         moments[plane], lam[plane], chi[plane] = _transverse(
-            psi[plane], transverse_operators(n12, ops))
+            psi[plane], transverse_operators(triad[plane, :2], ops))
     if sphere.size:
         lam[sphere] = _all_directions(vectors[sphere], values[sphere])[0]
     record = {
@@ -483,36 +534,39 @@ def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, list], np.ndarray, n
         "jx2_minus_jy2": tables[:, 0, 0] - tables[:, 1, 1],
         "xy_anticomm": 2.0 * tables[:, 0, 1],
         "theta": theta, "phi": phi,
-        "frame_status": [s.value for s in status],
+        "frame_status": np.array([s.value for s in status]),
         "method": np.where(flat, METHOD_ALL_DIRECTIONS, METHOD_TRANSVERSE),
         "lambda_min": lam, "chi_min": chi,
         "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
         "xi2_literal": 2.0 * (2.0 * lam),
-        "concurrence": [concurrence(s) for s in psi],
+        "concurrence": np.array([concurrence(s) for s in psi]),
         "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
     }
-    record = {q: v.tolist() if isinstance(v, np.ndarray) else v for q, v in record.items()}
-    return record, psi, values
+    return record, psi, values, triad
 
 
-def oracle_columns(grid: list[SqueezeParams]) -> dict[str, list]:
-    """Every oracle quantity over a grid, one list per quantity in grid
+def oracle_arrays(grid: list[SqueezeParams]) -> dict[str, np.ndarray]:
+    """Every oracle quantity over a grid, one array per quantity in grid
     order, named as the fields of MeanSpin, MomentSet,
     CartesianSecondMoments and FrameMoments, with the mean-spin length r,
     the frame angles and status, and the squeezing result; lambda_min and
     chi_min come from whichever minimization ran.  Frame entries are NaN
     where the frame is fully degenerate."""
-    columns: dict[str, list] = {}
+    records = []
     for block in (grid[start:start + _BLOCK] for start in range(0, len(grid), _BLOCK)):
         try:
-            record = _evaluate(block)[0]
+            records.append(_evaluate(block)[0])
         except RuntimeError:
             for params in block:        # the earliest failing row raises its own error
                 _evaluate([params])
             raise
-        for name, column in record.items():
-            columns.setdefault(name, []).extend(column)
-    return columns
+    return {name: np.concatenate([record[name] for record in records])
+            for name in (records[0] if records else ())}
+
+
+def oracle_columns(grid: list[SqueezeParams]) -> dict[str, list]:
+    """The oracle_arrays of a grid as lists of Python scalars."""
+    return {name: column.tolist() for name, column in oracle_arrays(grid).items()}
 
 
 @dataclass(frozen=True)
@@ -545,12 +599,14 @@ class OraclePoint:
 
 
 def evaluate_oracle(params: SqueezeParams) -> OraclePoint:
-    """Run the full oracle pipeline for one point: a one-row oracle_columns
-    call, kept as records."""
-    record, (state,), values = _evaluate([params])
-    one = {name: column for name, (column,) in record.items()}
+    """Run the full oracle pipeline for one point: a one-row oracle_arrays
+    block, kept as records, its frame built from the block's r, angles,
+    status and triad."""
+    record, (state,), values, (triad,) = _evaluate([params])
+    one = {name: column.item() for name, column in record.items()}
     moments = _oracle_moments(values[0])
-    frame = compute_frame(moments.mean)
+    frame = SpinFrame(*readonly(triad), one["theta"], one["phi"], one["r"],
+                      FrameStatus(one["frame_status"]))
     result = SqueezeResult(
         *(one[q] for q in ("lambda_min", "chi_min", "xi2_std", "xi2_literal", "concurrence")),
         frame_status=frame.status, method=one["method"],

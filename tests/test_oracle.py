@@ -29,16 +29,17 @@ from biaxbell import (
 from biaxbell.oracle import (
     _BLOCK,
     _ZOOM_OFFSETS,
-    _circle,
+    _circle_basis,
     _coarse,
     _expectations,
     _gram,
     _real_split,
     _scan,
-    _sphere,
+    _sphere_basis,
     _sphere_min,
     _sphere_scan,
     _sphere_table,
+    _tables,
     _transverse_moments,
     _transverse_scan,
     _transverse_table,
@@ -399,10 +400,9 @@ def test_scan_minimum_is_the_direct_value_at_its_minimizer(scan_rows):
     # equals |u S|^2, the squared norm of the direction's combination of S
     sphere, (psi, vectors, moments) = scan_rows
     transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
-    for split, unit, grid in ((transverse, _circle, _transverse_table()),
-                              (sphere, _sphere, _sphere_table())):
-        coords, minima = _scan(split, unit, *grid)
-        u = np.stack(unit(*coords), axis=-1)
+    for split, basis, grid in ((transverse, _circle_basis, _transverse_table()),
+                               (sphere, _sphere_basis, _sphere_table())):
+        u, minima = _scan(split, basis, *grid)
         direct = (((u[:, :, None] * split).sum(axis=1)) ** 2).sum(axis=-1)
         assert np.abs(minima - direct).max() <= 1e-14
 
@@ -492,6 +492,26 @@ def test_all_directions_near_the_pole(seed):
         min_variance_all_directions(state, OPS)
         smallest = np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]
         assert abs(_sphere_scan(state, OPS) - smallest) <= 1e-9
+
+
+def test_small_sphere_grid_reaches_eigh_on_random_states():
+    # the 9 x 16 coarse grid only seeds the refinement: a Rayleigh quotient
+    # has no local minimum that is not global, and the chart has no pole, so
+    # every scan of 20,000 seeded states reaches eigh's smallest eigenvalue,
+    # the minimizers within 2 degrees of +-z included
+    rng = np.random.default_rng(7)
+    states = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    vectors, values = _expectations(OPS.moment_stack, states)
+    eigvals, eigvecs = np.linalg.eigh(_tables(values))
+    scan = np.concatenate([_sphere_min(_real_split(vectors[i:i + _BLOCK, :3]))
+                           for i in range(0, len(states), _BLOCK)])
+    assert np.abs(scan - eigvals[:, 0]).max() <= 1e-9
+    polar = np.flatnonzero(np.abs(eigvecs[:, 2, 0]) >= math.cos(math.radians(2.0)))
+    assert polar.size >= 5
+    for i in polar:
+        assert abs(min_variance_all_directions(states[i], OPS)[0] - eigvals[i, 0]) <= 1e-9
+        assert abs(_sphere_scan(states[i], OPS) - eigvals[i, 0]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
