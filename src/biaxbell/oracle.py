@@ -11,26 +11,26 @@ and frame triads included; oracle_columns is its list form.  Only the steps
 numpy rounds differently from math run row by row in math: the frame angles
 (acos, hypot), the 2x2 eigen route (hypot, atan2) and the concurrence
 (complex abs).  So no value depends on the rows evaluated with it, and the
-one-point functions are one-row calls of the same code.  When a check fails in a block, its rows
-are evaluated again one at a time, so the error is the one the earliest
-failing row raises alone.
+one-point functions are one-row calls of the same code.  When a check fails
+in a block, its rows are evaluated again one at a time, so the error is the
+one the earliest failing row raises alone.
 
 The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
 exactly as spincore.expectation does.  With S the real split (real and
 imaginary parts) of the vectors J_k psi, centred for the transverse
 variance, the scanned value is <J_u^2> = |u S|^2 = u P u^T, P = S S^T.  One
-scan serves both minimizations, and both its passes read a quadratic form
-through one _form.  The coarse pass reads each row's Gram matrix P against
-cached, read-only tables of TRANSVERSE_GRID and SPHERE_GRID direction
-products.  The refinement runs in a gnomonic chart centred on the row's
-coarse best direction u0, u ~ u0 + a t1 + b t2 with t1, t2 orthogonal to
-u0, on local grids that run over all rows of a block at once; there the
-value is the Rayleigh quotient of Q = T P T^T in the basis T = (u0, t1, t2).
-The chart has no pole, and every local minimum of a Rayleigh quotient on the
-sphere is a global one, so the coarse grids only seed the refinement and
-stay small.  The eigen routes never read P: they build their covariances
-from operator products.
+scan serves both minimizations.  Its coarse pass reads each row's Gram
+matrix P through _form against cached, read-only tables of TRANSVERSE_GRID
+and SPHERE_GRID direction products.  The refinement runs in a gnomonic
+chart centred on the row's coarse best direction u0, u ~ u0 + a t1 + b t2
+with t1, t2 orthogonal to u0, on local grids that run over all rows of a
+block at once; there _chart_form reads the Rayleigh quotient of
+Q = T P T^T in the basis T = (u0, t1, t2) as per-axis terms plus one cross
+term.  The chart has no pole, and every local minimum of a Rayleigh
+quotient on the sphere is a global one, so the coarse grids only seed the
+refinement and stay small.  The eigen routes never read P: they build their
+covariances from operator products.
 """
 from __future__ import annotations
 
@@ -75,8 +75,7 @@ _ZOOM_K = 8
 _ZOOM_ROUNDS = 6
 # same-step moves allowed while the lowest point sits on the grid's edge
 _ZOOM_MOVES = 64
-_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1)
-_ZOOM_OFFSETS.setflags(write=False)
+_ZOOM_OFFSETS = readonly(np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1))
 _HERMITICITY_TOL = 1e-9
 # rows per block: a block's sphere refinement grid holds at most
 # 240 x 17^2 = 69,360 values per buffer
@@ -99,8 +98,7 @@ def _spin1() -> SpinOperatorSet:
 
 @lru_cache(maxsize=None)
 def _pairs(k: int) -> np.ndarray:
-    """The indices (2, entries) of the upper triangle a <= b of a k x k
-    matrix."""
+    """The indices (2, entries) of the upper triangle a <= b of a k x k matrix."""
     return readonly(np.array(np.triu_indices(k)))
 
 
@@ -289,9 +287,7 @@ def _zoom_min(f, best, step, *data) -> tuple[np.ndarray, np.ndarray]:
     out, value = np.empty((dims, live.size)), np.empty(live.size)
     grid = (_ZOOM_OFFSETS.size,) * dims
     shapes = [(1,) * a + (-1,) + (1,) * (dims - 1 - a) for a in range(dims)]
-    edge = np.ones(grid, dtype=bool)
-    edge[(slice(1, -1),) * dims] = False
-    edge = edge.ravel()
+    edge = (np.indices(grid) % (2 * _ZOOM_K) == 0).any(axis=0).ravel()
     moves, rounds = np.zeros((2, live.size), dtype=int)
     while live.size:
         axes = best + step * _ZOOM_OFFSETS
@@ -330,22 +326,27 @@ def _rotate(basis: np.ndarray, split: np.ndarray) -> np.ndarray:
 
 
 def _chart_form(rows: int, dims: int):
-    """The f of _zoom_min for the chart of _scan: at u = (1, c_1, ...,
-    c_dims), u Q u^T / |u|^2 for each row's chart Gram matrix Q, its last
-    argument.  The sum, its terms and |u|^2 go to three buffers, sized once
-    for all rows of the call and reused by every round."""
+    """The f of _zoom_min for the chart of _scan: at u = (1, c_1, ..., c_dims)
+    and each row's chart Gram matrix Q (its last argument, in _gram's entries
+    q), u Q u^T / |u|^2 summed as [q_00 + sum_j (q_0j + q_jj c_j) c_j +
+    sum_{j<k} q_jk c_j c_k] / [1 + sum_j c_j^2].  Axis j's terms live on its
+    own points of the open grid; only the sums across axes, the cross terms
+    and the division fill the whole grid, in three buffers sized per call."""
     buffers = np.empty((3, rows * _ZOOM_OFFSETS.size ** dims))
-    diagonal = np.flatnonzero(np.equal(*_pairs(dims + 1)))[1:]
+    entry = {(a, b): k for k, (a, b) in enumerate(_pairs(dims + 1).T.tolist())}
 
     def form(*coords: np.ndarray) -> np.ndarray:
         *coords, gram = coords
         shape = np.broadcast_shapes(*(c.shape for c in coords))
         value, term, norm = buffers[:, :math.prod(shape)].reshape((3,) + shape)
-        products = _products(1.0, *coords)
-        _form(gram, products, (value, term))
-        norm.fill(1.0)
-        for k in diagonal:
-            norm += products[k]
+        q = lambda a, b: gram[..., entry[a, b]]
+        top, bottom = q(0, 0), 1.0
+        for j, c in enumerate(coords, 1):       # the last axis's sums fill the grid
+            last = j == dims
+            top = np.add(top, (q(0, j) + q(j, j) * c) * c, out=value if last else None)
+            bottom = np.add(bottom, c * c, out=norm if last else None)
+        for j, k in (pair for pair in entry if 0 < pair[0] < pair[1]):
+            value += np.multiply(q(j, k) * coords[j - 1], coords[k - 1], out=term)
         return np.divide(value, norm, out=value)
 
     return form
@@ -368,10 +369,8 @@ def _scan(split: np.ndarray, basis, *grid: np.ndarray) -> tuple[np.ndarray, np.n
     basis = basis(*(axis[i] for axis, i in zip(axes, start)))
     gram = _gram(_rotate(basis, split))
     dims, step = len(axes), max(axis[1] - axis[0] for axis in axes)
-    coords, minima = _zoom_min(
-        _chart_form(len(split), dims), np.zeros((dims, len(split))), (step,) * dims,
-        np.expand_dims(gram, tuple(range(1, 1 + dims))),
-    )
+    coords, minima = _zoom_min(_chart_form(len(split), dims), np.zeros((dims, len(split))),
+                               (step,) * dims, np.expand_dims(gram, tuple(range(1, 1 + dims))))
     u, norm = basis[:, 0], 1.0
     for j, c in enumerate(coords, 1):
         u, norm = u + c[:, None] * basis[:, j], norm + c * c

@@ -29,11 +29,13 @@ from biaxbell import (
 from biaxbell.oracle import (
     _BLOCK,
     _ZOOM_OFFSETS,
+    _chart_form,
     _circle_basis,
     _coarse,
     _expectations,
     _gram,
     _real_split,
+    _rotate,
     _scan,
     _sphere_basis,
     _sphere_min,
@@ -405,6 +407,36 @@ def test_scan_minimum_is_the_direct_value_at_its_minimizer(scan_rows):
         u, minima = _scan(split, basis, *grid)
         direct = (((u[:, :, None] * split).sum(axis=1)) ** 2).sum(axis=-1)
         assert np.abs(minima - direct).max() <= 1e-14
+
+
+def test_chart_form_is_the_direct_rayleigh_quotient(scan_rows):
+    # at every point of a refinement round, the chart form read from Q's
+    # Gram entries is |u S|^2 / |u|^2 for u = u0 + sum_j c_j t_j, built from
+    # the split S itself; seeded chart centres and steps, both bases
+    sphere, (psi, vectors, moments) = scan_rows
+    transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
+    rng = np.random.default_rng(18)
+    for split, basis, angles in ((transverse, _circle_basis, [(0.0, math.pi)]),
+                                 (sphere, _sphere_basis, [(0.0, math.pi), (0.0, 2 * math.pi)])):
+        rows, dims = len(split), len(angles)
+        triads = basis(*(rng.uniform(lo, hi, rows) for lo, hi in angles))
+        gram = np.expand_dims(_gram(_rotate(triads, split)), tuple(range(1, 1 + dims)))
+        form = _chart_form(rows, dims)
+        lift = lambda rows_of_vectors: rows_of_vectors.reshape((rows,) + (1,) * dims + (-1,))
+        for step in (0.5, 3e-3):
+            centres = rng.uniform(-0.5, 0.5, (dims, rows, 1))
+            coords = [(c + step * _ZOOM_OFFSETS).reshape((rows,) + (1,) * j + (-1,)
+                                                          + (1,) * (dims - 1 - j))
+                      for j, c in enumerate(centres)]
+            value = form(*coords, gram)
+            u = lift(triads[:, 0])
+            for j, c in enumerate(coords, 1):
+                u = u + c[..., None] * lift(triads[:, j])
+            combo = sum(u[..., a, None] * lift(split[:, a]) for a in range(split.shape[1]))
+            direct = (combo ** 2).sum(axis=-1) / (u ** 2).sum(axis=-1)
+            assert value.shape == direct.shape
+            assert np.abs(value - direct).max() <= 1e-14, (dims, step)
+
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
 def test_scans_reject_wrong_state_shape(shape):

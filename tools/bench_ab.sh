@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Alternating before/after perfbench runs of one workload: a git revision
-# against the working tree.
+# Alternating before/after perfbench runs of one or more workloads: a git
+# revision against the working tree.
 #
-#   tools/bench_ab.sh REV WORKLOAD [PAIRS] [SECONDS]
+#   tools/bench_ab.sh REV WORKLOAD[,WORKLOAD...] [PAIRS] [SECONDS]
 #   e.g. tools/bench_ab.sh HEAD~1 sweep_zero_mean 10 10
+#        tools/bench_ab.sh HEAD~1 sweep_fig1,crosscheck,sweep_zero_mean 10 40
 #
 # src/ at REV is exported with `git archive`; the working tree's src/ is
 # copied as it is on disk.  perfbench/ and BENCHMARK.json are copied from the
@@ -11,25 +12,31 @@
 # benchmark code with the same settings (`--seed 1 --trace 0`).  Nothing is
 # written inside the repository.
 #
-# Each pair runs both sides once, one after the other; odd pairs run REV
-# first and even pairs the working tree first.  PAIRS defaults to 10 and
-# SECONDS to BENCHMARK.json's run_seconds.  Every run's end-to-end metrics
-# are printed, then for each metric the median and quartiles of each side
-# and the number of pairs the working tree won (ties count for neither).
-# The last line is one JSON object with the same summary: the workload, the
-# revision and its commit, for each metric each side's values in pair order,
-# median and IQR/median and the pairs the working tree won, the failed runs
-# per side, and the perfbench run context (nproc, Python, numpy, BLAS library
-# and threads) of the first run.
+# The workloads run one after another, each for its own PAIRS pairs.  Each
+# pair runs both sides once, one after the other; odd pairs run REV first
+# and even pairs the working tree first.  PAIRS defaults to 10 and SECONDS
+# to BENCHMARK.json's run_seconds.  For each workload, every run's end-to-end
+# metrics are printed, then for each metric the median and quartiles of each
+# side and the number of pairs the working tree won (ties count for neither).
+# The workload's last line is one JSON object with the same summary: the
+# workload, the revision and its commit, for each metric each side's values
+# in pair order, median and IQR/median and the pairs the working tree won,
+# the failed runs per side, and the perfbench run context (nproc, Python,
+# numpy, BLAS library and threads) of the first run.  These lines, collected
+# in workload order, make a BENCH_*.json list:
+#
+#   tools/bench_ab.sh REV sweep_fig1,crosscheck,sweep_zero_mean 10 40 | grep '^{' \
+#     | python3 -c 'import json, sys; print(json.dumps([json.loads(l) for l in sys.stdin], indent=1))'
+#
 # Exit status: 0 when every run finished, 1 when a run failed.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
-    echo "usage: $0 REV WORKLOAD [PAIRS] [SECONDS]" >&2
+    echo "usage: $0 REV WORKLOAD[,WORKLOAD...] [PAIRS] [SECONDS]" >&2
     exit 2
 fi
 rev=$1
-workload=$2
+workloads=$2
 pairs=${3:-10}
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 seconds=${4:-$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
@@ -39,6 +46,7 @@ git -C "$repo" rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
     exit 2
 }
 case $pairs in ''|*[!0-9]*|0) echo "$0: PAIRS must be a positive integer, got '$pairs'" >&2; exit 2;; esac
+case ,$workloads, in *,,*) echo "$0: empty workload name in '$workloads'" >&2; exit 2;; esac
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -49,28 +57,29 @@ for side in rev work; do
     tar -C "$repo" --exclude=__pycache__ -cf - perfbench BENCHMARK.json | tar -x -C "$tmp/$side"
 done
 
-results="$tmp/results.jsonl"
-for ((pair = 1; pair <= pairs; pair++)); do
-    if ((pair % 2)); then order="rev work"; else order="work rev"; fi
-    for side in $order; do
-        out="$tmp/run.out"
-        (cd "$tmp/$side" && PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py \
-            --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >"$out") || {
-            echo "bench_ab: run failed (pair $pair, $side)" >&2
-            exit 1
-        }
-        tail -n 2 "$out" | python3 -c '
+for workload in ${workloads//,/ }; do
+    results="$tmp/$workload.jsonl"
+    for ((pair = 1; pair <= pairs; pair++)); do
+        if ((pair % 2)); then order="rev work"; else order="work rev"; fi
+        for side in $order; do
+            out="$tmp/run.out"
+            (cd "$tmp/$side" && PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py \
+                --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >"$out") || {
+                echo "bench_ab: run failed (pair $pair, $side)" >&2
+                exit 1
+            }
+            tail -n 2 "$out" | python3 -c '
 import json, sys
 context, run = (json.loads(line) for line in sys.stdin)
 run["pair"], run["side"] = int(sys.argv[1]), sys.argv[2]
 run["context"] = context["context"]
 print(json.dumps(run))
 ' "$pair" "$side" >>"$results"
+        done
     done
-done
 
-python3 - "$results" "$tmp/work/BENCHMARK.json" "$rev" "$workload" "$seconds" \
-    "$(git -C "$repo" rev-parse "$rev^{commit}")" <<'EOF'
+    python3 - "$results" "$tmp/work/BENCHMARK.json" "$rev" "$workload" "$seconds" \
+        "$(git -C "$repo" rev-parse "$rev^{commit}")" <<'EOF'
 import json
 import statistics
 import sys
@@ -116,3 +125,4 @@ print(json.dumps({
     "context": context,
 }))
 EOF
+done
