@@ -20,17 +20,15 @@ SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
 exactly as spincore.expectation does.  With S the real split (real and
 imaginary parts) of the vectors J_k psi, centred for the transverse
 variance, the scanned value is <J_u^2> = |u S|^2 = u P u^T, P = S S^T.  One
-scan serves both minimizations.  Its coarse pass reads each row's Gram
-matrix P through _form against cached, read-only tables of TRANSVERSE_GRID
-and SPHERE_GRID direction products.  The refinement runs in a gnomonic
-chart centred on the row's coarse best direction u0, u ~ u0 + a t1 + b t2
-with t1, t2 orthogonal to u0, on local grids that run over all rows of a
-block at once; there _chart_form reads the Rayleigh quotient of
-Q = T P T^T in the basis T = (u0, t1, t2) as per-axis terms plus one cross
-term.  The chart has no pole, and every local minimum of a Rayleigh
-quotient on the sphere is a global one, so the coarse grids only seed the
-refinement and stay small.  The eigen routes never read P: they build their
-covariances from operator products.
+scan serves both minimizations.  It reads each row's one Gram matrix P in
+the axis-centred gnomonic charts u ~ e_m + sum_j c_j e_(other j), the faces
+of a cube, where the value is the Rayleigh quotient of P with its axes
+reordered, and _chart_form reads it as per-axis terms plus one cross term.
+A coarse lattice on every chart seeds a refinement on local grids that run
+over all rows of a block at once.  A chart has no pole, and every local
+minimum of a Rayleigh quotient on the sphere is a global one, so the seed
+stays small.  The eigen routes never read P: they build their covariances
+from operator products.
 """
 from __future__ import annotations
 
@@ -65,8 +63,6 @@ from .spincore import (
 METHOD_TRANSVERSE = "transverse-eigen"
 METHOD_ALL_DIRECTIONS = "all-directions"
 
-TRANSVERSE_GRID = 64
-SPHERE_GRID = (9, 16)
 # eigen-versus-scan agreement the two minimizations must reach
 TRANSVERSE_AGREE_TOL = 1e-8
 ALL_DIRECTIONS_AGREE_TOL = 1e-6
@@ -77,11 +73,9 @@ _ZOOM_ROUNDS = 6
 _ZOOM_MOVES = 64
 _ZOOM_OFFSETS = readonly(np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1))
 _HERMITICITY_TOL = 1e-9
-# rows per block: a block's sphere refinement grid holds at most
-# 240 x 17^2 = 69,360 values per buffer
+# rows per block: a block's sphere scan fills at most 240 x 17^2 = 69,360
+# values per buffer (its seed 240 x 3 x 8^2 = 46,080)
 _BLOCK = 240
-# numbers per coarse pass, whatever the grid sizes
-_COARSE = 24_576
 
 # the moment_stack entries checked for reality, in check order, and the
 # second-moment table as indices into moment_stack
@@ -102,46 +96,17 @@ def _pairs(k: int) -> np.ndarray:
     return readonly(np.array(np.triu_indices(k)))
 
 
-def _products(*u: np.ndarray) -> list[np.ndarray]:
-    """The products u_a u_b of direction components, one per pair of _pairs,
-    so that _form of a _gram and these products is u P u^T."""
-    return [u[a] * u[b] for a, b in _pairs(len(u)).T.tolist()]
-
-
-def _circle_basis(chi: np.ndarray) -> np.ndarray:
-    """Per angle chi, the rows (n, 2, 2): the components of the transverse
-    direction cos(chi) n1 + sin(chi) n2, then of the direction a right angle
-    further on."""
-    c, s = np.cos(chi), np.sin(chi)
-    return np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=1)
-
-
-def _sphere_basis(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Per (theta, phi), the rows (n, 3, 3): the unit vector at polar angle
-    theta and azimuth phi, then the two tangents frame_triad puts orthogonal
-    to it."""
-    return frame_triad(theta, phi)[:, [2, 0, 1]]
-
-
 @lru_cache(maxsize=None)
-def _transverse_table() -> tuple[np.ndarray, np.ndarray]:
-    """The TRANSVERSE_GRID angles chi over [0, pi) and the products (3, n)
-    of their _circle_basis directions."""
-    chis = readonly(np.linspace(0.0, math.pi, TRANSVERSE_GRID, endpoint=False))
-    return chis, readonly(np.array(_products(*_circle_basis(chis)[:, 0].T)))
-
-
-@lru_cache(maxsize=None)
-def _sphere_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The SPHERE_GRID polar and azimuth axes and the products (6, n) of
-    their _sphere_basis directions, one column per (theta, phi) pair in
-    row-major order.  The polar axis sits at cell midpoints, so no direction
-    repeats: a grid row on a pole would hold one direction n_phi times."""
-    n_theta, n_phi = SPHERE_GRID
-    thetas = readonly((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
-    phis = readonly(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False))
-    theta, phi = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    return thetas, phis, readonly(np.array(_products(*_sphere_basis(theta, phi)[:, 0].T)))
+def _charts(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k axis-centred gnomonic charts u ~ e_m + sum_j c_j e_(other j),
+    the faces of a cube: per chart m the axis order (m, the others), and the
+    indices (k, entries) that read a _gram of the k axes as the _gram of the
+    axes in that order.  Reordering keeps off-diagonal entries off the
+    diagonal, so their doubling carries over."""
+    orders = np.array([[m] + [j for j in range(k) if j != m] for m in range(k)])
+    upper, entry = _pairs(k), np.empty((k, k), dtype=int)
+    entry[tuple(upper)] = entry[tuple(upper[::-1])] = np.arange(upper.shape[1])
+    return readonly(orders), readonly(entry[orders[:, upper[0]], orders[:, upper[1]]])
 
 
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
@@ -172,32 +137,6 @@ def _gram(split: np.ndarray) -> np.ndarray:
         gram += terms[..., j]
     gram[:, np.not_equal(*_pairs(k))] *= 2.0
     return gram
-
-
-def _form(gram: np.ndarray, products, out=None) -> np.ndarray:
-    """u P u^T for every direction u whose _products are given: the sum over
-    entries k of gram[..., k] * products[k] in order, each term broadcasting
-    to the shape of the first.  out, when given, is a pair of arrays of the
-    result's shape that hold the sum and each term, so that a repeated call
-    allocates nothing."""
-    value, term = (None, None) if out is None else out
-    value = np.multiply(gram[..., 0], products[0], out=value)
-    for k in range(1, len(products)):
-        value += np.multiply(gram[..., k], products[k], out=term)
-    return value
-
-
-def _coarse(gram: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per row of gram (rows, entries), the index of the smallest u P u^T
-    over the directions whose products table holds, at most _COARSE values
-    at a time."""
-    step = max(1, min(len(gram), _COARSE // table.shape[1]))
-    low = np.empty(len(gram), dtype=int)
-    buffers = np.empty((2, step, table.shape[1]))      # reused by every pass
-    for lo in range(0, len(gram), step):
-        rows = gram[lo:lo + step, None]
-        low[lo:lo + step] = _form(rows, table, buffers[:, :len(rows)]).argmin(axis=1)
-    return low
 
 
 def _expectations(stack: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,18 +254,8 @@ def _zoom_min(f, best, step, *data) -> tuple[np.ndarray, np.ndarray]:
     return out, value
 
 
-def _rotate(basis: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """T S per row: the rows of each basis T (rows, k, k) combining the rows
-    of its split S (rows, k, 2d), summed in a fixed order as _gram sums."""
-    terms = basis[..., None] * split[:, None]       # (rows, k, k, 2d)
-    rotated = terms[:, :, 0] + terms[:, :, 1]
-    for j in range(2, basis.shape[-1]):
-        rotated += terms[:, :, j]
-    return rotated
-
-
 def _chart_form(rows: int, dims: int):
-    """The f of _zoom_min for the chart of _scan: at u = (1, c_1, ..., c_dims)
+    """The f of _zoom_min for the charts of _scan: at u = (1, c_1, ..., c_dims)
     and each row's chart Gram matrix Q (its last argument, in _gram's entries
     q), u Q u^T / |u|^2 summed as [q_00 + sum_j (q_0j + q_jj c_j) c_j +
     sum_{j<k} q_jk c_j c_k] / [1 + sum_j c_j^2].  Axis j's terms live on its
@@ -352,38 +281,51 @@ def _chart_form(rows: int, dims: int):
     return form
 
 
-def _scan(split: np.ndarray, basis, *grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _seed(form, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of charts (rows, k, entries), the chart and the point c
+    (dims, rows) of the lowest _chart_form value over every chart at the odd
+    _ZOOM_OFFSETS points: 8 per axis, spacing 1/4, at cell midpoints.  So no
+    seed point lies on a cube edge, which two charts share, or on a face's
+    axes and diagonals, where symmetric states put their saddle points."""
+    (rows, k, entries), dims, seed = charts.shape, charts.shape[1] - 1, _ZOOM_OFFSETS[1::2]
+    axis = np.broadcast_to(seed, (rows * k, seed.size))
+    values = form(*(axis.reshape((rows * k,) + (1,) * j + (seed.size,) + (1,) * (dims - 1 - j))
+                    for j in range(dims)),
+                  charts.reshape((rows * k,) + (1,) * dims + (entries,)))
+    chart, point = np.divmod(values.reshape(rows, k * seed.size ** dims).argmin(axis=1),
+                             seed.size ** dims)
+    return chart, seed[np.array(np.unravel_index(point, (seed.size,) * dims))]
+
+
+def _scan(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Brute minimum of u P u^T over unit u per row of split (rows, k, 2d).
 
-    The coarse pass runs over the directions of grid, whose last entry is
-    their products table and whose other entries are their coordinate axes.
-    _zoom_min then refines each row in the gnomonic chart centred on its
-    coarse best u0, u = (u0 + sum_j c_j t_j) / |(1, c)|, where the rows
-    (u0, t_1, ...) of basis(*coords) are orthonormal.  There the value is the
-    Rayleigh quotient (1, c) Q (1, c)^T / |(1, c)|^2 of Q = T P T^T, the Gram
-    matrix of T S: no grid point needs trig or a square root, and the chart
-    has no pole.  The chart steps start at the widest grid spacing.  Returns
-    the minimizing unit vectors (rows, k) and the minima (rows,)."""
-    *axes, table = grid
-    start = np.unravel_index(_coarse(_gram(split), table), [axis.size for axis in axes])
-    basis = basis(*(axis[i] for axis, i in zip(axes, start)))
-    gram = _gram(_rotate(basis, split))
-    dims, step = len(axes), max(axis[1] - axis[0] for axis in axes)
-    coords, minima = _zoom_min(_chart_form(len(split), dims), np.zeros((dims, len(split))),
-                               (step,) * dims, np.expand_dims(gram, tuple(range(1, 1 + dims))))
-    u, norm = basis[:, 0], 1.0
-    for j, c in enumerate(coords, 1):
-        u, norm = u + c[:, None] * basis[:, j], norm + c * c
-    return u / np.sqrt(norm)[:, None], minima
+    The value is read in the charts of _charts, u = (e_m + sum_j c_j
+    e_(other j)) / |(1, c)|, as the Rayleigh quotient (1, c) Q (1, c)^T /
+    |(1, c)|^2 of Q, the row's one Gram matrix P with its axes reordered: no
+    point needs trig or a square root.  With |c_j| <= 1 the charts cover
+    every direction.  _zoom_min refines each row from its _seed with step
+    1/4, in the seed's chart, which has no pole.  Returns the minimizing unit
+    vectors (rows, k) and the minima (rows,)."""
+    rows, k = split.shape[:2]
+    orders, entries = _charts(k)
+    charts = _gram(split)[:, entries]                   # (rows, k, entries)
+    form = _chart_form(rows * k, k - 1)                 # whose buffers serve both passes
+    chart, start = _seed(form, charts)
+    gram = np.expand_dims(charts[np.arange(rows), chart], tuple(range(1, k)))
+    coords, minima = _zoom_min(form, start, (0.25,) * (k - 1), gram)    # one seed spacing
+    unit = np.vstack([np.ones(rows), coords])
+    u = np.empty((rows, k))
+    u[np.arange(rows)[:, None], orders[chart]] = (unit / np.sqrt((unit * unit).sum(axis=0))).T
+    return u, minima
 
 
 def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     """Brute minimum of Var(J_chi) per row and its angle chi in [0, pi), chi
-    parametrizing cos(chi) n1 + sin(chi) n2, by _scan seeded from the
-    TRANSVERSE_GRID angles.  S is the real split of ((Jn1 - <Jn1>) psi,
-    (Jn2 - <Jn2>) psi)."""
+    parametrizing cos(chi) n1 + sin(chi) n2, by _scan.  S is the real split
+    of ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>) psi)."""
     split = _real_split(vectors - moments[:, :2, None] * states[:, None, :])
-    u, val = _scan(split, _circle_basis, *_transverse_table())
+    u, val = _scan(split)
     return val, np.arctan2(u[:, 1], u[:, 0]) % math.pi
 
 
@@ -450,10 +392,8 @@ def min_transverse_variance(
 
 def _sphere_min(split: np.ndarray) -> np.ndarray:
     """Minimum of <J_u^2> over all unit directions per row, S the real split
-    of (Jx psi, Jy psi, Jz psi), by _scan seeded from the SPHERE_GRID
-    directions.  The (theta, phi) grid only seeds: the refinement runs in the
-    pole-free chart of _scan, with the tangents of _sphere_basis."""
-    return _scan(split, _sphere_basis, *_sphere_table())[1]
+    of (Jx psi, Jy psi, Jz psi), by _scan on the faces of the cube."""
+    return _scan(split)[1]
 
 
 def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:

@@ -30,21 +30,17 @@ from biaxbell.oracle import (
     _BLOCK,
     _ZOOM_OFFSETS,
     _chart_form,
-    _circle_basis,
-    _coarse,
+    _charts,
     _expectations,
     _gram,
     _real_split,
-    _rotate,
     _scan,
-    _sphere_basis,
+    _seed,
     _sphere_min,
     _sphere_scan,
-    _sphere_table,
     _tables,
     _transverse_moments,
     _transverse_scan,
-    _transverse_table,
     _zoom_min,
     oracle_columns,
 )
@@ -378,23 +374,32 @@ def test_scans_do_not_depend_on_batch(scan_rows):
             assert np.concatenate([part[k] for part in parts]).tobytes() == column.tobytes()
 
 
-def test_coarse_pass_picks_a_grid_minimum(scan_rows):
-    # |u S|^2 at the index read from the Gram matrix is the minimum of the
-    # direct table to rounding; values, not indices, since the sphere's
-    # theta = 0 and theta = pi rows are ties
+def test_seed_picks_the_lowest_point_of_every_chart(scan_rows):
+    # |u S|^2 / |u|^2 at the chart point the seed reads from the reordered
+    # Gram entries is the minimum, to rounding, of the direct values over the
+    # seed points (c_j at the midpoints of 8 cells of [-1, 1]) of all k charts
+    # u = e_m + sum_j c_j e_(other j), whose axis orders are built here;
+    # values, not points, since symmetric states tie
     sphere, (psi, vectors, moments) = scan_rows
-    chis, circle_products = _transverse_table()
-    thetas, phis, sphere_products = _sphere_table()
-    theta, phi = np.meshgrid(thetas, phis, indexing="ij")
-    units = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-                     axis=-1).reshape(-1, 3)
-    circle = np.stack([np.cos(chis), np.sin(chis)], axis=-1)
     transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
-    for split, dirs, products in ((transverse, circle, circle_products),
-                                  (sphere, units, sphere_products)):
-        for s, i in zip(split, _coarse(_gram(split), products)):
-            direct = ((dirs @ s) ** 2).sum(axis=-1)
-            assert direct[i] - direct.min() <= 1e-15
+    offsets = (np.arange(8) - 3.5) / 4.0
+    for split in (transverse, sphere):
+        (rows, k), dims = split.shape[:2], split.shape[1] - 1
+        orders = [[m] + [j for j in range(k) if j != m] for m in range(k)]
+        units = []
+        for order in orders:
+            for c in np.array(np.meshgrid(*(offsets,) * dims, indexing="ij")).reshape(dims, -1).T:
+                u = np.empty(k)
+                u[order] = (1.0, *c)
+                units.append(u)
+        units = np.array(units)                                   # (k 8^dims, k)
+        direct = ((units @ split) ** 2).sum(axis=-1) / (units ** 2).sum(axis=-1)[None]
+        chart, start = _seed(_chart_form(rows * k, dims), _gram(split)[:, _charts(k)[1]])
+        for i, (m, c) in enumerate(zip(chart, start.T)):
+            u = np.empty(k)
+            u[orders[m]] = (1.0, *c)
+            chosen = ((u @ split[i]) ** 2).sum() / (u @ u)
+            assert chosen - direct[i].min() <= 1e-15
 
 
 def test_scan_minimum_is_the_direct_value_at_its_minimizer(scan_rows):
@@ -402,40 +407,83 @@ def test_scan_minimum_is_the_direct_value_at_its_minimizer(scan_rows):
     # equals |u S|^2, the squared norm of the direction's combination of S
     sphere, (psi, vectors, moments) = scan_rows
     transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
-    for split, basis, grid in ((transverse, _circle_basis, _transverse_table()),
-                               (sphere, _sphere_basis, _sphere_table())):
-        u, minima = _scan(split, basis, *grid)
+    for split in (transverse, sphere):
+        u, minima = _scan(split)
         direct = (((u[:, :, None] * split).sum(axis=1)) ** 2).sum(axis=-1)
         assert np.abs(minima - direct).max() <= 1e-14
 
 
 def test_chart_form_is_the_direct_rayleigh_quotient(scan_rows):
-    # at every point of a refinement round, the chart form read from Q's
-    # Gram entries is |u S|^2 / |u|^2 for u = u0 + sum_j c_j t_j, built from
-    # the split S itself; seeded chart centres and steps, both bases
+    # at every point of a refinement round, the chart form read from the
+    # reordered Gram entries of chart m is |u S|^2 / |u|^2 for u = e_m +
+    # sum_j c_j e_(other j), built from the split S itself; seeded chart
+    # centres and steps, every chart of both scans
     sphere, (psi, vectors, moments) = scan_rows
     transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
     rng = np.random.default_rng(18)
-    for split, basis, angles in ((transverse, _circle_basis, [(0.0, math.pi)]),
-                                 (sphere, _sphere_basis, [(0.0, math.pi), (0.0, 2 * math.pi)])):
-        rows, dims = len(split), len(angles)
-        triads = basis(*(rng.uniform(lo, hi, rows) for lo, hi in angles))
-        gram = np.expand_dims(_gram(_rotate(triads, split)), tuple(range(1, 1 + dims)))
+    for split in (transverse, sphere):
+        (rows, k), dims = split.shape[:2], split.shape[1] - 1
+        orders, entries = _charts(k)
         form = _chart_form(rows, dims)
         lift = lambda rows_of_vectors: rows_of_vectors.reshape((rows,) + (1,) * dims + (-1,))
-        for step in (0.5, 3e-3):
-            centres = rng.uniform(-0.5, 0.5, (dims, rows, 1))
+        for m, step in ((m, step) for m in range(k) for step in (0.5, 3e-3)):
+            gram = np.expand_dims(_gram(split)[:, entries[m]], tuple(range(1, 1 + dims)))
+            centres = rng.uniform(-1.0, 1.0, (dims, rows, 1))
             coords = [(c + step * _ZOOM_OFFSETS).reshape((rows,) + (1,) * j + (-1,)
                                                           + (1,) * (dims - 1 - j))
                       for j, c in enumerate(centres)]
             value = form(*coords, gram)
-            u = lift(triads[:, 0])
+            combo = lift(split[:, orders[m, 0]])
             for j, c in enumerate(coords, 1):
-                u = u + c[..., None] * lift(triads[:, j])
-            combo = sum(u[..., a, None] * lift(split[:, a]) for a in range(split.shape[1]))
-            direct = (combo ** 2).sum(axis=-1) / (u ** 2).sum(axis=-1)
+                combo = combo + c[..., None] * lift(split[:, orders[m, j]])
+            direct = (combo ** 2).sum(axis=-1) / (1.0 + sum(c ** 2 for c in coords))
             assert value.shape == direct.shape
-            assert np.abs(value - direct).max() <= 1e-14, (dims, step)
+            assert np.abs(value - direct).max() <= 1e-14, (dims, m, step)
+
+
+def _synthetic_split(eigvecs, eigvals, rng):
+    """A split S (k, 6) with S S^T = V diag(eigvals) V^T, V the columns
+    eigvecs orthonormalized in order, through seeded orthonormal rows."""
+    v = np.linalg.qr(np.array(eigvecs, dtype=float).T)[0]
+    rows = np.linalg.qr(rng.normal(size=(6, len(eigvals))))[0].T
+    return v @ (np.sqrt(eigvals)[:, None] * rows)
+
+
+@pytest.mark.parametrize("eigvecs, eigvals", [
+    ([(1, 1, 0), (1, -1, 0), (0, 0, 1)], (0.1, 0.5, 0.9)),          # cube edge
+    ([(1, -1, 0), (1, 1, 1), (0, 0, 1)], (0.3, 0.31, 0.9)),
+    ([(0, 1, -1), (1, 0, 0), (0, 1, 1)], (0.0, 0.4, 0.7)),
+    ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.1, 0.5, 0.9)),         # cube corner
+    ([(-1, 1, 1), (1, 1, 0), (1, 0, 1)], (0.0, 0.6, 1.2)),
+    # lambda_1 ~ lambda_2: the valley of the two runs through a corner
+    ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.25, 0.25 + 1e-9, 0.8)),
+    ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.25, 0.25, 0.8)),
+])
+def test_scans_reach_minimizers_on_chart_boundaries(eigvecs, eigvals):
+    # smallest-eigenvalue directions where two or three charts meet; the
+    # transverse circle's charts meet at chi = pi/4 and 3 pi/4
+    rng = np.random.default_rng(20)
+    split = _synthetic_split(eigvecs, eigvals, rng)
+    lam = np.linalg.eigvalsh(split @ split.T)[0]
+    assert abs(_sphere_min(split[None]).item() - lam) <= 1e-12
+    for chi in (math.pi / 4, 3 * math.pi / 4):
+        plane = _synthetic_split([(math.cos(chi), math.sin(chi)), (-math.sin(chi), math.cos(chi))],
+                                 eigvals[:2], rng)
+        vectors = (plane[:, :3] + 1j * plane[:, 3:])[None]
+        val, angle = _transverse_scan(np.zeros((1, 3)), vectors, np.zeros((1, 5)))
+        assert abs(val.item() - np.linalg.eigvalsh(plane @ plane.T)[0]) <= 1e-12
+        if eigvals[1] - eigvals[0] > 1e-3:
+            assert abs(angle.item() - chi) <= 1e-6
+
+
+def test_seed_skips_a_saddle_on_a_cube_edge():
+    # at beta = 0.06, mu = 0, nu = pi/4 the middle eigenvector (1, -1, 0) lies
+    # on a cube edge and ties there with (1, 1, 0); a seed lattice through the
+    # edges starts the refinement on that saddle, which then walks the flat
+    # valley the long way and stops 2.8e-3 above eigh
+    state = _state(0.06, 0.0, math.pi / 4)
+    lam = np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]
+    assert abs(_sphere_scan(state, OPS) - lam) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
@@ -450,8 +498,9 @@ def test_scans_reject_wrong_state_shape(shape):
 
 @pytest.mark.parametrize(
     "table",
-    [*_transverse_table(), *_sphere_table(), _ZOOM_OFFSETS, OPS.moment_stack],
-    ids=["chis", "circle", "thetas", "phis", "sphere", "zoom_offsets", "moment_stack"],
+    [*_charts(2), *_charts(3), _ZOOM_OFFSETS, OPS.moment_stack],
+    ids=["circle_orders", "circle_entries", "sphere_orders", "sphere_entries", "zoom_offsets",
+         "moment_stack"],
 )
 def test_scan_tables_are_read_only(table):
     # every scan (and every moments_oracle call, for the moment stack) shares
@@ -527,10 +576,10 @@ def test_all_directions_near_the_pole(seed):
 
 
 def test_small_sphere_grid_reaches_eigh_on_random_states():
-    # the 9 x 16 coarse grid only seeds the refinement: a Rayleigh quotient
-    # has no local minimum that is not global, and the chart has no pole, so
-    # every scan of 20,000 seeded states reaches eigh's smallest eigenvalue,
-    # the minimizers within 2 degrees of +-z included
+    # the 8 x 8 lattice on each cube face only seeds the refinement: a
+    # Rayleigh quotient has no local minimum that is not global, and a chart
+    # has no pole, so every scan of 20,000 seeded states reaches eigh's
+    # smallest eigenvalue, the minimizers within 2 degrees of +-z included
     rng = np.random.default_rng(7)
     states = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
     states /= np.linalg.norm(states, axis=1)[:, None]
@@ -538,12 +587,12 @@ def test_small_sphere_grid_reaches_eigh_on_random_states():
     eigvals, eigvecs = np.linalg.eigh(_tables(values))
     scan = np.concatenate([_sphere_min(_real_split(vectors[i:i + _BLOCK, :3]))
                            for i in range(0, len(states), _BLOCK)])
-    assert np.abs(scan - eigvals[:, 0]).max() <= 1e-9
+    assert np.abs(scan - eigvals[:, 0]).max() <= 1e-12
     polar = np.flatnonzero(np.abs(eigvecs[:, 2, 0]) >= math.cos(math.radians(2.0)))
     assert polar.size >= 5
     for i in polar:
-        assert abs(min_variance_all_directions(states[i], OPS)[0] - eigvals[i, 0]) <= 1e-9
-        assert abs(_sphere_scan(states[i], OPS) - eigvals[i, 0]) <= 1e-9
+        assert abs(min_variance_all_directions(states[i], OPS)[0] - eigvals[i, 0]) <= 1e-12
+        assert abs(_sphere_scan(states[i], OPS) - eigvals[i, 0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
