@@ -1,10 +1,10 @@
 """Operator oracle: ground truth by direct matrix arithmetic.
 
 Every quantity the closed forms predict is recomputed here from the state
-vector and dense operators, with no shared algebra.  Minimizations are done
-twice on purpose: an analytic eigenvalue route and a brute grid scan refined
-by ever finer local grids.  The two must agree or the call fails loudly;
-agreement is the evidence that both are right.
+vector and dense operators, with no shared algebra.  Each minimization
+takes an eigenvalue route, and _certify proves every result against numbers
+that route never reads or the call fails loudly.  A brute grid scan stays as
+the reference behind min_transverse_variance_scan and _sphere_scan.
 
 oracle_arrays evaluates a whole grid as arrays, in blocks of rows, states
 and frame triads included; oracle_columns is its list form.  Only the steps
@@ -19,16 +19,11 @@ The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
 exactly as spincore.expectation does.  With S the real split (real and
 imaginary parts) of the vectors J_k psi, centred for the transverse
-variance, the scanned value is <J_u^2> = |u S|^2 = u P u^T, P = S S^T.  One
-scan serves both minimizations.  It reads each row's one Gram matrix P in
-the axis-centred gnomonic charts u ~ e_m + sum_j c_j e_(other j), the faces
-of a cube, where the value is the Rayleigh quotient of P with its axes
-reordered, and _chart_form reads it as per-axis terms plus one cross term.
-A coarse lattice on every chart seeds a refinement on local grids that run
-over all rows of a block at once.  A chart has no pole, and every local
-minimum of a Rayleigh quotient on the sphere is a global one, so the seed
-stays small.  The eigen routes never read P: they build their covariances
-from operator products.
+variance, <J_u^2> = |u S|^2 = u P u^T with P = S S^T.  The eigen routes
+build their covariances from operator products and never read P.  By
+Courant-Fischer, an eigen minimum lam with u P u^T <= lam + tol at its unit
+minimizer u, and with P - (lam - tol) I positive definite, is within tol of
+min u P u^T, so no search is needed; _scan searches the same P.
 """
 from __future__ import annotations
 
@@ -63,7 +58,7 @@ from .spincore import (
 METHOD_TRANSVERSE = "transverse-eigen"
 METHOD_ALL_DIRECTIONS = "all-directions"
 
-# eigen-versus-scan agreement the two minimizations must reach
+# how far the eigen minima may lie from the Gram minima, the certificate's tol
 TRANSVERSE_AGREE_TOL = 1e-8
 ALL_DIRECTIONS_AGREE_TOL = 1e-6
 # local refinement: 2k+1 points per axis, span shrinks k-fold per round
@@ -73,8 +68,7 @@ _ZOOM_ROUNDS = 6
 _ZOOM_MOVES = 64
 _ZOOM_OFFSETS = readonly(np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1))
 _HERMITICITY_TOL = 1e-9
-# rows per block: a block's sphere scan fills at most 240 x 17^2 = 69,360
-# values per buffer (its seed 240 x 3 x 8^2 = 46,080)
+# rows per block: bounds the block's per-row operator stacks (240 x 5 x 3 x 3)
 _BLOCK = 240
 
 # the moment_stack entries checked for reality, in check order, and the
@@ -158,14 +152,26 @@ def _real(values: np.ndarray, names) -> np.ndarray:
     return values.real
 
 
-def _agree(what: str, lam, scan: np.ndarray, tol: float) -> None:
-    """The eigen-versus-scan gate: every row's minima agree within tol."""
-    bad = np.flatnonzero(np.abs(np.asarray(lam) - scan) > tol)
-    if bad.size:
-        i = bad[0]
-        raise RuntimeError(
-            f"{what} minimization mismatch: eigen {lam[i]!r} vs scan {scan[i].item()!r}"
-        )
+def _certify(what: str, lam, u: np.ndarray, split: np.ndarray, tol: float) -> None:
+    """The minimization gate, an exact certificate (Courant-Fischer): every
+    row's eigen minimum lam, with its unit minimizer u (rows, k), lies within
+    tol of min v P v^T over unit v, P the _gram of split.  u P u^T <= lam + tol
+    bounds that minimum from above; P - (lam - tol) I positive definite, every
+    pivot of its LDL^T > 0, bounds it from below."""
+    lam, (a, b), gram = np.asarray(lam), _pairs(u.shape[1]), _gram(split)
+    quotient = (gram * u[:, a] * u[:, b]).sum(axis=1)
+    ok = quotient - lam <= tol
+    m = np.empty((lam.size,) + u.shape[1:] * 2)
+    m[:, a, b] = m[:, b, a] = gram / np.where(a == b, 1.0, 2.0)
+    m[:, a[a == b], a[a == b]] -= (lam - tol)[:, None]
+    while m.shape[1]:
+        ok &= m[:, 0, 0] > 0.0
+        pivot = np.where(ok, m[:, 0, 0], 1.0)[:, None, None]     # 1 on rejected rows
+        m = m[:, 1:, 1:] - m[:, 1:, :1] * m[:, None, 0, 1:] / pivot
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        raise RuntimeError(f"{what} minimization mismatch: eigen {lam[i].item()!r} vs u P u^T "
+                           f"{quotient[i].item()!r}, not certified within {tol!r}")
 
 
 class OracleMoments(NamedTuple):
@@ -320,12 +326,15 @@ def _scan(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, minima
 
 
+def _transverse_split(states, vectors, moments) -> np.ndarray:
+    """The real split of ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>) psi) per row."""
+    return _real_split(vectors - moments[:, :2, None] * states[:, None, :])
+
+
 def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     """Brute minimum of Var(J_chi) per row and its angle chi in [0, pi), chi
-    parametrizing cos(chi) n1 + sin(chi) n2, by _scan.  S is the real split
-    of ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>) psi)."""
-    split = _real_split(vectors - moments[:, :2, None] * states[:, None, :])
-    u, val = _scan(split)
+    parametrizing cos(chi) n1 + sin(chi) n2, by _scan of _transverse_split."""
+    u, val = _scan(_transverse_split(states, vectors, moments))
     return val, np.arctan2(u[:, 1], u[:, 0]) % math.pi
 
 
@@ -351,10 +360,11 @@ def _eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm) -> tuple[float, float]:
 
 def _transverse(states, jn):
     """Transverse moments (n, 5), minima and angles from each row's Jn1 and
-    Jn2 (n, 2, d, d): the eigen route, gated by the scan."""
+    Jn2 (n, 2, d, d): the 2x2 eigen route, certified on _transverse_split."""
     vectors, moments = _transverse_moments(states, jn[:, 0], jn[:, 1])
     lam, chi = zip(*(_eigen_min(*m) for m in moments.tolist()))
-    _agree("transverse", lam, _transverse_scan(states, vectors, moments)[0], TRANSVERSE_AGREE_TOL)
+    _certify("transverse", lam, np.column_stack([np.cos(chi), np.sin(chi)]),
+             _transverse_split(states, vectors, moments), TRANSVERSE_AGREE_TOL)
     return moments, lam, chi
 
 
@@ -362,7 +372,7 @@ def min_transverse_variance_scan(
     state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
     """Brute minimum of Var(J_chi) over the transverse plane and its angle
-    chi in [0, pi): the scan that gates min_transverse_variance, alone."""
+    chi in [0, pi): the brute reference for min_transverse_variance."""
     state = _state_vector(state, ops)
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse scan undefined: mean spin below eps")
@@ -375,12 +385,12 @@ def min_transverse_variance_scan(
 def min_transverse_variance(
     state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
-    """Minimal transverse variance and its angle, computed two ways.
-
-    The primary route takes the smaller eigenvalue of the 2x2 transverse
-    covariance matrix; the scan route (min_transverse_variance_scan) must
-    agree within TRANSVERSE_AGREE_TOL or a RuntimeError is raised.  chi_min lies in
-    [0, pi), with chi_min = 0 as the tie-break when the minimum is flat.
+    """Minimal transverse variance and its angle: the smaller eigenvalue of
+    the 2x2 transverse covariance matrix, certified within
+    TRANSVERSE_AGREE_TOL of the minimum over the Gram matrix of the centred
+    vectors Jn1 psi, Jn2 psi (_certify), or a RuntimeError is raised.
+    chi_min lies in [0, pi), with chi_min = 0 as the tie-break when the
+    minimum is flat.
     """
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse variance undefined: mean spin below eps")
@@ -404,11 +414,11 @@ def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
 
 def _all_directions(vectors, values):
     """Eigenvalues and eigenvectors of each row's second-moment table, the
-    smallest eigenvalue gated by the sphere scan."""
+    smallest pair certified on the split of (Jx psi, Jy psi, Jz psi)."""
     eigvals, eigvecs = np.linalg.eigh(_tables(values))
     lam = eigvals[:, 0].tolist()
-    scan = _sphere_min(_real_split(vectors[:, :3]))
-    _agree("all-direction", lam, scan, ALL_DIRECTIONS_AGREE_TOL)
+    _certify("all-direction", lam, eigvecs[:, :, 0], _real_split(vectors[:, :3]),
+             ALL_DIRECTIONS_AGREE_TOL)
     return lam, eigvecs
 
 
@@ -419,9 +429,9 @@ def min_variance_all_directions(
 
     This is the fallback used when the mean spin vanishes and no transverse
     plane is distinguished; there the second moment and the variance
-    coincide.  The primary route diagonalizes the 3x3 symmetric
-    second-moment matrix; the spherical grid scan _sphere_scan must agree
-    within ALL_DIRECTIONS_AGREE_TOL.
+    coincide.  The smallest eigenvalue and eigenvector of the 3x3
+    second-moment matrix are certified within ALL_DIRECTIONS_AGREE_TOL
+    (_certify), or a RuntimeError is raised.
     """
     (lam,), eigvecs = _all_directions(*_moments(_state_vector(state, ops)[None], ops))
     direction = eigvecs[0, :, 0].copy()

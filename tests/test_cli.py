@@ -503,6 +503,92 @@ def test_gates_fire_inside_a_multi_row_sweep(monkeypatch, capsys, patches, mus):
     assert capsys.readouterr().err == f"biaxbell: internal check failed: {expected}\n"
 
 
+@pytest.mark.parametrize(
+    "patches,mus",
+    [
+        ({"TRANSVERSE_AGREE_TOL": -1.0}, "pi/2,0,pi/3"),
+        ({"ALL_DIRECTIONS_AGREE_TOL": -1.0}, "pi/2,0,pi/3"),
+        ({"TRANSVERSE_AGREE_TOL": -1.0, "ALL_DIRECTIONS_AGREE_TOL": -1.0}, "0,pi/2"),
+    ],
+    ids=["transverse-tol", "all-directions-tol", "both-tols"],
+)
+def test_gates_fire_without_warnings(monkeypatch, capsys, patches, mus):
+    # a negative tol makes the certificate's pivots non-positive; rejecting a
+    # row must not divide by them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        test_gates_fire_inside_a_multi_row_sweep(monkeypatch, capsys, patches, mus)
+
+
+# fig1's mu slices with fully-degenerate rows (mu = pi/2, nu = 0; beta = 1)
+_FIG1_SHAPED = ["sweep", "--mu-list", "0,pi/3,pi/2", "--nu-list", "0,pi/4,2", "--beta-steps", "11"]
+_EIGEN_MIN, _EIGH, _GRAM = oracle._eigen_min, np.linalg.eigh, oracle._gram
+
+
+def _larger_eigenvalue(m1, m2, jn1_sq, jn2_sq, anticomm):
+    lam, chi = _EIGEN_MIN(m1, m2, jn1_sq, jn2_sq, anticomm)
+    return (jn1_sq - m1 * m1) + (jn2_sq - m2 * m2) - lam, (chi + math.pi / 2) % math.pi
+
+
+def _eigen_min_low(*moments):
+    lam, chi = _EIGEN_MIN(*moments)
+    return lam - 2.0 * oracle.TRANSVERSE_AGREE_TOL, chi
+
+
+def _eigh_middle(tables):
+    eigvals, eigvecs = _EIGH(tables)
+    return eigvals[..., [1, 0, 2]], eigvecs[..., [1, 0, 2]]
+
+
+def _eigh_low(tables):
+    eigvals, eigvecs = _EIGH(tables)
+    return eigvals - 2.0 * oracle.ALL_DIRECTIONS_AGREE_TOL, eigvecs
+
+
+def _gram_undoubled(split):
+    gram = _GRAM(split)
+    upper = np.triu_indices(split.shape[1])
+    gram[:, upper[0] != upper[1]] /= 2.0
+    return gram
+
+
+@pytest.mark.parametrize(
+    "owner,name,mutant",
+    [
+        (oracle, "_eigen_min", _larger_eigenvalue),
+        (oracle, "_eigen_min", _eigen_min_low),
+        (np.linalg, "eigh", _eigh_middle),
+        (np.linalg, "eigh", _eigh_low),
+        (oracle, "_gram", _gram_undoubled),
+    ],
+    ids=["transverse-larger-eigenvalue", "transverse-lambda-minus-2tol",
+         "all-directions-middle-eigenvalue", "all-directions-lambda-minus-2tol",
+         "gram-without-doubling"],
+)
+def test_certificate_rejects_wrong_minima(monkeypatch, capsys, owner, name, mutant):
+    monkeypatch.setattr(owner, name, mutant)
+    assert main(_FIG1_SHAPED) == 2
+    assert "minimization mismatch: eigen " in capsys.readouterr().err
+
+
+def test_pipeline_never_runs_the_scan(monkeypatch, capsys):
+    # the certificate gates both minimizations; the scan is only the brute
+    # reference behind min_transverse_variance_scan and _sphere_scan
+    runs = [_FIG1_SHAPED, ["crosscheck"], ["point", "--beta", "1", "--mu", "0", "--nu", "0"]]
+    expected = []
+    for argv in runs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def no_scan(split):
+        raise AssertionError("the pipeline ran the scan")
+
+    monkeypatch.setattr(oracle, "_scan", no_scan)
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_sweep_json_format(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(

@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
-"""Worst eigen-versus-scan gaps of the oracle's two minimizations.
+"""Worst eigen-versus-scan gaps and certificate rejections of the oracle's
+two minimizations.
 
     python3 tools/scan_gaps.py
 
 Prints one line per input set: fig1's grid, fig2's grid, and 20,000 seeded
 random normalized spin-1 states for each of the seeds 1, 3, 5 and 7.  Each
-line gives the largest |eigen - scan| of the transverse minimization, over
-the rows that have a transverse plane, and of the all-directions one, over
-the fully-degenerate rows (the rows oracle_arrays sends that way) and over
-every row.  The eigen routes are the oracle's 2x2 eigenvalue and the
-smallest eigvalsh of the second-moment table; the scans are _transverse_scan
-and _sphere_min, run in blocks of _BLOCK rows as oracle_arrays runs them.
+line gives, for the transverse minimization over the rows that have a
+transverse plane, and for the all-directions one over the fully-degenerate
+rows (the rows oracle_arrays sends that way) and over every row:
+
+- the largest |eigen - scan|.  The eigen routes are the oracle's 2x2
+  eigenvalue and the smallest eigh eigenvalue of the second-moment table;
+  the scans are the brute references _transverse_scan and _sphere_min, run
+  here in blocks of _BLOCK rows (oracle_arrays runs no scan);
+- the number of rows whose eigen minimum and minimizer the oracle's gate,
+  _certify, rejects at TRANSVERSE_AGREE_TOL and ALL_DIRECTIONS_AGREE_TOL.
+  oracle_arrays raises on any such row, so every count should read 0.
+
 The package is imported from the src/ next to this script, so a checkout of
-any revision measures its own scans.
+any revision measures its own code.
 """
 import math
 import sys
@@ -29,8 +36,9 @@ from biaxbell.frame import (  # noqa: E402
     FrameStatus, frame_angles, frame_triad, spin_length, transverse_operators,
 )
 from biaxbell.oracle import (  # noqa: E402
-    _BLOCK, _eigen_min, _expectations, _real_split, _sphere_min, _spin1, _tables,
-    _transverse_moments, _transverse_scan,
+    _BLOCK, ALL_DIRECTIONS_AGREE_TOL, TRANSVERSE_AGREE_TOL, _certify, _eigen_min, _expectations,
+    _real_split, _sphere_min, _spin1, _tables, _transverse_moments, _transverse_scan,
+    _transverse_split,
 )
 from biaxbell.spincore import param_columns, superposition_states  # noqa: E402
 
@@ -38,16 +46,30 @@ RANDOM_STATES = 20_000
 SEEDS = (1, 3, 5, 7)
 
 
-def gaps(states: np.ndarray) -> dict[str, list]:
-    """Per minimization, the worst gap and the number of rows it ran on over
-    states (n, 3)."""
-    ops = _spin1()
-    worst = {"transverse": [0.0, 0], "all-directions, degenerate": [0.0, 0],
-             "all-directions, every row": [0.0, 0]}
+def rejected(lam, u, split, tol) -> int:
+    """The number of rows whose eigen minimum lam and minimizer u _certify
+    rejects: all rows at once, then one at a time only if that raises."""
+    def fails(rows) -> bool:
+        try:
+            _certify("", lam[rows], u[rows], split[rows], tol)
+        except RuntimeError:
+            return True
+        return False
 
-    def record(name, lam, scan):
+    return sum(fails(slice(i, i + 1)) for i in range(len(lam))) if fails(slice(None)) else 0
+
+
+def gaps(states: np.ndarray) -> dict[str, list]:
+    """Per minimization over states (n, 3): the worst gap, the number of rows
+    it ran on and the number of rows the certificate rejects."""
+    ops = _spin1()
+    worst = {"transverse": [0.0, 0, 0], "all-directions, degenerate": [0.0, 0, 0],
+             "all-directions, every row": [0.0, 0, 0]}
+
+    def record(name, lam, scan, u, split, tol):
         gap = np.abs(lam - scan)
-        worst[name] = [max(worst[name][0], gap.max(initial=0.0)), worst[name][1] + gap.size]
+        worst[name] = [max(worst[name][0], gap.max(initial=0.0)), worst[name][1] + gap.size,
+                       worst[name][2] + rejected(lam, u, split, tol)]
 
     for lo in range(0, len(states), _BLOCK):
         psi = states[lo:lo + _BLOCK]
@@ -58,12 +80,16 @@ def gaps(states: np.ndarray) -> dict[str, list]:
         if not flat.all():
             jn = transverse_operators(frame_triad(theta, phi)[~flat, :2], ops)
             vecs, moments = _transverse_moments(psi[~flat], jn[:, 0], jn[:, 1])
-            lam = np.array([_eigen_min(*m)[0] for m in moments.tolist()])
-            record("transverse", lam, _transverse_scan(psi[~flat], vecs, moments)[0])
-        lam = np.linalg.eigvalsh(_tables(values))[:, 0]
-        scan = _sphere_min(_real_split(vectors[:, :3]))
-        record("all-directions, degenerate", lam[flat], scan[flat])
-        record("all-directions, every row", lam, scan)
+            lam, chi = np.array([_eigen_min(*m) for m in moments.tolist()]).T
+            record("transverse", lam, _transverse_scan(psi[~flat], vecs, moments)[0],
+                   np.column_stack([np.cos(chi), np.sin(chi)]),
+                   _transverse_split(psi[~flat], vecs, moments), TRANSVERSE_AGREE_TOL)
+        eigvals, eigvecs = np.linalg.eigh(_tables(values))
+        lam, u, split = eigvals[:, 0], eigvecs[:, :, 0], _real_split(vectors[:, :3])
+        scan = _sphere_min(split)
+        record("all-directions, degenerate", lam[flat], scan[flat], u[flat], split[flat],
+               ALL_DIRECTIONS_AGREE_TOL)
+        record("all-directions, every row", lam, scan, u, split, ALL_DIRECTIONS_AGREE_TOL)
     return worst
 
 
@@ -85,8 +111,8 @@ def main() -> None:
     }
     sets.update({f"random seed {seed}": random_states(seed) for seed in SEEDS})
     for name, states in sets.items():
-        cells = [f"{what} {gap:.2e} ({rows} rows)" if rows else f"{what}: no rows"
-                 for what, (gap, rows) in gaps(states).items()]
+        cells = [f"{what} {gap:.2e} ({rows} rows, {bad} rejected)" if rows else f"{what}: no rows"
+                 for what, (gap, rows, bad) in gaps(states).items()]
         print(f"{name:14s} {len(states):6d} rows  " + "  ".join(cells))
 
 
