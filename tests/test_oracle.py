@@ -577,23 +577,6 @@ def test_all_directions_near_the_pole(seed):
         assert abs(_sphere_scan(state, OPS) - smallest) <= 1e-9
 
 
-# family states whose second-moment tables have a long, oblique flat valley
-# (lambda_1 ~ lambda_2 << lambda_3), where a grid search stops short and its
-# gate raised: 8 rows of fig1's grid and 24 rows of the 25 mu x 49 nu x
-# 101 beta grid linspace(0, pi, 25) x linspace(0, 2 pi, 49) x linspace(0, 1, 101)
-_FLAT_VALLEY_STATES = [
-    *((0.01, 0.0, nu) for nu in (
-        0.10471975511965977, 1.4660765716752366, 1.6755160819145563, 3.036872898470133,
-        3.2463124087094526, 4.607669225265029, 4.817108735504349, 6.178465552059926)),
-    *((0.01, mu, nu) for mu in (0.0, math.pi) for nu in (
-        0.1308996938995747, 1.4398966328953218, 1.7016960206944711, 3.010692959690218,
-        3.2724923474893677, 4.581489286485114, 4.843288674284264, 6.152285613280011)),
-    *((beta, mu, nu) for beta, mu in ((0.19, 0.2617993877991494), (0.27, 0.39269908169872414),
-                                      (0.27, 2.748893571891069), (0.19, 2.8797932657906435))
-      for nu in (math.pi / 2, 4.71238898038469)),
-]
-
-
 @pytest.mark.parametrize("eigvecs, eigvals", [
     ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.1, 0.5, 0.9)),
     ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.25, 0.25 + 1e-9, 0.8)),
@@ -615,6 +598,23 @@ def test_certificate_brackets_the_smallest_eigenvalue(eigvecs, eigvals):
                        rf"vs u P u\^T [-+.e0-9]+, not certified within {re.escape(repr(tol))}$")
             with pytest.raises(RuntimeError, match=message):
                 _certify("test", [wrong], u, split, tol)
+
+
+# family states whose second-moment tables have a long, oblique flat valley
+# (lambda_1 ~ lambda_2 << lambda_3), where a grid search stops short and its
+# gate raised: 8 rows of fig1's grid and 24 rows of the 25 mu x 49 nu x
+# 101 beta grid linspace(0, pi, 25) x linspace(0, 2 pi, 49) x linspace(0, 1, 101)
+_FLAT_VALLEY_STATES = [
+    *((0.01, 0.0, nu) for nu in (
+        0.10471975511965977, 1.4660765716752366, 1.6755160819145563, 3.036872898470133,
+        3.2463124087094526, 4.607669225265029, 4.817108735504349, 6.178465552059926)),
+    *((0.01, mu, nu) for mu in (0.0, math.pi) for nu in (
+        0.1308996938995747, 1.4398966328953218, 1.7016960206944711, 3.010692959690218,
+        3.2724923474893677, 4.581489286485114, 4.843288674284264, 6.152285613280011)),
+    *((beta, mu, nu) for beta, mu in ((0.19, 0.2617993877991494), (0.27, 0.39269908169872414),
+                                      (0.27, 2.748893571891069), (0.19, 2.8797932657906435))
+      for nu in (math.pi / 2, 4.71238898038469)),
+]
 
 
 @pytest.mark.parametrize("beta, mu, nu", _FLAT_VALLEY_STATES)
