@@ -24,11 +24,11 @@ from .crosscheck import (
     mean_spin_columns, oracle_values, run_crosscheck,
 )
 from .frame import FrameStatus
-from .oracle import oracle_columns
-from .spincore import SqueezeParams, param_columns
+from .oracle import oracle_arrays
+from .spincore import SqueezeParams, axis_grid
 
 # each output key is (route, quantity): "in" is the input point, "cf" and "or"
-# the quantities of crosscheck.closed_columns and oracle.oracle_columns
+# the quantities of crosscheck.closed_arrays and oracle.oracle_arrays
 SWEEP_TABLE = {
     "beta": ("in", "beta"),
     "mu": ("in", "mu"),
@@ -226,24 +226,14 @@ def _select(table: dict, routes: dict) -> dict:
     return {key: routes[route][quantity] for key, (route, quantity) in table.items()}
 
 
-def sweep_columns(grid: list[SqueezeParams]) -> dict[str, list]:
-    """All sweep columns over a grid, one list per column in grid order; the
-    closed-form mean spin comes from one mean_spin_columns call and the
-    oracle columns from one oracle_columns call."""
-    routes = {"in": dict(zip(("alpha", "beta", "mu", "nu"), param_columns(grid).tolist())),
+def sweep_columns(grid: np.ndarray) -> dict[str, list]:
+    """All sweep columns over the (4, n) parameter columns of a grid, one list
+    per column in grid order, from one mean_spin_columns and one oracle_arrays
+    call."""
+    routes = {"in": dict(zip(("alpha", "beta", "mu", "nu"), grid)),
               "cf": mean_spin_columns(grid),
-              "or": oracle_columns(grid)}
-    return _select(SWEEP_TABLE, routes)
-
-
-def sweep_points(mus, nus, betas) -> list[SqueezeParams]:
-    """The grid in sweep row order: mu, then nu, then beta."""
-    return [
-        SqueezeParams(beta=float(b), mu=float(m), nu=float(v))
-        for m in mus
-        for v in nus
-        for b in betas
-    ]
+              "or": oracle_arrays(grid)}
+    return {key: column.tolist() for key, column in _select(SWEEP_TABLE, routes).items()}
 
 
 def write_rows_csv(columns: dict[str, list], handle, names=SWEEP_COLUMNS) -> None:
@@ -353,7 +343,7 @@ def run_figure(mus, nus, betas, checks):
     Returns (slices, violations, report_lines); slices maps mu to its sweep
     columns.
     """
-    columns = sweep_columns(sweep_points(mus, nus, betas))
+    columns = sweep_columns(axis_grid(("mu", "nu", "beta"), mu=mus, nu=nus, beta=betas))
     size = len(nus) * len(betas)
     slices = {mu: {name: column[i * size:(i + 1) * size] for name, column in columns.items()}
               for i, mu in enumerate(mus)}
@@ -483,7 +473,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise UsageError("threads must be at least 1")
 
-    columns = sweep_columns(sweep_points(args.mu_list, args.nu_list, betas))
+    columns = sweep_columns(axis_grid(("mu", "nu", "beta"), mu=args.mu_list, nu=args.nu_list,
+                                      beta=betas))
 
     with _open_out(args.out) as handle:
         if args.format == "csv":

@@ -15,11 +15,11 @@ neither fits.  Quantities that are unaffected by either hypothesis must
 match as printed; those are the build-stopping ones.
 
 closed_arrays and oracle.oracle_arrays are the only readers of the two
-routes; run_crosscheck reads them as arrays, and the point and sweep
-commands select their output from their list forms, closed_columns and
-oracle.oracle_columns.  Each evaluates a whole grid in one call: the closed
-forms as columns, with per-row math only for the frame angles and the
-variance radical's hypot, the oracle through its batched core.
+routes.  Each evaluates a whole grid, given as its (4, n) parameter columns
+(default_grid, spincore.axis_grid), in one call: the closed forms as
+columns, with per-row math only for the frame angles and the variance
+radical's hypot, the oracle through its batched core.  closed_values and
+oracle_values are their one-row forms.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ from .closedform import (
     variance_radical,
 )
 from .frame import FrameStatus, frame_angles, mean_spin_components, radical_length, spin_length
-from .oracle import oracle_arrays, oracle_columns
-from .spincore import SqueezeParams, param_columns
+from .oracle import oracle_arrays
+from .spincore import SqueezeParams, axis_grid, param_columns
 
 DEFAULT_TOL = 1e-10
 
@@ -85,16 +85,12 @@ MUS = (0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, np.pi
 NUS = (-np.pi / 2, -np.pi / 3, 0.0, np.pi / 4, np.pi / 2, np.pi)
 
 
-def default_grid(betas=None, mus=MUS, nus=NUS) -> list[SqueezeParams]:
-    """Points ordered beta, mu, nu; betas defaults to BETA_STEPS values on [0, 1]."""
+def default_grid(betas=None, mus=MUS, nus=NUS) -> np.ndarray:
+    """The (4, n) parameter columns of the points ordered beta, mu, nu;
+    betas defaults to BETA_STEPS values on [0, 1]."""
     if betas is None:
         betas = np.linspace(0.0, 1.0, BETA_STEPS)
-    return [
-        SqueezeParams(beta=float(b), mu=float(m), nu=float(v))
-        for b in betas
-        for m in mus
-        for v in nus
-    ]
+    return axis_grid(("beta", "mu", "nu"), beta=betas, mu=mus, nu=nus)
 
 
 @dataclass(frozen=True)
@@ -140,36 +136,28 @@ class CrosscheckReport:
         return data
 
 
-def _lists(names: tuple[str, ...], columns) -> dict[str, list]:
-    return {name: np.asarray(column).tolist() for name, column in zip(names, columns)}
+def mean_spin_columns(grid: np.ndarray) -> dict[str, np.ndarray]:
+    """The closed-form MEAN_SPIN_QUANTITIES over the parameter columns of a
+    grid, one array per quantity in grid order; no second moment is evaluated."""
+    jx, jy, jz = mean_spin_components(*grid)
+    columns = (jx, jy, jz, spin_length(jx, jy, jz), radical_length(*grid))
+    return dict(zip(MEAN_SPIN_QUANTITIES, columns))
 
 
-def _mean_spin(alpha, beta, mu, nu) -> tuple[np.ndarray, ...]:
-    """The MEAN_SPIN_QUANTITIES columns of the parameter columns."""
-    jx, jy, jz = mean_spin_components(alpha, beta, mu, nu)
-    return jx, jy, jz, spin_length(jx, jy, jz), radical_length(alpha, beta, mu, nu)
-
-
-def mean_spin_columns(grid: list[SqueezeParams]) -> dict[str, list]:
-    """The closed-form MEAN_SPIN_QUANTITIES over a grid, one list per
-    quantity in grid order; no second moment is evaluated."""
-    return _lists(MEAN_SPIN_QUANTITIES, _mean_spin(*param_columns(grid)))
-
-
-def closed_arrays(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[str, np.ndarray]:
-    """Every closed-form quantity over a grid, one array per CLOSED_QUANTITIES
-    entry in grid order; with negate_nu, each point is evaluated at -nu.
+def closed_arrays(grid: np.ndarray, negate_nu: bool = False) -> dict[str, np.ndarray]:
+    """Every closed-form quantity over the parameter columns of a grid, one
+    array per CLOSED_QUANTITIES entry in grid order; with negate_nu, each
+    point is evaluated at -nu.
 
     The frame entries are taken in the frame of the closed-form mean spin.
     "radical" is the minimal transverse variance without its one-half factor
     (xi2_std at N = 2); it and the frame entries are NaN on a row whose
     closed-form frame is fully degenerate.
     """
-    alpha, beta, mu, nu = param_columns(grid)
     if negate_nu:
-        nu = -nu
-    mean = _mean_spin(alpha, beta, mu, nu)
-    raising = raising_moments(alpha, beta, mu, nu)
+        grid = np.array([*grid[:3], -grid[3]])
+    mean = list(mean_spin_columns(grid).values())
+    raising = raising_moments(*grid)
     cart = cartesian_moments(*raising)
     theta, phi, status = frame_angles(*mean[:4])
     flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status], dtype=bool)
@@ -179,21 +167,16 @@ def closed_arrays(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[st
     return {name: np.asarray(column) for name, column in zip(CLOSED_QUANTITIES, columns)}
 
 
-def closed_columns(grid: list[SqueezeParams], negate_nu: bool = False) -> dict[str, list]:
-    """The closed_arrays of a grid as lists of Python scalars."""
-    return {name: column.tolist() for name, column in closed_arrays(grid, negate_nu).items()}
-
-
 def closed_values(params: SqueezeParams) -> dict[str, complex]:
-    """Every closed-form quantity at one parameter point: the one row of
-    closed_columns."""
-    return {q: column[0] for q, column in closed_columns([params]).items()}
+    """Every closed-form quantity at one parameter point, as Python
+    scalars: the one row of closed_arrays."""
+    return {q: column.tolist()[0] for q, column in closed_arrays(param_columns([params])).items()}
 
 
 def oracle_values(params: SqueezeParams) -> dict:
-    """Every oracle quantity at one parameter point: the one row of
-    oracle.oracle_columns, named as closed_values names them."""
-    return {q: column[0] for q, column in oracle_columns([params]).items()}
+    """Every oracle quantity at one parameter point, as Python scalars: the
+    one row of oracle.oracle_arrays, named as closed_values names them."""
+    return {q: column.tolist()[0] for q, column in oracle_arrays(param_columns([params])).items()}
 
 
 def _nanmax_abs(d: np.ndarray) -> float:
@@ -215,10 +198,9 @@ def _hypothesis(names: tuple[str, str], first, second, oracle, tol: float):
     return verdict, misses, discrimination
 
 
-def run_crosscheck(
-    grid: list[SqueezeParams] | None = None, tol: float = DEFAULT_TOL
-) -> CrosscheckReport:
-    """Compare closed forms against the oracle over a grid and adjudicate.
+def run_crosscheck(grid: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> CrosscheckReport:
+    """Compare closed forms against the oracle over the (4, n) parameter
+    columns of a grid, default_grid() when none is given, and adjudicate.
 
     A route without a transverse frame has its frame quantities NaN-marked
     here; they then take no part in any maximum, verdict or failure, so the
@@ -226,7 +208,7 @@ def run_crosscheck(
     """
     if grid is None:
         grid = default_grid()
-    if len(grid) == 0:
+    if grid.shape[1] == 0:
         raise ValueError("crosscheck grid must be nonempty")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -261,14 +243,14 @@ def run_crosscheck(
     diffs = np.array([np.abs(c - o) for c, o in zip(closed, observed)])
     failures = [
         CrosscheckFailure(
-            grid[i].beta, grid[i].mu, grid[i].nu, _REPORTED[k],
+            *grid[1:, i].tolist(), _REPORTED[k],
             closed[k][i].item(), observed[k][i].item(), diffs[k, i].item(),
         )
         for i, k in np.argwhere(diffs.T > tol)
     ]
 
     return CrosscheckReport(
-        samples=len(grid),
+        samples=grid.shape[1],
         tol=tol,
         nu_sign_hypothesis=nu_hypothesis,
         factor_hypothesis=factor_hypothesis,

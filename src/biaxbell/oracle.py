@@ -6,14 +6,14 @@ takes an eigenvalue route, and _certify proves every result against numbers
 that route never reads or the call fails loudly.  A brute grid scan stays as
 the reference behind min_transverse_variance_scan and _sphere_scan.
 
-oracle_arrays evaluates a whole grid as arrays, in blocks of rows, states
-and frame triads included; oracle_columns is its list form.  Only the steps
-numpy rounds differently from math run row by row in math: the frame angles
-(acos, hypot), the 2x2 eigen route (hypot, atan2) and the concurrence
-(complex abs).  So no value depends on the rows evaluated with it, and the
-one-point functions are one-row calls of the same code.  When a check fails
-in a block, its rows are evaluated again one at a time, so the error is the
-one the earliest failing row raises alone.
+oracle_arrays evaluates a whole grid, given as its (4, n) parameter
+columns, as arrays in blocks of rows, states and frame triads included.
+Only the steps numpy rounds differently from math run row by row in math:
+the frame angles (acos, hypot), the 2x2 eigen route (hypot, atan2) and the
+concurrence (complex abs).  So no value depends on the rows evaluated with
+it, and the one-point functions are one-row calls of the same code.  When a
+check fails in a block, its rows are evaluated again one at a time, so the
+error is the one the earliest failing row raises alone.
 
 The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
@@ -454,12 +454,12 @@ def concurrence(state: np.ndarray) -> float:
     return min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0)
 
 
-def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
-                                                  np.ndarray]:
-    """One block of the pipeline: its oracle_arrays record, states, moments
-    and frame triads."""
-    ops, n = _spin1(), len(grid)
-    psi = superposition_states(*param_columns(grid))
+def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
+                                         np.ndarray]:
+    """One block of the pipeline, given as parameter columns: its
+    oracle_arrays record, states, moments and frame triads."""
+    ops, n = _spin1(), grid.shape[1]
+    psi = superposition_states(*grid)
     vectors, values = _moments(psi, ops)
     re, tables = values.real, _tables(values)
     r = spin_length(re[:, 0], re[:, 1], re[:, 2])
@@ -494,28 +494,23 @@ def _evaluate(grid: list[SqueezeParams]) -> tuple[dict[str, np.ndarray], np.ndar
     return record, psi, values, triad
 
 
-def oracle_arrays(grid: list[SqueezeParams]) -> dict[str, np.ndarray]:
-    """Every oracle quantity over a grid, one array per quantity in grid
-    order, named as the fields of MeanSpin, MomentSet,
-    CartesianSecondMoments and FrameMoments, with the mean-spin length r,
-    the frame angles and status, and the squeezing result; lambda_min and
-    chi_min come from whichever minimization ran.  Frame entries are NaN
-    where the frame is fully degenerate."""
+def oracle_arrays(grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Every oracle quantity over the (4, n) parameter columns of a grid,
+    one array per quantity in grid order, named as the fields of MeanSpin,
+    MomentSet, CartesianSecondMoments and FrameMoments, with the mean-spin
+    length r, the frame angles and status, and the squeezing result;
+    lambda_min and chi_min come from whichever minimization ran.  Frame
+    entries are NaN where the frame is fully degenerate."""
     records = []
-    for block in (grid[start:start + _BLOCK] for start in range(0, len(grid), _BLOCK)):
+    for block in (grid[:, s:s + _BLOCK] for s in range(0, grid.shape[1], _BLOCK)):
         try:
             records.append(_evaluate(block)[0])
         except RuntimeError:
-            for params in block:        # the earliest failing row raises its own error
-                _evaluate([params])
+            for i in range(block.shape[1]):     # the earliest failing row raises its own error
+                _evaluate(block[:, i:i + 1])
             raise
     return {name: np.concatenate([record[name] for record in records])
             for name in (records[0] if records else ())}
-
-
-def oracle_columns(grid: list[SqueezeParams]) -> dict[str, list]:
-    """The oracle_arrays of a grid as lists of Python scalars."""
-    return {name: column.tolist() for name, column in oracle_arrays(grid).items()}
 
 
 @dataclass(frozen=True)
@@ -551,7 +546,7 @@ def evaluate_oracle(params: SqueezeParams) -> OraclePoint:
     """Run the full oracle pipeline for one point: a one-row oracle_arrays
     block, kept as records, its frame built from the block's r, angles,
     status and triad."""
-    record, (state,), values, (triad,) = _evaluate([params])
+    record, (state,), values, (triad,) = _evaluate(param_columns([params]))
     one = {name: column.item() for name, column in record.items()}
     moments = _oracle_moments(values[0])
     frame = SpinFrame(*readonly(triad), one["theta"], one["phi"], one["r"],

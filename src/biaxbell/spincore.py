@@ -121,6 +121,31 @@ def param_columns(grid: list[SqueezeParams]) -> np.ndarray:
     return np.array([(p.alpha, p.beta, p.mu, p.nu) for p in grid], dtype=float).reshape(-1, 4).T
 
 
+def axis_grid(order: tuple[str, str, str], *, beta, mu, nu) -> np.ndarray:
+    """The alpha, beta, mu and nu columns (4, n) of the product of three
+    axes, with rows in ``order`` from the outermost axis to the innermost.
+
+    Only the points that differ from the first row in one axis are built as
+    SqueezeParams, innermost axis first.  They come before every other
+    invalid row, so an invalid axis raises the error that the first failing
+    row of the per-row SqueezeParams list raises, and every value and alpha
+    is taken from them.  An empty axis gives no rows.
+    """
+    axes = {"beta": beta, "mu": mu, "nu": nu}
+    if any(len(axis) == 0 for axis in axes.values()):
+        return np.empty((4, 0))
+    first = {name: axis[0] for name, axis in axes.items()}
+    lines = {}
+    for name in reversed(order):
+        rows = [{**first, name: value} for value in axes[name]]
+        lines[name] = [SqueezeParams(beta=float(r["beta"]), mu=float(r["mu"]), nu=float(r["nu"]))
+                       for r in rows]
+    index = dict(zip(order, np.indices([len(axes[name]) for name in order]).reshape(3, -1)))
+    return np.array([np.array([getattr(p, attr) for p in lines[name]])[index[name]]
+                     for attr, name in (("alpha", "beta"), ("beta", "beta"),
+                                        ("mu", "mu"), ("nu", "nu"))])
+
+
 def superposition_states(alpha, beta, mu, nu) -> np.ndarray:
     """Amplitudes (n, 3) of the biaxial + Bell superposition in the j = 1
     basis, one row per entry of the parameter columns.

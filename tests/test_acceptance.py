@@ -52,7 +52,8 @@ def _random_params(rng, n):
 
 @pytest.fixture(scope="module")
 def default_grid_points():
-    return [evaluate_oracle(p) for p in default_grid()]
+    return [evaluate_oracle(SqueezeParams(beta=b, mu=m, nu=v))
+            for _, b, m, v in default_grid().T.tolist()]
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaxbell import FrameStatus, SqueezeParams, build_spin_operators, oracle
+from biaxbell import FrameStatus, SqueezeParams, build_spin_operators, cli, oracle
 from biaxbell.cli import (
     SWEEP_COLUMNS,
     UsageError,
@@ -31,10 +31,10 @@ from biaxbell.cli import (
     run_fig2,
     squeezed_interval_width,
     sweep_columns,
-    sweep_points,
     write_rows_csv,
     write_rows_json,
 )
+from biaxbell.spincore import axis_grid, param_columns
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_squeezed_interval_width():
 
 
 def _row(params):
-    return {name: column[0] for name, column in sweep_columns([params]).items()}
+    return {name: column[0] for name, column in sweep_columns(param_columns([params])).items()}
 
 
 def test_row_has_exact_columns():
@@ -440,7 +440,8 @@ def _json_test_columns(rows):
         _json_test_columns(1),
         _json_test_columns(23),
         # regular, polar-degenerate and fully-degenerate rows with their NaN cells
-        sweep_columns(sweep_points([0.0, math.pi / 2], [0.0, 1.0], np.linspace(0.0, 1.0, 9))),
+        sweep_columns(axis_grid(("mu", "nu", "beta"), mu=[0.0, math.pi / 2], nu=[0.0, 1.0],
+                                beta=np.linspace(0.0, 1.0, 9))),
     ],
     ids=["one-row", "special-cells", "mixed-status-sweep"],
 )
@@ -489,9 +490,11 @@ def test_gates_fire_inside_a_multi_row_sweep(monkeypatch, capsys, patches, mus):
     for name, value in patches.items():
         monkeypatch.setattr(oracle, name, value)
     # the message that evaluating the rows one at a time raises first
-    for params in sweep_points(parse_float_list(mus), [0.0, 1.0], np.linspace(0.0, 1.0, 5)):
+    grid = axis_grid(("mu", "nu", "beta"), mu=parse_float_list(mus), nu=[0.0, 1.0],
+                     beta=np.linspace(0.0, 1.0, 5))
+    for _, beta, mu, nu in grid.T.tolist():
         try:
-            oracle.evaluate_oracle(params)
+            oracle.evaluate_oracle(SqueezeParams(beta=beta, mu=mu, nu=nu))
         except RuntimeError as exc:
             expected = str(exc)
             break
@@ -814,6 +817,31 @@ def test_figure_command_fig2_exits_two(tmp_path, capsys):
 
 def test_figure_requires_outdir():
     assert main(["figure", "fig2"]) == 1
+
+
+def test_fig1_grid_validates_one_point_per_axis_value(monkeypatch):
+    # the full fig1 grid (36,663 rows) is built from its axes: one
+    # SqueezeParams per beta, nu and mu value, not one per row
+    built = []
+    validate = SqueezeParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    class GridBuilt(Exception):
+        pass
+
+    def stop(grid):
+        raise GridBuilt(grid)
+
+    monkeypatch.setattr(SqueezeParams, "__post_init__", counting)
+    monkeypatch.setattr(cli, "sweep_columns", stop)
+    with pytest.raises(GridBuilt) as raised:
+        run_fig1()
+    grid = raised.value.args[0]
+    assert grid.shape == (4, len(cli.FIG1_MUS) * cli.FIG1_NU_STEPS * cli.FIG1_BETA_STEPS)
+    assert len(built) <= cli.FIG1_BETA_STEPS + cli.FIG1_NU_STEPS + len(cli.FIG1_MUS) == 225
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@ from biaxbell.crosscheck import (
     INCONCLUSIVE,
     MEAN_SPIN_QUANTITIES,
     NU_NEGATED,
-    closed_columns,
+    closed_arrays,
     closed_values,
     mean_spin_columns,
     oracle_values,
 )
 from biaxbell.frame import FrameStatus, compute_frame, mean_spin_length
+from biaxbell.spincore import param_columns
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +44,8 @@ def default_report():
 
 def test_default_grid_layout():
     grid = default_grid()
-    assert len(grid) == 21 * 7 * 6
-    assert grid[0].beta == 0.0 and grid[-1].beta == 1.0
+    assert grid.shape == (4, 21 * 7 * 6)
+    assert grid[1, 0] == 0.0 and grid[1, -1] == 1.0
 
 
 def test_default_run_adjudicates_conventions(default_report):
@@ -84,7 +85,7 @@ def test_nu_hypothesis_inconclusive_without_discriminating_phase():
         for b in (0.2, 0.5, 0.8)
         for m in (0.0, math.pi / 3, math.pi / 2)
     ]
-    rep = run_crosscheck(grid)
+    rep = run_crosscheck(param_columns(grid))
     assert rep.nu_sign_hypothesis == INCONCLUSIVE
     assert rep.independent_ok
 
@@ -102,14 +103,14 @@ def test_nu_independent_quantities_by_construction():
 
 def test_rejects_empty_grid_and_bad_tol():
     with pytest.raises(ValueError):
-        run_crosscheck([])
+        run_crosscheck(default_grid(betas=()))
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            run_crosscheck(default_grid()[:4], tol=tol)
+            run_crosscheck(default_grid()[:, :4], tol=tol)
 
 
 def test_report_deterministic():
-    grid = default_grid()[:40]
+    grid = default_grid()[:, :40]
     a = run_crosscheck(grid).as_dict()
     b = run_crosscheck(grid).as_dict()
     assert a == b
@@ -119,7 +120,7 @@ def test_failures_recorded_beyond_tolerance():
     # a tolerance below floating-point noise must surface failures, each
     # carrying a diff above that tolerance
     grid = [SqueezeParams(beta=0.6, mu=math.pi / 3, nu=math.pi / 4)]
-    rep = run_crosscheck(grid, tol=1e-18)
+    rep = run_crosscheck(param_columns(grid), tol=1e-18)
     assert rep.failures
     assert all(f.diff > 1e-18 for f in rep.failures)
     assert all(np.isfinite(f.diff) for f in rep.failures)
@@ -139,7 +140,7 @@ def test_failure_order_matches_maxima():
         SqueezeParams(beta=0.3, mu=2 * math.pi / 3, nu=-math.pi / 3),
         SqueezeParams(beta=1.0, mu=math.pi / 2, nu=0.5),
     ]
-    rep = run_crosscheck(grid, tol=1e-18)
+    rep = run_crosscheck(param_columns(grid), tol=1e-18)
     assert list(rep.max_abs_diff_per_quantity) == list(REPORT_ORDER)
     points = [(p.beta, p.mu, p.nu) for p in grid]
     keys = [
@@ -176,9 +177,10 @@ def test_failures_carry_python_scalars():
         SqueezeParams(beta=0.6, mu=math.pi / 3, nu=math.pi / 4),
         SqueezeParams(beta=1.0, mu=math.pi / 2, nu=0.5),
     ]
-    rep = run_crosscheck(grid, tol=1e-18)
+    rep = run_crosscheck(param_columns(grid), tol=1e-18)
     assert {f.quantity for f in rep.failures} >= {"xz_anticomm", "jplus_sq", "lambda_min"}
     for f in rep.failures:
+        assert type(f.beta) is type(f.mu) is type(f.nu) is float
         assert type(f.closed) in (float, complex)
         assert type(f.oracle) in (float, complex)
         assert type(f.diff) is float
@@ -203,7 +205,7 @@ def test_missing_frames_never_reach_the_report(grid, tol):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = run_crosscheck(grid, tol=tol)
+        rep = run_crosscheck(param_columns(grid), tol=tol)
     json.dumps(rep.as_dict(), allow_nan=False)
     if grid is FULLY_DEGENERATE_GRID:
         assert rep.fully_degenerate_points == len(grid)
@@ -231,7 +233,7 @@ def test_records_share_quantity_names():
         "theta", "phi", "frame_status", "method",
         "lambda_min", "chi_min", "xi2_std", "xi2_literal", "concurrence",
     }
-    mean = {q: column[0] for q, column in mean_spin_columns([params]).items()}
+    mean = {q: column[0] for q, column in mean_spin_columns(param_columns([params])).items()}
     assert mean == {k: closed[k] for k in ("jx", "jy", "jz", "r_eq9", "r")}
 
 
@@ -281,7 +283,8 @@ def column_grid():
         )
         for _ in range(2400)
     ]
-    grid = default_grid() + extra
+    grid = [SqueezeParams(beta=b, mu=m, nu=v) for _, b, m, v in default_grid().T.tolist()]
+    grid += extra
     assert len(grid) >= 3000
     assert any(abs(p.nu) > 2 * math.pi for p in grid)
     return grid
@@ -315,36 +318,38 @@ def _scalar_record(params: SqueezeParams) -> dict:
 
 def test_closed_columns_match_scalar_functions_bit_for_bit(column_grid):
     records = [_scalar_record(p) for p in column_grid]
-    columns = closed_columns(column_grid)
+    columns = closed_arrays(param_columns(column_grid))
     assert tuple(columns) == tuple(records[0]) == CLOSED_QUANTITIES
     statuses = {compute_frame(mean_spin_closed_form(p)).status for p in column_grid}
     assert statuses == set(FrameStatus)
     for q in CLOSED_QUANTITIES:
         assert _bits(columns[q]) == _bits([r[q] for r in records]), q
-    means = mean_spin_columns(column_grid)
+    means = mean_spin_columns(param_columns(column_grid))
     assert tuple(means) == MEAN_SPIN_QUANTITIES
     for q in MEAN_SPIN_QUANTITIES:
         assert _bits(means[q]) == _bits(columns[q]), q
     for i in (0, 1, len(column_grid) - 1):
         one = closed_values(column_grid[i])
-        mean = {q: column[0] for q, column in mean_spin_columns([column_grid[i]]).items()}
+        mean = {q: column[0]
+                for q, column in mean_spin_columns(param_columns([column_grid[i]])).items()}
         assert tuple(one) == CLOSED_QUANTITIES and tuple(mean) == MEAN_SPIN_QUANTITIES
         assert all(_bits([one[q]]) == _bits(columns[q][i:i + 1]) for q in one)
         assert all(_bits([mean[q]]) == _bits(means[q][i:i + 1]) for q in mean)
 
 
 def test_negated_columns_match_the_replaced_grid(column_grid):
-    negated = closed_columns(column_grid, negate_nu=True)
-    replaced = closed_columns([replace(p, nu=-p.nu) for p in column_grid])
+    negated = closed_arrays(param_columns(column_grid), negate_nu=True)
+    replaced = closed_arrays(param_columns([replace(p, nu=-p.nu) for p in column_grid]))
     for q in CLOSED_QUANTITIES:
         assert _bits(negated[q]) == _bits(replaced[q]), q
 
 
 @pytest.mark.parametrize("negate_nu", [False, True], ids=["nu", "minus-nu"])
 def test_closed_columns_do_not_depend_on_batch_size(column_grid, negate_nu):
-    whole = closed_columns(column_grid, negate_nu)
+    columns = param_columns(column_grid)
+    whole = closed_arrays(columns, negate_nu)
     for size in (1, 7):
-        chunks = [closed_columns(column_grid[i:i + size], negate_nu)
+        chunks = [closed_arrays(columns[:, i:i + size], negate_nu)
                   for i in range(0, len(column_grid), size)]
         for q in CLOSED_QUANTITIES:
             joined = [v for chunk in chunks for v in chunk[q]]

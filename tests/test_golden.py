@@ -45,6 +45,13 @@ CASES = {
     "sweep_signed_zero": "sweep --mu-list 0,pi/2,pi --nu-list=-0,9,0 --beta-steps 3 --format json",
     # exits 2 by design: its mu=pi shape clause contradicts a rotation symmetry
     "figure_fig2": "figure fig2 --outdir figs",
+    # invalid axes exit 1 with the error of the first rejected row in row
+    # order: row 0 fails on nu before mu = 4 is reached ...
+    "sweep_invalid_nu_first": "sweep --mu-list 0,4 --nu-list=nan,0 --beta-steps 3",
+    # ... mu = 4 fails before the nan of a later nu ...
+    "sweep_invalid_mu_first": "sweep --mu-list 4,0 --nu-list=0,nan --beta-steps 3",
+    # ... and in crosscheck's beta, mu, nu order row 1 fails before any mu = 4
+    "crosscheck_invalid_nu_first": "crosscheck --mu-list 0,4 --nu-list=0,inf --beta-steps 3",
 }
 
 

@@ -44,9 +44,9 @@ from biaxbell.oracle import (
     _transverse_moments,
     _transverse_scan,
     _zoom_min,
-    oracle_columns,
+    oracle_arrays,
 )
-from biaxbell.spincore import expectation
+from biaxbell.spincore import expectation, param_columns
 
 OPS = build_spin_operators(1.0)
 
@@ -329,18 +329,19 @@ def _batch_test_grid():
 
 def test_oracle_columns_do_not_depend_on_batch_composition():
     grid = _batch_test_grid()
-    whole = oracle_columns(grid)
-    status = whole["frame_status"]
+    columns = param_columns(grid)
+    whole = oracle_arrays(columns)
+    status = whole["frame_status"].tolist()
     assert len(grid) >= 3000 and len(grid) > _BLOCK
     assert status.count("fully-degenerate") >= 200 and status.count("polar-degenerate") >= 40
 
-    def exact(columns):      # repr tells -0.0 from 0.0 and compares NaN with NaN
-        return {name: list(map(repr, column)) for name, column in columns.items()}
+    def exact(record):      # repr tells -0.0 from 0.0 and compares NaN with NaN
+        return {name: list(map(repr, column.tolist())) for name, column in record.items()}
 
     expected = exact(whole)
     for size in (1, 7):
-        parts = [oracle_columns(grid[i:i + size]) for i in range(0, len(grid), size)]
-        joined = {name: [v for part in parts for v in part[name]] for name in whole}
+        parts = [oracle_arrays(columns[:, i:i + size]) for i in range(0, len(grid), size)]
+        joined = {name: np.concatenate([part[name] for part in parts]) for name in whole}
         assert exact(joined) == expected, size
 
 

@@ -1,9 +1,10 @@
-"""Parameter validation, spin operator algebra, state construction."""
+"""Parameter validation, grid building, spin operator algebra, state construction."""
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaxbell import (
@@ -12,6 +13,7 @@ from biaxbell import (
     build_superposition_state,
     expectation,
 )
+from biaxbell.spincore import axis_grid, param_columns
 
 HALF_INTEGERS = (0.5, 1.0, 1.5, 2.0, 2.5)
 
@@ -62,6 +64,65 @@ def test_params_accepts_real_scalars_as_float(beta):
     p = SqueezeParams(beta=beta, mu=np.float32(1.0), nu=np.int32(-2))
     assert (p.beta, p.mu, p.nu) == (float(beta), 1.0, -2.0)
     assert all(type(v) is float for v in (p.beta, p.mu, p.nu, p.alpha))
+
+
+# ---------------------------------------------------------------------------
+# axis grids
+
+SWEEP_ORDER = ("mu", "nu", "beta")
+CROSSCHECK_ORDER = ("beta", "mu", "nu")
+NONFINITE = (math.nan, math.inf, -math.inf)
+# per axis: valid values, with the domain edges and a signed zero, and the
+# values SqueezeParams rejects
+AXIS_VALUES = {
+    "beta": (st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 1.0])),
+             st.sampled_from([*NONFINITE, -0.5, 1.5])),
+    "mu": (st.one_of(st.floats(0.0, math.pi), st.sampled_from([-0.0, math.pi])),
+           st.sampled_from([*NONFINITE, -1.0, 4.0])),
+    "nu": (st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-0.0, 9.0])),
+           st.sampled_from(NONFINITE)),
+}
+
+
+@st.composite
+def axes_st(draw):
+    """Axes of length 1-4; in half of the draws each value may be invalid."""
+    invalid = draw(st.booleans())
+    return {name: draw(st.lists(st.one_of(good, bad) if invalid else good,
+                                min_size=1, max_size=4))
+            for name, (good, bad) in AXIS_VALUES.items()}
+
+
+def _per_row(order, axes) -> list[SqueezeParams]:
+    """One SqueezeParams per row of the product, outermost axis first."""
+    rows = (dict(zip(order, values)) for values in itertools.product(*(axes[k] for k in order)))
+    return [SqueezeParams(beta=float(r["beta"]), mu=float(r["mu"]), nu=float(r["nu"]))
+            for r in rows]
+
+
+@given(order=st.sampled_from([SWEEP_ORDER, CROSSCHECK_ORDER]), axes=axes_st())
+# row 0 fails on nu before any row with mu = 4
+@example(SWEEP_ORDER, {"mu": [0.0, 4.0], "nu": [math.nan, 0.0], "beta": [0.0, 1.0]})
+# mu = 4 comes before the nan of a later nu
+@example(SWEEP_ORDER, {"mu": [4.0, 0.0], "nu": [0.0, math.nan], "beta": [0.0, 1.0]})
+# in beta, mu, nu order row 1 fails on nu before any row with mu = 4
+@example(CROSSCHECK_ORDER, {"beta": [0.0, 1.0], "mu": [0.0, 4.0], "nu": [0.0, math.inf]})
+# an empty axis gives no rows and validates nothing
+@example(SWEEP_ORDER, {"mu": [math.nan], "nu": [], "beta": [1.5]})
+@settings(max_examples=500, deadline=None)
+def test_axis_grid_matches_the_per_row_points(order, axes):
+    # valid axes give the per-row columns bit for bit; invalid ones raise what
+    # the first row the per-row list rejects raises
+    try:
+        expected = param_columns(_per_row(order, axes))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            axis_grid(order, **axes)
+        assert str(raised.value) == str(exc)
+    else:
+        got = axis_grid(order, **axes)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

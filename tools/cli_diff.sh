@@ -75,6 +75,12 @@ cases=(
     "figure_fig1|figure fig1 --outdir figs"
     # exits 2 by design: its mu=pi shape clause contradicts a rotation symmetry
     "figure_fig2|figure fig2 --outdir figs"
+    # invalid axes exit 1 with the error of the first rejected row in row
+    # order: nu of row 0, mu = 4 before a later nan nu, and in crosscheck's
+    # beta, mu, nu order the nu of row 1 before any mu = 4
+    "sweep_invalid_nu_first|sweep --mu-list 0,4 --nu-list=nan,0 --beta-steps 3"
+    "sweep_invalid_mu_first|sweep --mu-list 4,0 --nu-list=0,nan --beta-steps 3"
+    "crosscheck_invalid_nu_first|crosscheck --mu-list 0,4 --nu-list=0,inf --beta-steps 3"
 )
 
 for side in rev work; do

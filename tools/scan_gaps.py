@@ -30,7 +30,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from biaxbell.cli import (  # noqa: E402
-    FIG1_BETA_STEPS, FIG1_MUS, FIG1_NU_STEPS, FIG2_BETA_STEPS, FIG2_MUS, FIG2_NU, sweep_points,
+    FIG1_BETA_STEPS, FIG1_MUS, FIG1_NU_STEPS, FIG2_BETA_STEPS, FIG2_MUS, FIG2_NU,
 )
 from biaxbell.frame import (  # noqa: E402
     FrameStatus, frame_angles, frame_triad, spin_length, transverse_operators,
@@ -40,7 +40,7 @@ from biaxbell.oracle import (  # noqa: E402
     _real_split, _sphere_min, _spin1, _tables, _transverse_moments, _transverse_scan,
     _transverse_split,
 )
-from biaxbell.spincore import param_columns, superposition_states  # noqa: E402
+from biaxbell.spincore import axis_grid, superposition_states  # noqa: E402
 
 RANDOM_STATES = 20_000
 SEEDS = (1, 3, 5, 7)
@@ -93,8 +93,9 @@ def gaps(states: np.ndarray) -> dict[str, list]:
     return worst
 
 
-def family(grid) -> np.ndarray:
-    return superposition_states(*param_columns(grid))
+def family(mus, nus, betas) -> np.ndarray:
+    """The states of a figure grid, in sweep row order."""
+    return superposition_states(*axis_grid(("mu", "nu", "beta"), mu=mus, nu=nus, beta=betas))
 
 
 def random_states(seed: int) -> np.ndarray:
@@ -105,9 +106,9 @@ def random_states(seed: int) -> np.ndarray:
 
 def main() -> None:
     sets = {
-        "fig1": family(sweep_points(FIG1_MUS, np.linspace(0.0, 2.0 * math.pi, FIG1_NU_STEPS),
-                                    np.linspace(0.0, 1.0, FIG1_BETA_STEPS))),
-        "fig2": family(sweep_points(FIG2_MUS, (FIG2_NU,), np.linspace(0.0, 1.0, FIG2_BETA_STEPS))),
+        "fig1": family(FIG1_MUS, np.linspace(0.0, 2.0 * math.pi, FIG1_NU_STEPS),
+                       np.linspace(0.0, 1.0, FIG1_BETA_STEPS)),
+        "fig2": family(FIG2_MUS, (FIG2_NU,), np.linspace(0.0, 1.0, FIG2_BETA_STEPS)),
     }
     sets.update({f"random seed {seed}": random_states(seed) for seed in SEEDS})
     for name, states in sets.items():
