@@ -3,8 +3,9 @@
 Every quantity the closed forms predict is recomputed here from the state
 vector and dense operators, with no shared algebra.  Each minimization
 takes an eigenvalue route, and _certify proves every result against numbers
-that route never reads or the call fails loudly.  A brute grid scan stays as
-the reference behind min_transverse_variance_scan and _sphere_scan.
+that route never reads or the call fails loudly.  An exact bisection on the
+same positive-definiteness test stays as the reference behind
+min_transverse_variance_scan and _sphere_scan.
 
 oracle_arrays evaluates a whole grid, given as its (4, n) parameter
 columns, as arrays in blocks of rows, states and frame triads included.
@@ -23,7 +24,8 @@ variance, <J_u^2> = |u S|^2 = u P u^T with P = S S^T.  The eigen routes
 build their covariances from operator products and never read P.  By
 Courant-Fischer, an eigen minimum lam with u P u^T <= lam + tol at its unit
 minimizer u, and with P - (lam - tol) I positive definite, is within tol of
-min u P u^T, so no search is needed; _scan searches the same P.
+min u P u^T, so no search is needed.  _bisect_min reads the same P and no
+eigen route: min u P u^T is the largest s with P - s I positive definite.
 """
 from __future__ import annotations
 
@@ -61,12 +63,6 @@ METHOD_ALL_DIRECTIONS = "all-directions"
 # how far the eigen minima may lie from the Gram minima, the certificate's tol
 TRANSVERSE_AGREE_TOL = 1e-8
 ALL_DIRECTIONS_AGREE_TOL = 1e-6
-# local refinement: 2k+1 points per axis, span shrinks k-fold per round
-_ZOOM_K = 8
-_ZOOM_ROUNDS = 6
-# same-step moves allowed while the lowest point sits on the grid's edge
-_ZOOM_MOVES = 64
-_ZOOM_OFFSETS = readonly(np.linspace(-1.0, 1.0, 2 * _ZOOM_K + 1))
 _HERMITICITY_TOL = 1e-9
 # rows per block: bounds the block's per-row operator stacks (240 x 5 x 3 x 3)
 _BLOCK = 240
@@ -88,19 +84,6 @@ def _spin1() -> SpinOperatorSet:
 def _pairs(k: int) -> np.ndarray:
     """The indices (2, entries) of the upper triangle a <= b of a k x k matrix."""
     return readonly(np.array(np.triu_indices(k)))
-
-
-@lru_cache(maxsize=None)
-def _charts(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k axis-centred gnomonic charts u ~ e_m + sum_j c_j e_(other j),
-    the faces of a cube: per chart m the axis order (m, the others), and the
-    indices (k, entries) that read a _gram of the k axes as the _gram of the
-    axes in that order.  Reordering keeps off-diagonal entries off the
-    diagonal, so their doubling carries over."""
-    orders = np.array([[m] + [j for j in range(k) if j != m] for m in range(k)])
-    upper, entry = _pairs(k), np.empty((k, k), dtype=int)
-    entry[tuple(upper)] = entry[tuple(upper[::-1])] = np.arange(upper.shape[1])
-    return readonly(orders), readonly(entry[orders[:, upper[0]], orders[:, upper[1]]])
 
 
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
@@ -152,22 +135,30 @@ def _real(values: np.ndarray, names) -> np.ndarray:
     return values.real
 
 
-def _certify(what: str, lam, u: np.ndarray, split: np.ndarray, tol: float) -> None:
-    """The minimization gate, an exact certificate (Courant-Fischer): every
-    row's eigen minimum lam, with its unit minimizer u (rows, k), lies within
-    tol of min v P v^T over unit v, P the _gram of split.  u P u^T <= lam + tol
-    bounds that minimum from above; P - (lam - tol) I positive definite, every
-    pivot of its LDL^T > 0, bounds it from below."""
-    lam, (a, b), gram = np.asarray(lam), _pairs(u.shape[1]), _gram(split)
-    quotient = (gram * u[:, a] * u[:, b]).sum(axis=1)
-    ok = quotient - lam <= tol
-    m = np.empty((lam.size,) + u.shape[1:] * 2)
+def _definite(gram: np.ndarray, k: int, shift: np.ndarray) -> np.ndarray:
+    """Per row, whether P - shift I is positive definite, P the k x k matrix
+    of a _gram row: by Sylvester's law of inertia, whether every pivot of its
+    LDL^T is > 0, eliminated elementwise per row."""
+    (a, b), ok = _pairs(k), np.ones(len(gram), dtype=bool)
+    m = np.empty((len(gram), k, k))
     m[:, a, b] = m[:, b, a] = gram / np.where(a == b, 1.0, 2.0)
-    m[:, a[a == b], a[a == b]] -= (lam - tol)[:, None]
+    m[:, a[a == b], a[a == b]] -= shift[:, None]
     while m.shape[1]:
         ok &= m[:, 0, 0] > 0.0
         pivot = np.where(ok, m[:, 0, 0], 1.0)[:, None, None]     # 1 on rejected rows
         m = m[:, 1:, 1:] - m[:, 1:, :1] * m[:, None, 0, 1:] / pivot
+    return ok
+
+
+def _certify(what: str, lam, u: np.ndarray, split: np.ndarray, tol: float) -> None:
+    """The minimization gate, an exact certificate (Courant-Fischer): every
+    row's eigen minimum lam, with its unit minimizer u (rows, k), lies within
+    tol of min v P v^T over unit v, P the _gram of split.  u P u^T <= lam + tol
+    bounds that minimum from above; P - (lam - tol) I positive definite
+    (_definite) bounds it from below."""
+    lam, (a, b), gram = np.asarray(lam), _pairs(u.shape[1]), _gram(split)
+    quotient = (gram * u[:, a] * u[:, b]).sum(axis=1)
+    ok = (quotient - lam <= tol) & _definite(gram, u.shape[1], lam - tol)
     if not ok.all():
         i = np.flatnonzero(~ok)[0]
         raise RuntimeError(f"{what} minimization mismatch: eigen {lam[i].item()!r} vs u P u^T "
@@ -212,130 +203,38 @@ def _transverse_moments(states, jn1, jn2):
     return vectors[:, :2], _real(values, _TRANSVERSE_NAMES)
 
 
-def _zoom_min(f, best, step, *data) -> tuple[np.ndarray, np.ndarray]:
-    """Local minima of a vectorized f(*coords, *data) near the points best.
-
-    best holds one coordinate per axis and row, step one span per axis, and
-    row i of each data array belongs to row i.  Each round evaluates f for
-    every live row on an open grid (rows first, then as np.ix_ builds it) of
-    2k+1 points per axis spanning best +- step, and moves the row to its
-    lowest point.  While that point lies on the grid's edge and is strictly
-    below the centre, the row keeps its step (at most _ZOOM_MOVES times), so
-    a minimum further along a flat valley is followed; otherwise its step is
-    divided by k, and after _ZOOM_ROUNDS divisions the row is done.  No value
-    ever rises.  Returns the minimizers (axes, rows) and the minima (rows,).
-    """
-    dims = len(best)
-    best = np.array(best, dtype=float).reshape(dims, -1, 1)
-    live = rows = np.arange(best.shape[1])      # live: the input row of each row
-    step = np.array(step, dtype=float)[:, None, None].repeat(live.size, axis=1)
-    out, value = np.empty((dims, live.size)), np.empty(live.size)
-    grid = (_ZOOM_OFFSETS.size,) * dims
-    shapes = [(1,) * a + (-1,) + (1,) * (dims - 1 - a) for a in range(dims)]
-    edge = (np.indices(grid) % (2 * _ZOOM_K) == 0).any(axis=0).ravel()
-    moves, rounds = np.zeros((2, live.size), dtype=int)
-    while live.size:
-        axes = best + step * _ZOOM_OFFSETS
-        values = f(*(axis.reshape((live.size,) + shape) for axis, shape in zip(axes, shapes)),
-                   *data).reshape(live.size, -1)
-        low = values.argmin(axis=1)
-        at = low[None] if dims == 1 else np.array(np.unravel_index(low, grid))
-        best = axes[np.arange(dims)[:, None], rows, at][..., None]
-        move = edge[low]
-        if move.any():
-            move &= (values[rows, low] < values[:, edge.size // 2]) & (moves < _ZOOM_MOVES)
-            moves += move
-            rounds += ~move
-            step /= np.where(move, 1.0, _ZOOM_K)[:, None]
-        else:
-            rounds += 1
-            step /= _ZOOM_K
-        done = rounds == _ZOOM_ROUNDS
-        if done.any():
-            out[:, live[done]], value[live[done]] = best[:, done, 0], values[rows, low][done]
-            keep = ~done
-            live, moves, rounds = live[keep], moves[keep], rounds[keep]
-            best, step, data = best[:, keep], step[:, keep], [d[keep] for d in data]
-            rows = np.arange(live.size)
-    return out, value
-
-
-def _chart_form(rows: int, dims: int):
-    """The f of _zoom_min for the charts of _scan: at u = (1, c_1, ..., c_dims)
-    and each row's chart Gram matrix Q (its last argument, in _gram's entries
-    q), u Q u^T / |u|^2 summed as [q_00 + sum_j (q_0j + q_jj c_j) c_j +
-    sum_{j<k} q_jk c_j c_k] / [1 + sum_j c_j^2].  Axis j's terms live on its
-    own points of the open grid; only the sums across axes, the cross terms
-    and the division fill the whole grid, in three buffers sized per call."""
-    buffers = np.empty((3, rows * _ZOOM_OFFSETS.size ** dims))
-    entry = {(a, b): k for k, (a, b) in enumerate(_pairs(dims + 1).T.tolist())}
-
-    def form(*coords: np.ndarray) -> np.ndarray:
-        *coords, gram = coords
-        shape = np.broadcast_shapes(*(c.shape for c in coords))
-        value, term, norm = buffers[:, :math.prod(shape)].reshape((3,) + shape)
-        q = lambda a, b: gram[..., entry[a, b]]
-        top, bottom = q(0, 0), 1.0
-        for j, c in enumerate(coords, 1):       # the last axis's sums fill the grid
-            last = j == dims
-            top = np.add(top, (q(0, j) + q(j, j) * c) * c, out=value if last else None)
-            bottom = np.add(bottom, c * c, out=norm if last else None)
-        for j, k in (pair for pair in entry if 0 < pair[0] < pair[1]):
-            value += np.multiply(q(j, k) * coords[j - 1], coords[k - 1], out=term)
-        return np.divide(value, norm, out=value)
-
-    return form
-
-
-def _seed(form, charts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of charts (rows, k, entries), the chart and the point c
-    (dims, rows) of the lowest _chart_form value over every chart at the odd
-    _ZOOM_OFFSETS points: 8 per axis, spacing 1/4, at cell midpoints.  So no
-    seed point lies on a cube edge, which two charts share, or on a face's
-    axes and diagonals, where symmetric states put their saddle points."""
-    (rows, k, entries), dims, seed = charts.shape, charts.shape[1] - 1, _ZOOM_OFFSETS[1::2]
-    axis = np.broadcast_to(seed, (rows * k, seed.size))
-    values = form(*(axis.reshape((rows * k,) + (1,) * j + (seed.size,) + (1,) * (dims - 1 - j))
-                    for j in range(dims)),
-                  charts.reshape((rows * k,) + (1,) * dims + (entries,)))
-    chart, point = np.divmod(values.reshape(rows, k * seed.size ** dims).argmin(axis=1),
-                             seed.size ** dims)
-    return chart, seed[np.array(np.unravel_index(point, (seed.size,) * dims))]
-
-
-def _scan(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brute minimum of u P u^T over unit u per row of split (rows, k, 2d).
-
-    The value is read in the charts of _charts, u = (e_m + sum_j c_j
-    e_(other j)) / |(1, c)|, as the Rayleigh quotient (1, c) Q (1, c)^T /
-    |(1, c)|^2 of Q, the row's one Gram matrix P with its axes reordered: no
-    point needs trig or a square root.  With |c_j| <= 1 the charts cover
-    every direction.  _zoom_min refines each row from its _seed with step
-    1/4, in the seed's chart, which has no pole.  Returns the minimizing unit
-    vectors (rows, k) and the minima (rows,)."""
-    rows, k = split.shape[:2]
-    orders, entries = _charts(k)
-    charts = _gram(split)[:, entries]                   # (rows, k, entries)
-    form = _chart_form(rows * k, k - 1)                 # whose buffers serve both passes
-    chart, start = _seed(form, charts)
-    gram = np.expand_dims(charts[np.arange(rows), chart], tuple(range(1, k)))
-    coords, minima = _zoom_min(form, start, (0.25,) * (k - 1), gram)    # one seed spacing
-    unit = np.vstack([np.ones(rows), coords])
-    u = np.empty((rows, k))
-    u[np.arange(rows)[:, None], orders[chart]] = (unit / np.sqrt((unit * unit).sum(axis=0))).T
-    return u, minima
-
-
 def _transverse_split(states, vectors, moments) -> np.ndarray:
     """The real split of ((Jn1 - <Jn1>) psi, (Jn2 - <Jn2>) psi) per row."""
     return _real_split(vectors - moments[:, :2, None] * states[:, None, :])
 
 
+def _bisect_min(gram: np.ndarray, k: int) -> np.ndarray:
+    """Reference minimum of u P u^T over unit u per row, P the k x k matrix of
+    a _gram row: the largest shift s with P - s I positive definite
+    (_definite), bisected from Gershgorin's bracket once per bit of a float's
+    significand, so no tuning constant and no eigen route is read."""
+    a, b = _pairs(k)
+    diag, off = gram[:, a == b], np.abs(gram) / 2.0             # |P_ab| off the diagonal
+    radius = np.column_stack([off[:, (a != b) & ((a == i) | (b == i))].sum(axis=1)
+                              for i in range(k)])
+    lo, hi = (diag - radius).min(axis=1), (diag + radius).max(axis=1)
+    for _ in range(np.finfo(float).nmant + 1):
+        mid = (lo + hi) / 2.0
+        below = _definite(gram, k, mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo
+
+
 def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
-    """Brute minimum of Var(J_chi) per row and its angle chi in [0, pi), chi
-    parametrizing cos(chi) n1 + sin(chi) n2, by _scan of _transverse_split."""
-    u, val = _scan(_transverse_split(states, vectors, moments))
-    return val, np.arctan2(u[:, 1], u[:, 0]) % math.pi
+    """Reference minimum lam of Var(J_chi) per row and its angle chi in
+    [0, pi), chi parametrizing cos(chi) n1 + sin(chi) n2: _bisect_min of the
+    _gram P of _transverse_split, and the null direction of P - lam I read
+    from its larger row, (p, q) or (q, r)."""
+    gram = _gram(_transverse_split(states, vectors, moments))
+    lam = _bisect_min(gram, 2)
+    p, q, r = gram[:, 0] - lam, gram[:, 1] / 2.0, gram[:, 2] - lam
+    top = np.abs(p) >= np.abs(r)
+    return lam, np.arctan2(np.where(top, p, q), np.where(top, -q, -r)) % math.pi
 
 
 def _eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm) -> tuple[float, float]:
@@ -371,8 +270,9 @@ def _transverse(states, jn):
 def min_transverse_variance_scan(
     state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
-    """Brute minimum of Var(J_chi) over the transverse plane and its angle
-    chi in [0, pi): the brute reference for min_transverse_variance."""
+    """Minimum of Var(J_chi) over the transverse plane and its angle chi in
+    [0, pi), by bisection (_transverse_scan): the reference for
+    min_transverse_variance."""
     state = _state_vector(state, ops)
     if frame.status is FrameStatus.FULLY_DEGENERATE:
         raise DegenerateFrameError("transverse scan undefined: mean spin below eps")
@@ -402,12 +302,13 @@ def min_transverse_variance(
 
 def _sphere_min(split: np.ndarray) -> np.ndarray:
     """Minimum of <J_u^2> over all unit directions per row, S the real split
-    of (Jx psi, Jy psi, Jz psi), by _scan on the faces of the cube."""
-    return _scan(split)[1]
+    of (Jx psi, Jy psi, Jz psi), by _bisect_min of its _gram."""
+    return _bisect_min(_gram(split), 3)
 
 
 def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
-    """Minimum of <J_u^2> over all unit directions, by the sphere scan alone."""
+    """Minimum of <J_u^2> over all unit directions, by bisection alone: the
+    reference for min_variance_all_directions."""
     vectors, _ = _expectations(ops.moment_stack[:3], _state_vector(state, ops)[None])
     return _sphere_min(_real_split(vectors)).item()
 
@@ -450,8 +351,13 @@ def concurrence(state: np.ndarray) -> float:
     state = np.asarray(state)
     if state.shape != (3,):
         raise ValueError(f"expected a length-3 state, got shape {state.shape}")
-    up, zero, down = state.tolist()
-    return min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0)
+    return _concurrences([state.tolist()])[0]
+
+
+def _concurrences(states: list) -> list[float]:
+    """concurrence of each state (c_{+1}, c_0, c_{-1}), as Python complex
+    numbers, in Python arithmetic."""
+    return [min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0) for up, zero, down in states]
 
 
 def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
@@ -488,7 +394,7 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
         "lambda_min": lam, "chi_min": chi,
         "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
         "xi2_literal": 2.0 * (2.0 * lam),
-        "concurrence": np.array([concurrence(s) for s in psi]),
+        "concurrence": np.array(_concurrences(psi.tolist())),
         "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
     }
     return record, psi, values, triad

@@ -575,7 +575,7 @@ def test_certificate_rejects_wrong_minima(monkeypatch, capsys, owner, name, muta
 
 
 def test_pipeline_never_runs_the_scan(monkeypatch, capsys):
-    # the certificate gates both minimizations; the scan is only the brute
+    # the certificate gates both minimizations; the bisection is only the
     # reference behind min_transverse_variance_scan and _sphere_scan
     runs = [_FIG1_SHAPED, ["crosscheck"], ["point", "--beta", "1", "--mu", "0", "--nu", "0"]]
     expected = []
@@ -583,10 +583,10 @@ def test_pipeline_never_runs_the_scan(monkeypatch, capsys):
         assert main(argv) == 0
         expected.append(capsys.readouterr().out)
 
-    def no_scan(split):
-        raise AssertionError("the pipeline ran the scan")
+    def no_reference(gram, k):
+        raise AssertionError("the pipeline ran the reference")
 
-    monkeypatch.setattr(oracle, "_scan", no_scan)
+    monkeypatch.setattr(oracle, "_bisect_min", no_reference)
     for argv, out in zip(runs, expected):
         assert main(argv) == 0
         assert capsys.readouterr().out == out

@@ -24,26 +24,22 @@ from biaxbell import (
     min_transverse_variance_scan,
     min_variance_all_directions,
     moments_oracle,
+    oracle,
     project_transverse_operators,
     squeeze_oracle,
 )
+from biaxbell.cli import FIG1_BETA_STEPS, FIG1_MUS, FIG1_NU_STEPS
 from biaxbell.oracle import (
     _BLOCK,
-    _ZOOM_OFFSETS,
     _certify,
-    _chart_form,
-    _charts,
     _expectations,
-    _gram,
+    _pairs,
     _real_split,
-    _scan,
-    _seed,
     _sphere_min,
     _sphere_scan,
     _tables,
     _transverse_moments,
     _transverse_scan,
-    _zoom_min,
     oracle_arrays,
 )
 from biaxbell.spincore import expectation, param_columns
@@ -274,46 +270,6 @@ def test_uncertainty_product_bound(p):
     assert fm.jn1_sq * fm.jn2_sq >= 0.25 * r * r - 1e-9
 
 
-def test_zoom_min_reaches_off_grid_minimum_1d():
-    x0 = 0.3 + math.pi * 1e-3           # between the grid points of every round
-    f = lambda x: (x - x0) ** 2 + 0.25
-    (x,), val = _zoom_min(f, (0.3,), (0.01,))
-    assert val <= f(0.3)
-    assert abs(val - 0.25) <= 1e-12
-    assert abs(x - x0) <= 1e-7
-
-
-def test_zoom_min_reaches_off_grid_minimum_2d():
-    a, b = 0.0123456789, -0.0456789123
-    f = lambda x, y: 2.0 * (x - a) ** 2 + (x - a) * (y - b) + (y - b) ** 2 - 0.7
-    (x, y), val = _zoom_min(f, (0.0, 0.0), (0.1, 0.1))
-    assert val <= f(0.0, 0.0)
-    assert abs(val + 0.7) <= 1e-12
-    assert math.hypot(x.item() - a, y.item() - b) <= 1e-6
-
-
-def test_zoom_min_follows_a_flat_valley():
-    # the minimum lies ten grid spans away along x; a grid that only shrinks
-    # stops near x = 0.057
-    f = lambda x, y: 0.01 * (x - 0.5) ** 2 + (y + 0.02) ** 2
-    (x, _), val = _zoom_min(f, (0.0, 0.0), (0.05, 0.05))
-    assert val <= 1e-12
-    assert abs(x - 0.5) <= 1e-5
-
-
-def test_zoom_min_rows_are_independent():
-    # each row of one call, the one that follows a flat valley included,
-    # ends where it ends alone
-    f = lambda x, y, a: 0.01 * (x - a) ** 2 + (y + 0.02) ** 2
-    starts = (np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.02, 0.0]))
-    a = np.array([0.5, 0.01, -0.003])[:, None, None]
-    best, val = _zoom_min(f, starts, (0.05, 0.05), a)
-    for i in range(3):
-        alone, alone_val = _zoom_min(f, [s[i:i + 1] for s in starts], (0.05, 0.05), a[i:i + 1])
-        assert alone[:, 0].tolist() == best[:, i].tolist() and alone_val[0] == val[i]
-    assert abs(best[0, 0] - 0.5) <= 1e-5 and val.max() <= 1e-12
-
-
 def _batch_test_grid():
     """At least 3,000 seeded points: random ones, the beta in {0, 1} and
     mu in {0, pi/2, pi} edges, and zero-mean (fully-degenerate) lines."""
@@ -377,71 +333,15 @@ def test_scans_do_not_depend_on_batch(scan_rows):
             assert np.concatenate([part[k] for part in parts]).tobytes() == column.tobytes()
 
 
-def test_seed_picks_the_lowest_point_of_every_chart(scan_rows):
-    # |u S|^2 / |u|^2 at the chart point the seed reads from the reordered
-    # Gram entries is the minimum, to rounding, of the direct values over the
-    # seed points (c_j at the midpoints of 8 cells of [-1, 1]) of all k charts
-    # u = e_m + sum_j c_j e_(other j), whose axis orders are built here;
-    # values, not points, since symmetric states tie
-    sphere, (psi, vectors, moments) = scan_rows
-    transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
-    offsets = (np.arange(8) - 3.5) / 4.0
-    for split in (transverse, sphere):
-        (rows, k), dims = split.shape[:2], split.shape[1] - 1
-        orders = [[m] + [j for j in range(k) if j != m] for m in range(k)]
-        units = []
-        for order in orders:
-            for c in np.array(np.meshgrid(*(offsets,) * dims, indexing="ij")).reshape(dims, -1).T:
-                u = np.empty(k)
-                u[order] = (1.0, *c)
-                units.append(u)
-        units = np.array(units)                                   # (k 8^dims, k)
-        direct = ((units @ split) ** 2).sum(axis=-1) / (units ** 2).sum(axis=-1)[None]
-        chart, start = _seed(_chart_form(rows * k, dims), _gram(split)[:, _charts(k)[1]])
-        for i, (m, c) in enumerate(zip(chart, start.T)):
-            u = np.empty(k)
-            u[orders[m]] = (1.0, *c)
-            chosen = ((u @ split[i]) ** 2).sum() / (u @ u)
-            assert chosen - direct[i].min() <= 1e-15
-
-
 def test_scan_minimum_is_the_direct_value_at_its_minimizer(scan_rows):
-    # both passes read u P u^T from the Gram entries; at every minimizer it
-    # equals |u S|^2, the squared norm of the direction's combination of S
-    sphere, (psi, vectors, moments) = scan_rows
-    transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
-    for split in (transverse, sphere):
-        u, minima = _scan(split)
-        direct = (((u[:, :, None] * split).sum(axis=1)) ** 2).sum(axis=-1)
-        assert np.abs(minima - direct).max() <= 1e-14
-
-
-def test_chart_form_is_the_direct_rayleigh_quotient(scan_rows):
-    # at every point of a refinement round, the chart form read from the
-    # reordered Gram entries of chart m is |u S|^2 / |u|^2 for u = e_m +
-    # sum_j c_j e_(other j), built from the split S itself; seeded chart
-    # centres and steps, every chart of both scans
-    sphere, (psi, vectors, moments) = scan_rows
-    transverse = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
-    rng = np.random.default_rng(18)
-    for split in (transverse, sphere):
-        (rows, k), dims = split.shape[:2], split.shape[1] - 1
-        orders, entries = _charts(k)
-        form = _chart_form(rows, dims)
-        lift = lambda rows_of_vectors: rows_of_vectors.reshape((rows,) + (1,) * dims + (-1,))
-        for m, step in ((m, step) for m in range(k) for step in (0.5, 3e-3)):
-            gram = np.expand_dims(_gram(split)[:, entries[m]], tuple(range(1, 1 + dims)))
-            centres = rng.uniform(-1.0, 1.0, (dims, rows, 1))
-            coords = [(c + step * _ZOOM_OFFSETS).reshape((rows,) + (1,) * j + (-1,)
-                                                          + (1,) * (dims - 1 - j))
-                      for j, c in enumerate(centres)]
-            value = form(*coords, gram)
-            combo = lift(split[:, orders[m, 0]])
-            for j, c in enumerate(coords, 1):
-                combo = combo + c[..., None] * lift(split[:, orders[m, j]])
-            direct = (combo ** 2).sum(axis=-1) / (1.0 + sum(c ** 2 for c in coords))
-            assert value.shape == direct.shape
-            assert np.abs(value - direct).max() <= 1e-14, (dims, m, step)
+    # the transverse reference's chi is the null direction of P - lam I; at
+    # it, |cos chi S_0 + sin chi S_1|^2, the squared norm of the direction's
+    # combination of the centred split S itself, is lam
+    _, (psi, vectors, moments) = scan_rows
+    split = _real_split(vectors - moments[:, :2, None] * psi[:, None, :])
+    lam, chi = _transverse_scan(psi, vectors, moments)
+    combo = np.cos(chi)[:, None] * split[:, 0] + np.sin(chi)[:, None] * split[:, 1]
+    assert np.abs((combo ** 2).sum(axis=-1) - lam).max() <= 1e-14
 
 
 def _synthetic_split(eigvecs, eigvals, rng):
@@ -501,13 +401,12 @@ def test_scans_reject_wrong_state_shape(shape):
 
 @pytest.mark.parametrize(
     "table",
-    [*_charts(2), *_charts(3), _ZOOM_OFFSETS, OPS.moment_stack],
-    ids=["circle_orders", "circle_entries", "sphere_orders", "sphere_entries", "zoom_offsets",
-         "moment_stack"],
+    [_pairs(2), _pairs(3), OPS.moment_stack],
+    ids=["circle_pairs", "sphere_pairs", "moment_stack"],
 )
 def test_scan_tables_are_read_only(table):
-    # every scan (and every moments_oracle call, for the moment stack) shares
-    # these arrays; a write would corrupt all later calls
+    # the certificate and the reference (and every moments_oracle call, for
+    # the moment stack) share these arrays; a write would corrupt all later calls
     with pytest.raises(ValueError):
         table[(0,) * table.ndim] = 0.0
 
@@ -622,7 +521,38 @@ _FLAT_VALLEY_STATES = [
 def test_all_directions_in_flat_valleys(beta, mu, nu):
     state = _state(beta, mu, nu)
     lam, _ = min_variance_all_directions(state, OPS)
-    assert abs(lam - np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]) <= 1e-12
+    smallest = np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]
+    assert abs(lam - smallest) <= 1e-12
+    assert abs(_sphere_scan(state, OPS) - smallest) <= 1e-12
+
+
+def test_references_read_no_eigen_route(monkeypatch):
+    # the expected values come from the eigen routes first; with every eigen
+    # route raising, both references still return them: fig1 rows (the
+    # mu = pi/2, nu = 0 one fully degenerate) and flat-valley states
+    nus = np.linspace(0.0, 2.0 * math.pi, FIG1_NU_STEPS)
+    betas = np.linspace(0.0, 1.0, FIG1_BETA_STEPS)
+    points = [(betas[b], mu, nus[v]) for mu, v, b in (
+        (FIG1_MUS[0], 17, 30), (FIG1_MUS[1], 50, 72), (FIG1_MUS[2], 0, 40), (FIG1_MUS[2], 33, 95))]
+    states = [_state(*map(float, p)) for p in points + _FLAT_VALLEY_STATES[::8]]
+    frames = [_frame_of(state) for state in states]
+    expected = [(np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0],
+                 None if frame.status is FrameStatus.FULLY_DEGENERATE
+                 else min_transverse_variance(state, frame, OPS)[0])
+                for state, frame in zip(states, frames)]
+
+    def no_eigen(*args):
+        raise AssertionError("a reference read an eigen route")
+
+    for owner, name in ((oracle, "_eigen_min"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(owner, name, no_eigen)
+    transverse = 0
+    for state, frame, (smallest, lam) in zip(states, frames, expected):
+        assert abs(_sphere_scan(state, OPS) - smallest) <= 1e-12
+        if lam is not None:
+            assert abs(min_transverse_variance_scan(state, frame, OPS)[0] - lam) <= 1e-12
+            transverse += 1
+    assert 3 <= transverse < len(states)
 
 
 def test_small_sphere_grid_reaches_eigh_on_random_states():

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Worst eigen-versus-scan gaps and certificate rejections of the oracle's
-two minimizations.
+"""Worst eigen-versus-reference gaps and certificate rejections of the
+oracle's two minimizations, as a check.
 
     python3 tools/scan_gaps.py
 
@@ -10,16 +10,18 @@ line gives, for the transverse minimization over the rows that have a
 transverse plane, and for the all-directions one over the fully-degenerate
 rows (the rows oracle_arrays sends that way) and over every row:
 
-- the largest |eigen - scan|.  The eigen routes are the oracle's 2x2
+- the largest |eigen - reference|.  The eigen routes are the oracle's 2x2
   eigenvalue and the smallest eigh eigenvalue of the second-moment table;
-  the scans are the brute references _transverse_scan and _sphere_min, run
-  here in blocks of _BLOCK rows (oracle_arrays runs no scan);
+  the references are the exact bisections _transverse_scan and
+  _sphere_min, run here in blocks of _BLOCK rows (oracle_arrays runs
+  neither);
 - the number of rows whose eigen minimum and minimizer the oracle's gate,
   _certify, rejects at TRANSVERSE_AGREE_TOL and ALL_DIRECTIONS_AGREE_TOL.
-  oracle_arrays raises on any such row, so every count should read 0.
+  oracle_arrays raises on any such row.
 
-The package is imported from the src/ next to this script, so a checkout of
-any revision measures its own code.
+Exits 1 when any gap exceeds GAP_TOL or any rejection count is not 0, and
+0 otherwise.  The package is imported from the src/ next to this script, so
+a checkout of any revision measures its own code.
 """
 import math
 import sys
@@ -44,6 +46,7 @@ from biaxbell.spincore import axis_grid, superposition_states  # noqa: E402
 
 RANDOM_STATES = 20_000
 SEEDS = (1, 3, 5, 7)
+GAP_TOL = 1e-12
 
 
 def rejected(lam, u, split, tol) -> int:
@@ -104,18 +107,22 @@ def random_states(seed: int) -> np.ndarray:
     return states / np.linalg.norm(states, axis=1)[:, None]
 
 
-def main() -> None:
+def main() -> int:
     sets = {
         "fig1": family(FIG1_MUS, np.linspace(0.0, 2.0 * math.pi, FIG1_NU_STEPS),
                        np.linspace(0.0, 1.0, FIG1_BETA_STEPS)),
         "fig2": family(FIG2_MUS, (FIG2_NU,), np.linspace(0.0, 1.0, FIG2_BETA_STEPS)),
     }
     sets.update({f"random seed {seed}": random_states(seed) for seed in SEEDS})
+    failed = False
     for name, states in sets.items():
+        worst = gaps(states)
         cells = [f"{what} {gap:.2e} ({rows} rows, {bad} rejected)" if rows else f"{what}: no rows"
-                 for what, (gap, rows, bad) in gaps(states).items()]
+                 for what, (gap, rows, bad) in worst.items()]
         print(f"{name:14s} {len(states):6d} rows  " + "  ".join(cells))
+        failed |= any(gap > GAP_TOL or bad for gap, _, bad in worst.values())
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
