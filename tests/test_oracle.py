@@ -31,8 +31,12 @@ from biaxbell import (
 from biaxbell.cli import FIG1_BETA_STEPS, FIG1_MUS, FIG1_NU_STEPS
 from biaxbell.oracle import (
     _BLOCK,
+    _bisect_min,
     _certify,
+    _concurrences,
+    _definite,
     _expectations,
+    _gram,
     _pairs,
     _real_split,
     _sphere_min,
@@ -500,6 +504,77 @@ def test_certificate_brackets_the_smallest_eigenvalue(eigvecs, eigvals):
                 _certify("test", [wrong], u, split, tol)
 
 
+def _gram_of(p):
+    """The _gram rows of symmetric matrices p (rows, k, k)."""
+    a, b = _pairs(p.shape[-1])
+    return p[:, a, b] * np.where(a == b, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("k", [2, 3], ids=["circle", "sphere"])
+def test_definite_is_the_sign_of_the_smallest_eigenvalue(k):
+    # P - s I is positive definite exactly when s lies below eigvalsh's
+    # smallest eigenvalue, down to shifts 1e-9 from it, on seeded random P
+    rng = np.random.default_rng(22)
+    split = rng.normal(size=(300, k, 6)) * rng.uniform(0.01, 2.0, (300, 1, 1))
+    gram = _gram(split)
+    lam = np.linalg.eigvalsh(split @ split.transpose(0, 2, 1))[:, 0]
+    for offset in (1e-9, 1e-6, 1e-3, 0.1):
+        assert _definite(gram, k, lam - offset).all(), offset
+        assert not _definite(gram, k, lam + offset).any(), offset
+
+
+@pytest.mark.parametrize("k", [2, 3], ids=["circle", "sphere"])
+def test_bisect_min_meets_eigvalsh(k):
+    # within a few units in the last place of the largest eigenvalue, on
+    # seeded random P whose scales span four orders of magnitude
+    rng = np.random.default_rng(23)
+    split = rng.normal(size=(300, k, 6)) * rng.uniform(0.01, 2.0, (300, 1, 1))
+    eig = np.linalg.eigvalsh(split @ split.transpose(0, 2, 1))
+    assert np.all(np.abs(_bisect_min(_gram(split), k) - eig[:, 0]) <= 2e-15 * eig[:, -1])
+
+
+def _tied_matrix():
+    v = np.linalg.qr(np.array([(1, 1, 1), (1, -1, 0), (1, 1, -2)], dtype=float).T)[0]
+    return v @ np.diag([0.25, 0.25, 0.8]) @ v.T
+
+
+@pytest.mark.parametrize("p, exact", [
+    (0.7 * np.eye(3), True),
+    (np.diag([0.9, 0.5, 0.2]), True),      # the zero pivot comes last
+    (np.zeros((3, 3)), True),
+    (np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) / 14.0, False),
+    (_tied_matrix(), False),
+], ids=["scalar", "diagonal", "zero", "rank_one", "tied"])
+def test_bisect_min_on_special_matrices(p, exact):
+    # a diagonal P's Gershgorin bracket starts at its smallest entry, which
+    # comes back exactly, and a shift equal to it is not definite (a zero
+    # pivot fails); a singular P and a tied smallest pair land within
+    # rounding of eigvalsh
+    gram = _gram_of(p[None])
+    lam = np.linalg.eigvalsh(p)[0]
+    got = _bisect_min(gram, 3)
+    if exact:
+        assert got.item() == np.diag(p).min()
+        assert not _definite(gram, 3, got).any()
+    else:
+        assert abs(got.item() - lam) <= 1e-15
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.3, 2.0, math.pi - 1e-3],
+                         ids=["axis", "second_row", "first_row", "wrap"])
+def test_transverse_angle_is_the_null_direction(chi):
+    # the angle is read from the row (p, q) of P - lam I when |p| >= |r|,
+    # here for chi in [pi/4, 3pi/4], and from (q, r) otherwise; either way it
+    # is chi modulo pi, chi = 0 included, where arctan2 returns pi
+    v = [(math.cos(chi), math.sin(chi)), (-math.sin(chi), math.cos(chi))]
+    plane = _synthetic_split(v, (0.1, 0.6), np.random.default_rng(24))
+    vectors = (plane[:, :3] + 1j * plane[:, 3:])[None]
+    lam, angle = _transverse_scan(np.zeros((1, 3)), vectors, np.zeros((1, 5)))
+    assert abs(lam.item() - 0.1) <= 1e-15
+    assert 0.0 <= angle.item() < math.pi
+    assert abs((angle.item() - chi + math.pi / 2) % math.pi - math.pi / 2) <= 1e-15
+
+
 # family states whose second-moment tables have a long, oblique flat valley
 # (lambda_1 ~ lambda_2 << lambda_3), where a grid search stops short and its
 # gate raised: 8 rows of fig1's grid and 24 rows of the 25 mu x 49 nu x
@@ -595,6 +670,16 @@ def test_concurrence_generic_point_frozen():
     assert concurrence(build_superposition_state(P1)) == pytest.approx(
         0.5263610927870714, abs=1e-13
     )
+
+
+def test_concurrence_column_equals_concurrence_per_state():
+    # oracle_arrays computes the column per block through _concurrences;
+    # each entry equals the public one-state function bit for bit
+    grid = _batch_test_grid()[::10]
+    column = oracle_arrays(param_columns(grid))["concurrence"]
+    states = [build_superposition_state(p) for p in grid]
+    assert column.tolist() == [concurrence(s) for s in states]
+    assert column.tolist() == _concurrences([s.tolist() for s in states])
 
 
 def test_concurrence_shape_check():
