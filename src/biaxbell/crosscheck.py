@@ -17,9 +17,10 @@ match as printed; those are the build-stopping ones.
 closed_arrays and oracle.oracle_arrays are the only readers of the two
 routes.  Each evaluates a whole grid, given as its (4, n) parameter columns
 (default_grid, spincore.axis_grid), in one call: the closed forms as
-columns, with per-row math only for the frame angles and the variance
-radical's hypot, the oracle through its batched core.  closed_values and
-oracle_values are their one-row forms.
+columns, with math mapped over columns only for the frame angles and the
+variance radical's hypot (both nu candidates in one call), the oracle
+through its batched core.  closed_values and oracle_values are their
+one-row forms.
 """
 from __future__ import annotations
 
@@ -35,11 +36,10 @@ from .closedform import (
     cartesian_moments,
     raising_moments,
     transverse_moments,
-    variance_radical,
 )
 from .frame import FrameStatus, frame_angles, mean_spin_components, radical_length, spin_length
 from .oracle import oracle_arrays
-from .spincore import SqueezeParams, axis_grid, param_columns
+from .spincore import SqueezeParams, axis_grid, param_columns, readonly
 
 DEFAULT_TOL = 1e-10
 
@@ -83,6 +83,8 @@ CLOSED_QUANTITIES = (
 BETA_STEPS = 21
 MUS = (0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, np.pi)
 NUS = (-np.pi / 2, -np.pi / 3, 0.0, np.pi / 4, np.pi / 2, np.pi)
+# times the parameter columns, negates each nu (x * -1.0 is -x, bit for bit)
+_NEGATE_NU = readonly(np.array([[1.0], [1.0], [1.0], [-1.0]]))
 
 
 def default_grid(betas=None, mus=MUS, nus=NUS) -> np.ndarray:
@@ -155,14 +157,15 @@ def closed_arrays(grid: np.ndarray, negate_nu: bool = False) -> dict[str, np.nda
     closed-form frame is fully degenerate.
     """
     if negate_nu:
-        grid = np.array([*grid[:3], -grid[3]])
+        grid = grid * _NEGATE_NU
     mean = list(mean_spin_columns(grid).values())
     raising = raising_moments(*grid)
     cart = cartesian_moments(*raising)
     theta, phi, status = frame_angles(*mean[:4])
     flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status], dtype=bool)
-    moments = np.where(flat, math.nan, transverse_moments(cart, raising[1], theta, phi))
-    radical = [variance_radical(*row) for row in moments.T.tolist()]
+    a, b, c = moments = np.where(flat, math.nan, transverse_moments(cart, raising[1], theta, phi))
+    # variance_radical, with math.hypot mapped over the columns
+    radical = (a + b) - np.array(list(map(math.hypot, (a - b).tolist(), c.tolist())), dtype=float)
     columns = (*mean, *raising, *cart, *moments, radical)
     return {name: np.asarray(column) for name, column in zip(CLOSED_QUANTITIES, columns)}
 
@@ -214,7 +217,9 @@ def run_crosscheck(grid: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> 
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     oracle = oracle_arrays(grid)
-    printed, negated = closed_arrays(grid), closed_arrays(grid, negate_nu=True)
+    # both nu candidates in one pass over [grid | grid at -nu], split after
+    both, n = closed_arrays(np.concatenate([grid, grid * _NEGATE_NU], axis=1)), grid.shape[1]
+    printed, negated = ({q: c[part] for q, c in both.items()} for part in (np.s_[:n], np.s_[n:]))
     # the all-directions minimum of a frameless point is not a transverse one
     oracle["lambda_min"][np.isnan(oracle["jn1_sq"])] = math.nan
     status = list(oracle["frame_status"])

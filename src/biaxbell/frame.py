@@ -104,28 +104,28 @@ def mean_spin_length_closed_form(params: SqueezeParams) -> float:
     return float(radical_length(*param_columns([params]))[0])
 
 
-def _angles(jx: float, jy: float, jz: float, r: float, eps: float) -> tuple:
-    if r < eps:
-        return 0.0, 0.0, FrameStatus.FULLY_DEGENERATE
-    theta = math.acos(min(1.0, max(-1.0, jz / r)))
-    rho = math.hypot(jx, jy)
-    if rho / r < eps:
-        return theta, 0.0, FrameStatus.POLAR_DEGENERATE
-    base = math.acos(min(1.0, max(-1.0, jx / rho)))
-    phi = base if jy > 0.0 else 2.0 * math.pi - base
-    if phi >= 2.0 * math.pi:
-        phi = 0.0
-    return theta, phi, FrameStatus.REGULAR
+def _acos(x: np.ndarray) -> np.ndarray:
+    """math.acos over a column clamped to [-1, 1]."""
+    return np.array(list(map(math.acos, np.clip(x, -1.0, 1.0).tolist())), dtype=float)
 
 
 def frame_angles(jx, jy, jz, r, eps: float = DEFAULT_EPS) -> tuple:
     """theta and phi columns and the list of statuses of the frames
     compute_frame builds for the mean spins (jx, jy, jz) of spin_length r.
-    Each row is evaluated by the scalar arithmetic of math: np.arccos and
-    np.hypot round differently."""
-    rows = [_angles(*row, eps) for row in zip(*(np.asarray(c).tolist() for c in (jx, jy, jz, r)))]
-    theta, phi = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2).T
-    return theta, phi, [row[2] for row in rows]
+    math.acos and math.hypot are mapped over the columns (np.arccos and
+    np.hypot round differently); the branches are masks, and a masked row
+    divides by 1 in place of a vanishing length."""
+    flat = r < eps
+    r = np.where(flat, 1.0, r)
+    rho = np.array(list(map(math.hypot, jx.tolist(), jy.tolist())), dtype=float)
+    polar = ~flat & (rho / r < eps)
+    regular = ~(flat | polar)
+    base = _acos(jx / np.where(regular, rho, 1.0))
+    phi = np.where(jy > 0.0, base, 2.0 * math.pi - base)
+    phi = np.where(regular & (phi < 2.0 * math.pi), phi, 0.0)
+    theta = np.where(flat, 0.0, _acos(jz / r))
+    status = np.where(flat, 2, np.where(polar, 1, 0))         # in FrameStatus order
+    return theta, phi, np.array(list(FrameStatus))[status].tolist()
 
 
 def frame_triad(theta, phi) -> np.ndarray:
@@ -151,7 +151,7 @@ def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     r = mean_spin_length(ms)
-    theta, phi, (status,) = frame_angles([ms.jx], [ms.jy], [ms.jz], [r], eps)
+    theta, phi, (status,) = frame_angles(*np.array([[ms.jx], [ms.jy], [ms.jz], [r]]), eps)
     n1, n2, n3 = readonly(frame_triad(theta, phi)[0])
     return SpinFrame(n1, n2, n3, theta.item(), phi.item(), r, status)
 

@@ -9,12 +9,13 @@ min_transverse_variance_scan and _sphere_scan.
 
 oracle_arrays evaluates a whole grid, given as its (4, n) parameter
 columns, as arrays in blocks of rows, states and frame triads included.
-Only the steps numpy rounds differently from math run row by row in math:
-the frame angles (acos, hypot), the 2x2 eigen route (hypot, atan2) and the
-concurrence (complex abs).  So no value depends on the rows evaluated with
-it, and the one-point functions are one-row calls of the same code.  When a
-check fails in a block, its rows are evaluated again one at a time, so the
-error is the one the earliest failing row raises alone.
+Only the steps numpy rounds differently from math run in math: the frame
+angles (acos, hypot; mapped over columns), the 2x2 eigen route (hypot,
+atan2; per row) and the concurrence (complex abs).  So no value depends on
+the rows evaluated with it, and the one-point functions are one-row calls
+of the same code.  When a check fails in a block, its rows are evaluated
+again one at a time, so the error is the one the earliest failing row
+raises alone.
 
 The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
@@ -135,19 +136,28 @@ def _real(values: np.ndarray, names) -> np.ndarray:
     return values.real
 
 
+@lru_cache(maxsize=None)
+def _schur(k: int) -> np.ndarray:
+    """The positions of (i, j), (0, i) = i and (0, j) = j in a k x k upper
+    triangle in _pairs order, for each (i, j) 1 <= i <= j in _pairs(k - 1) order."""
+    i, j = _pairs(k - 1) + 1
+    return readonly(np.array([i * k - i * (i - 1) // 2 + j - i, i, j]))
+
+
 def _definite(gram: np.ndarray, k: int, shift: np.ndarray) -> np.ndarray:
     """Per row, whether P - shift I is positive definite, P the k x k matrix
     of a _gram row: by Sylvester's law of inertia, whether every pivot of its
-    LDL^T is > 0, eliminated elementwise per row."""
-    (a, b), ok = _pairs(k), np.ones(len(gram), dtype=bool)
-    m = np.empty((len(gram), k, k))
-    m[:, a, b] = m[:, b, a] = gram / np.where(a == b, 1.0, 2.0)
-    m[:, a[a == b], a[a == b]] -= shift[:, None]
-    while m.shape[1]:
-        ok &= m[:, 0, 0] > 0.0
-        pivot = np.where(ok, m[:, 0, 0], 1.0)[:, None, None]     # 1 on rejected rows
-        m = m[:, 1:, 1:] - m[:, 1:, :1] * m[:, None, 0, 1:] / pivot
-    return ok
+    LDL^T is > 0.  It eliminates on the upper triangle's columns (_schur): a
+    step's m_ij - m_0i m_0j / m_00 keeps the matrix exactly symmetric."""
+    a, b = _pairs(k)
+    m, ok = gram / np.where(a == b, 1.0, 2.0), np.ones(len(gram), dtype=bool)
+    m[:, a == b] -= shift[:, None]
+    for size in range(k, 1, -1):
+        ok &= m[:, 0] > 0.0
+        pivot = np.where(ok, m[:, 0], 1.0)[:, None]             # 1 on rejected rows
+        rest, first, second = _schur(size)
+        m = m[:, rest] - m[:, first] * m[:, second] / pivot
+    return ok & (m[:, 0] > 0.0)
 
 
 def _certify(what: str, lam, u: np.ndarray, split: np.ndarray, tol: float) -> None:
@@ -415,8 +425,9 @@ def oracle_arrays(grid: np.ndarray) -> dict[str, np.ndarray]:
             for i in range(block.shape[1]):     # the earliest failing row raises its own error
                 _evaluate(block[:, i:i + 1])
             raise
-    return {name: np.concatenate([record[name] for record in records])
-            for name in (records[0] if records else ())}
+    return records[0] if len(records) == 1 else {
+        name: np.concatenate([record[name] for record in records])
+        for name in (records[0] if records else ())}
 
 
 @dataclass(frozen=True)

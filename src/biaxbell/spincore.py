@@ -125,25 +125,26 @@ def axis_grid(order: tuple[str, str, str], *, beta, mu, nu) -> np.ndarray:
     """The alpha, beta, mu and nu columns (4, n) of the product of three
     axes, with rows in ``order`` from the outermost axis to the innermost.
 
-    Only the points that differ from the first row in one axis are built as
-    SqueezeParams, innermost axis first.  They come before every other
-    invalid row, so an invalid axis raises the error that the first failing
-    row of the per-row SqueezeParams list raises, and every value and alpha
-    is taken from them.  An empty axis gives no rows.
+    Each axis is one float column, checked and given its alpha as
+    SqueezeParams does.  Only when a value fails are the points that differ
+    from the first row in one axis built as SqueezeParams, innermost axis
+    first; they come before every other invalid row, so the error is the
+    first failing row's in the per-row list.  An empty axis gives no rows.
     """
-    axes = {"beta": beta, "mu": mu, "nu": nu}
-    if any(len(axis) == 0 for axis in axes.values()):
+    axes = dict(zip(("beta", "mu", "nu"), (np.asarray(a, dtype=float) for a in (beta, mu, nu))))
+    if any(axis.size == 0 for axis in axes.values()):
         return np.empty((4, 0))
-    first = {name: axis[0] for name, axis in axes.items()}
-    lines = {}
-    for name in reversed(order):
-        rows = [{**first, name: value} for value in axes[name]]
-        lines[name] = [SqueezeParams(beta=float(r["beta"]), mu=float(r["mu"]), nu=float(r["nu"]))
-                       for r in rows]
-    index = dict(zip(order, np.indices([len(axes[name]) for name in order]).reshape(3, -1)))
-    return np.array([np.array([getattr(p, attr) for p in lines[name]])[index[name]]
-                     for attr, name in (("alpha", "beta"), ("beta", "beta"),
-                                        ("mu", "mu"), ("nu", "nu"))])
+    beta, mu, nu = axes.values()
+    # the range checks also fail on nan and inf
+    if not (((0.0 <= beta) & (beta <= 1.0)).all() and ((0.0 <= mu) & (mu <= math.pi)).all()
+            and np.isfinite(nu).all()):
+        first = {name: axis[0].item() for name, axis in axes.items()}
+        for name in reversed(order):
+            for value in axes[name].tolist():
+                SqueezeParams(**{**first, name: value})
+    index = dict(zip(order, np.indices([axes[name].size for name in order]).reshape(3, -1)))
+    alpha = np.sqrt(np.maximum(0.0, 1.0 - square(beta)))
+    return np.array([alpha[index["beta"]], beta[index["beta"]], mu[index["mu"]], nu[index["nu"]]])
 
 
 def superposition_states(alpha, beta, mu, nu) -> np.ndarray:

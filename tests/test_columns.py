@@ -20,9 +20,11 @@ from biaxbell.closedform import (
     transverse_moments,
 )
 from biaxbell.frame import (
+    DEFAULT_EPS,
     FrameStatus,
     MeanSpin,
     compute_frame,
+    frame_angles,
     frame_triad,
     ladder_prefactors,
     mean_spin_closed_form,
@@ -121,6 +123,20 @@ def ref_cartesian(jplus_sq, jz_sq, jplus_2jz1):
     return 2.0 - jz_sq, jplus_sq.real, jplus_sq.imag, jplus_2jz1.real, jplus_2jz1.imag
 
 
+def ref_frame_angles(jx, jy, jz, r, eps=DEFAULT_EPS):
+    if r < eps:
+        return 0.0, 0.0, FrameStatus.FULLY_DEGENERATE
+    theta = math.acos(min(1.0, max(-1.0, jz / r)))
+    rho = math.hypot(jx, jy)
+    if rho / r < eps:
+        return theta, 0.0, FrameStatus.POLAR_DEGENERATE
+    base = math.acos(min(1.0, max(-1.0, jx / rho)))
+    phi = base if jy > 0.0 else 2.0 * math.pi - base
+    if phi >= 2.0 * math.pi:
+        phi = 0.0
+    return theta, phi, FrameStatus.REGULAR
+
+
 # ---------------------------------------------------------------------------
 # seeded points: poles, equator, beta in {0, 1}, |nu| <= 9 and nu = -0.0
 
@@ -190,6 +206,12 @@ def _transverse_moments():
     return got, want
 
 
+def _frame_angles():
+    mean = [ref_mean_spin_components(*row) for row in ROWS]
+    rows = [(*m, ref_spin_length(*m)) for m in mean]
+    return frame_angles(*np.array(rows).T)[:2], [ref_frame_angles(*row)[:2] for row in rows]
+
+
 def _frame_triad():
     got = frame_triad(np.array(THETA), np.array(PHI)).reshape(-1, 9).T
     return got, [ref_frame_triad(t, p) for t, p in zip(THETA, PHI)]
@@ -208,6 +230,7 @@ HELPERS = {
         cartesian_moments(*raising_moments(*COLUMNS)),
         [ref_cartesian(*ref_raising_moments(*row)) for row in ROWS]),
     "transverse_moments": _transverse_moments,
+    "frame_angles": _frame_angles,
     "superposition_states": lambda: (
         superposition_states(*COLUMNS).T, [ref_state(*row) for row in ROWS]),
     "frame_triad": _frame_triad,
@@ -217,6 +240,35 @@ HELPERS = {
 @pytest.mark.parametrize("name", list(HELPERS))
 def test_column_helper_matches_plain_float_reference(name):
     _assert_bit_equal(name, *HELPERS[name]())
+
+
+def test_frame_angles_on_edge_rows():
+    # every branch of the reference, with the statuses: r at and below eps,
+    # the polar axis, the jy = +-0 rows that wrap phi = 2 pi to 0, jy < 0, and
+    # an r below |jz| so that jz / r rounds beyond +-1 and is clamped
+    below = math.nextafter(0.5, 0.0)
+    rows = [
+        (0.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, math.nextafter(DEFAULT_EPS, 0.0), math.nextafter(DEFAULT_EPS, 0.0)),
+        (0.0, 0.0, DEFAULT_EPS, DEFAULT_EPS),
+        (0.0, 0.0, 0.5, 0.5),
+        (0.0, 0.0, -0.5, 0.5),
+        (0.3, 0.0, 0.4, 0.5),
+        (0.3, -0.0, 0.4, 0.5),
+        (-0.3, 0.0, 0.4, 0.5),
+        (0.3, -0.4, 0.0, 0.5),
+        (-0.3, -0.4, -0.0, 0.5),
+        (0.0, 0.0, 0.5, below),
+        (0.0, 0.0, -0.5, below),
+        (0.3, 0.4, 0.5, below),
+    ]
+    assert 0.5 / below > 1.0
+    want = [ref_frame_angles(*row) for row in rows]
+    theta, phi, status = frame_angles(*np.array(rows).T)
+    _assert_bit_equal("frame_angles", (theta, phi), [w[:2] for w in want], rows)
+    assert status == [w[2] for w in want]
+    assert set(status) == set(FrameStatus)
+    assert [w[1] for w in want[5:8]] == [0.0, 0.0, math.pi]
 
 
 def test_one_point_functions_are_bit_equal_to_the_reference():

@@ -357,18 +357,21 @@ def _synthetic_split(eigvecs, eigvals, rng):
 
 
 @pytest.mark.parametrize("eigvecs, eigvals", [
-    ([(1, 1, 0), (1, -1, 0), (0, 0, 1)], (0.1, 0.5, 0.9)),          # cube edge
+    ([(1, 1, 0), (1, -1, 0), (0, 0, 1)], (0.1, 0.5, 0.9)),          # two equal components
     ([(1, -1, 0), (1, 1, 1), (0, 0, 1)], (0.3, 0.31, 0.9)),
     ([(0, 1, -1), (1, 0, 0), (0, 1, 1)], (0.0, 0.4, 0.7)),
-    ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.1, 0.5, 0.9)),         # cube corner
+    ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.1, 0.5, 0.9)),         # three equal components
     ([(-1, 1, 1), (1, 1, 0), (1, 0, 1)], (0.0, 0.6, 1.2)),
-    # lambda_1 ~ lambda_2: the valley of the two runs through a corner
+    # lambda_1 ~ lambda_2: a flat valley through (1, 1, 1) and (1, -1, 0)
     ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.25, 0.25 + 1e-9, 0.8)),
     ([(1, 1, 1), (1, -1, 0), (1, 1, -2)], (0.25, 0.25, 0.8)),
 ])
 def test_scans_reach_minimizers_on_chart_boundaries(eigvecs, eigvals):
-    # smallest-eigenvalue directions where two or three charts meet; the
-    # transverse circle's charts meet at chi = pi/4 and 3 pi/4
+    # minimizers with two or three equal components on the sphere, and at
+    # chi = pi/4 and 3 pi/4 on the transverse circle: the bisection halves an
+    # eigenvalue bracket and reads no direction, so it meets eigvalsh within
+    # 1e-12 wherever the minimizer points, and the null direction of
+    # P - lam I gives the angle
     rng = np.random.default_rng(20)
     split = _synthetic_split(eigvecs, eigvals, rng)
     lam = np.linalg.eigvalsh(split @ split.T)[0]
@@ -384,10 +387,10 @@ def test_scans_reach_minimizers_on_chart_boundaries(eigvecs, eigvals):
 
 
 def test_seed_skips_a_saddle_on_a_cube_edge():
-    # at beta = 0.06, mu = 0, nu = pi/4 the middle eigenvector (1, -1, 0) lies
-    # on a cube edge and ties there with (1, 1, 0); a seed lattice through the
-    # edges starts the refinement on that saddle, which then walks the flat
-    # valley the long way and stops 2.8e-3 above eigh
+    # at beta = 0.06, mu = 0, nu = pi/4 the middle eigenvector (1, -1, 0) is a
+    # saddle of the Rayleigh quotient 3.6e-3 above its minimum, which lies
+    # near (1, 1, 0); the bisection tests P - s I for definiteness and visits
+    # no direction, so no saddle can hold it
     state = _state(0.06, 0.0, math.pi / 4)
     lam = np.linalg.eigvalsh(moments_oracle(state, OPS).table)[0]
     assert abs(_sphere_scan(state, OPS) - lam) <= 1e-12
@@ -439,7 +442,8 @@ def test_all_directions_coherent():
 
 def test_sphere_scan_meets_smallest_eigenvalue():
     # every zero-mean sweep input (mu = pi/2, nu in {0, pi}) and a Bell-weight-one
-    # grid; the gate is 1e-6, so this catches a refinement that stops early
+    # grid; the gate is 1e-6, so this catches a bracket or a halving count
+    # that leaves the bisection short
     inputs = [(b, math.pi / 2, nu) for nu in (0.0, math.pi) for b in np.linspace(0.0, 1.0, 101)]
     inputs += [
         (1.0, mu, nu)
@@ -454,8 +458,8 @@ def test_sphere_scan_meets_smallest_eigenvalue():
 
 @pytest.mark.parametrize("seed, index", [(0, 230), (1, 381), (3, 231), (3, 497), (4, 350)])
 def test_all_directions_on_random_states(seed, index):
-    # generic spin-1 states whose coarse sphere-grid minimum sits more than one
-    # refinement step from the true one (flat valley or near the pole)
+    # generic spin-1 states with a flat valley or a minimizer near the pole:
+    # the certified eigen route and the bisection both meet eigvalsh
     rng = np.random.default_rng(seed)
     states = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(index + 1)]
     state = states[index] / np.linalg.norm(states[index])
@@ -464,8 +468,9 @@ def test_all_directions_on_random_states(seed, index):
     assert abs(_sphere_scan(state, OPS) - lam) <= 1e-10
 
 
-# rows of 20,000 seeded random states whose sphere scan, with grid rows on the
-# poles, seeded its refinement in the wrong phi wedge (gaps 3.4e-6 to 3.2e-4)
+# rows of 20,000 seeded random states whose minimizer lies within 1.4 degrees
+# of a pole, where phi is ill-conditioned; a search over directions missed
+# their minima by 3.4e-6 to 3.2e-4, and the bisection reads no direction
 _POLE_WEDGE_ROWS = {1: [10449], 3: [5193], 5: [814, 6723], 6: [9142, 15828],
                     7: [2492, 13993], 8: [7426], 9: [3125, 5890], 10: [6393]}
 
@@ -631,10 +636,9 @@ def test_references_read_no_eigen_route(monkeypatch):
 
 
 def test_small_sphere_grid_reaches_eigh_on_random_states():
-    # the 8 x 8 lattice on each cube face only seeds the refinement: a
-    # Rayleigh quotient has no local minimum that is not global, and a chart
-    # has no pole, so every scan of 20,000 seeded states reaches eigh's
-    # smallest eigenvalue, the minimizers within 2 degrees of +-z included
+    # the bisection reference, over blocks (_sphere_min) and one row at a time
+    # (_sphere_scan), meets eigh's smallest eigenvalue on 20,000 seeded
+    # states, the minimizers within 2 degrees of +-z included
     rng = np.random.default_rng(7)
     states = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
     states /= np.linalg.norm(states, axis=1)[:, None]

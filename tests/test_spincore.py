@@ -125,6 +125,40 @@ def test_axis_grid_matches_the_per_row_points(order, axes):
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("order", [SWEEP_ORDER, CROSSCHECK_ORDER])
+@pytest.mark.parametrize("axes", [
+    # a float64 array as the beta axis arrives, tuples as MUS and NUS are
+    dict(beta=np.linspace(0.0, 1.0, 5), mu=(0.0, math.pi / 3, math.pi), nu=(-math.pi / 2, 0.0)),
+    dict(beta=[np.float32(0.3), np.int64(1)], mu=np.array([0.5, 1.0], dtype=np.float32),
+         nu=[np.int64(-2), np.float32(0.1)]),
+    # beta = 1 exactly gives alpha = +0.0; signed zeros keep their sign; the
+    # alpha of the middle beta differs in its last bit if beta^2 is x * x
+    dict(beta=[-0.0, 0.9503546630566793, 1.0], mu=[-0.0], nu=[-0.0, 0.0]),
+    # one invalid axis, as a list or as an array, beside array axes
+    dict(beta=np.linspace(0.0, 1.0, 3), mu=[0.0, 4.0], nu=np.array([0.0, 1.0])),
+    dict(beta=np.linspace(0.0, 1.0, 3), mu=np.array([0.0, 1.0]), nu=np.array([0.0, np.nan])),
+    dict(beta=np.array([0.5, 1.5]), mu=(0.0, math.pi), nu=np.array([0.0, np.inf])),
+], ids=["float64_and_tuples", "float32_and_int64", "signed_zeros_and_beta_one",
+        "invalid_list_axis", "invalid_array_axis", "two_invalid_axes"])
+def test_axis_grid_takes_every_axis_type(order, axes, monkeypatch):
+    # each case gives param_columns of the per-row points bit for bit, building
+    # no SqueezeParams, or raises the message the per-row list raises
+    try:
+        expected = param_columns(_per_row(order, axes))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            axis_grid(order, **axes)
+        assert str(raised.value) == str(exc)
+        return
+    monkeypatch.setattr("biaxbell.spincore.SqueezeParams", None)
+    got = axis_grid(order, **axes)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    one = got[1] == 1.0
+    if one.any():
+        assert not np.signbit(got[0][one]).any() and (got[0][one] == 0.0).all()
+
+
 # ---------------------------------------------------------------------------
 # operator construction
 
