@@ -802,6 +802,65 @@ def test_figure_reports_are_pinned():
     ]
 
 
+def _crafted_sweep(monkeypatch, mus, lines_per_mu):
+    """Make run_figure read crafted curves: lines_per_mu[i][column] holds the
+    beta curves of slice mus[i], one per nu line, in (mu, nu, beta) row order."""
+    def fake(grid):
+        columns = {name: [v for lines in lines_per_mu for line in lines[name] for v in line]
+                   for name in lines_per_mu[0]}
+        assert all(len(c) == grid.shape[1] for c in columns.values())
+        assert list(dict.fromkeys(grid[2].tolist())) == list(mus)
+        return columns
+    monkeypatch.setattr(cli, "sweep_columns", fake)
+
+
+def test_figure_fail_paths_are_pinned(monkeypatch):
+    # fig1 on 5 nu lines (0, pi/2, pi, 3pi/2, 2pi) and 8 betas (k/7; 5/7 lies
+    # within 0.01 of 1/sqrt(2))
+    fall = [1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.1, 0.0]
+    off_peak = [0.0, 0.2, 0.5, 0.9, 0.6, 0.4, 0.2, 0.1]     # peaks at beta = 3/7
+    on_peak = [0.0, 0.1, 0.2, 0.4, 0.6, 0.9, 0.5, 0.1]      # peaks at beta = 5/7
+    mu0 = [fall, [1.0, 0.8, 0.9, 0.5, 0.4, 0.3, 0.1, 0.0], fall, fall, fall]
+    # sin(nu) = 0 on lines 0, 2 and 4: r vanishes there, so any curve passes
+    mu_half = [fall, off_peak, fall, on_peak, fall]
+    _crafted_sweep(monkeypatch, cli.FIG1_MUS,
+                   [{"r_eq10": lines} for lines in (mu0, [fall] * 5, mu_half)])
+    slices, violations, lines = run_fig1(nu_steps=5, beta_steps=8)
+    assert list(slices) == list(cli.FIG1_MUS)
+    assert lines == [
+        "fig1 mu=0: monotone decrease, endpoints 1 and 0: FAIL",
+        "fig1 mu=pi/2: unimodal with peak at 1/sqrt(2): FAIL",
+    ]
+    assert violations == [
+        "fig1 mu=0 nu=np.float64(1.5707963267948966): r must fall monotonically from 1 to 0",
+        "fig1 mu=pi/2 nu=np.float64(1.5707963267948966): r must peak at beta=1/sqrt(2)",
+    ]
+
+    # fig2 on betas 0, 1/4, ..., 1: in xi2_std the mu=0 curve rises and its
+    # squeezed interval ties with mu=pi/2's; every xi2_literal check passes
+    _crafted_sweep(monkeypatch, cli.FIG2_MUS, [
+        {"xi2_std": [[0.5, 0.6, 0.7, 0.8, 0.9]], "xi2_literal": [[1.0, 0.9, 0.8, 0.8, 0.7]]},
+        {"xi2_std": [[0.5, 0.7, 0.9, 0.6, 0.4]], "xi2_literal": [[0.2, 0.5, 0.9, 0.5, 0.2]]},
+        {"xi2_std": [[1.0, 1.2, 1.5, 1.1, 1.0]], "xi2_literal": [[1.0, 1.1, 1.3, 1.2, 1.0]]},
+    ])
+    _, violations, lines = run_fig2(beta_steps=5)
+    rise = "rise to an interior maximum, then fall"
+    assert lines == [
+        "fig2 mu=0 (xi2_std): decrease toward a minimum: FAIL",
+        f"fig2 mu=pi/2 (xi2_std): {rise}: PASS",
+        f"fig2 mu=pi (xi2_std): {rise}: PASS",
+        "fig2 squeezed-interval widths (xi2_std): mu=0=1, mu=pi/2=1, mu=pi=0: FAIL",
+        "fig2 mu=0 (xi2_literal): decrease toward a minimum: PASS",
+        f"fig2 mu=pi/2 (xi2_literal): {rise}: PASS",
+        f"fig2 mu=pi (xi2_literal): {rise}: PASS",
+        "fig2 squeezed-interval widths (xi2_literal): mu=0=0.75, mu=pi/2=1, mu=pi=0: PASS",
+    ]
+    assert violations == [
+        "fig2 mu=0 (xi2_std): expected decrease toward a minimum",
+        "fig2 (xi2_std): squeezed interval at mu=pi/2 must be strictly widest",
+    ]
+
+
 def test_figure_command_fig2_exits_two(tmp_path, capsys):
     code = main(["figure", "fig2", "--outdir", str(tmp_path)])
     captured = capsys.readouterr()

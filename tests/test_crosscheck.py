@@ -1,4 +1,6 @@
 """Closed-form/oracle reconciliation and convention adjudication."""
+import copy
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -164,6 +166,35 @@ def test_report_serializable(default_report):
     parsed = json.loads(json.dumps(payload))
     assert parsed["samples"] == 882
     assert parsed["nu_sign_hypothesis"] == NU_NEGATED
+
+
+def test_report_dict_value_and_independence():
+    # the fields in declaration order, independent_ok before the failures,
+    # and each failure's closed and oracle value as its repr
+    rep = run_crosscheck(default_grid()[:, :12], tol=1e-18)
+    assert rep.failures
+    want = dataclasses.asdict(rep)
+    failures = want.pop("failures")
+    want["independent_ok"] = rep.independent_ok
+    want["failures"] = [
+        {**f, "closed": repr(f["closed"]), "oracle": repr(f["oracle"])} for f in failures
+    ]
+    got = rep.as_dict()
+    assert got == want
+    assert list(got) == list(want)
+    assert [list(f) for f in got["failures"]] == [list(f) for f in want["failures"]]
+
+    # what as_dict returns shares no mutable part with the report
+    before = copy.deepcopy(rep)
+    for name in ("max_abs_diff_per_quantity", "nu_candidate_max_diff",
+                 "factor_candidate_max_diff"):
+        got[name]["extra"] = 1.0
+        got[name].pop(next(iter(getattr(rep, name))))
+    got["failures"][0]["quantity"] = "changed"
+    got["failures"][0]["diff"] = -1.0
+    got["failures"].clear()
+    assert rep == before
+    assert rep.as_dict() == want
 
 
 def test_failures_carry_python_scalars():

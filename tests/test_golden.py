@@ -37,6 +37,9 @@ CASES = {
     "sweep_zero_mean_wide": "sweep --mu-list pi/2 --nu-list 0,pi --beta-steps 101 --format json",
     "crosscheck_text": "crosscheck",
     "crosscheck_json": "crosscheck --format json",
+    # reports with failure records: every closed and oracle repr is pinned
+    "crosscheck_tight_text": "crosscheck --tol 1e-18 --beta-steps 3",
+    "crosscheck_tight_json": "crosscheck --tol 1e-18 --beta-steps 3 --format json",
     "point_text": "point --beta 0.6 --mu pi/3 --nu pi/4",
     "point_json": "point --beta 0.6 --mu pi/3 --nu pi/4 --format json",
     "sweep_mixed_status": "sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9",
