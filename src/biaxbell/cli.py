@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -319,29 +318,13 @@ def squeezed_interval_width(betas, xi2_values) -> float:
     return float(selected[-1] - selected[0])
 
 
-class ShapeCheck(NamedTuple):
-    """An expectation on every nu line of one figure slice."""
-    mu: float
-    column: str
-    report: str
-    violation: str      # may name the failing line as {nu!r}
-    holds: Callable     # (nu, betas, curve) -> bool
-
-
-class WidestSqueezing(NamedTuple):
-    """On a figure with one nu line, the squeezed beta interval of slice
-    ``mu`` is strictly the widest; ``report`` formats the widths in slice order."""
-    mu: float
-    column: str
-    report: str
-    violation: str
-
-
 def run_figure(mus, nus, betas, checks):
     """Evaluate a figure's slices and run its checks in order.
 
-    Returns (slices, violations, report_lines); slices maps mu to its sweep
-    columns.
+    ``checks(curves, nus, betas)`` yields a report line and its list of
+    violations per check; ``curves(mu, column)`` is that column of slice mu
+    as a (nu, beta) array.  Returns (slices, violations, report_lines);
+    slices maps mu to its sweep columns.
     """
     columns = sweep_columns(axis_grid(("mu", "nu", "beta"), mu=mus, nu=nus, beta=betas))
     size = len(nus) * len(betas)
@@ -353,73 +336,61 @@ def run_figure(mus, nus, betas, checks):
 
     violations: list[str] = []
     lines: list[str] = []
-    for check in checks:
-        report = check.report
-        if isinstance(check, WidestSqueezing):
-            widths = {mu: squeezed_interval_width(betas, curves(mu, check.column)[0])
-                      for mu in mus}
-            report = report.format(*widths.values())
-            wide = all(widths[check.mu] > w for mu, w in widths.items() if mu != check.mu)
-            failed = [] if wide else [check.violation]
-        else:
-            failed = [check.violation.format(nu=nu)
-                      for nu, curve in zip(nus, curves(check.mu, check.column))
-                      if not check.holds(nu, betas, curve)]
+    for report, failed in checks(curves, nus, betas):
         lines.append(f"{report}: {'FAIL' if failed else 'PASS'}")
         violations += failed
     return slices, violations, lines
 
 
-def _peaks_at_inv_sqrt2(nu, betas, r) -> bool:
-    if abs(math.sin(nu)) <= 1e-9:
-        return True         # r vanishes identically on these lines
-    return rise_then_fall(r) and abs(betas[int(np.argmax(r))] - 1.0 / math.sqrt(2.0)) <= 0.01
+def _fig1_checks(curves, nus, betas):
+    """r falls from 1 to 0 on every nu line of mu=0 and peaks at
+    beta = 1/sqrt(2) on every nu line of mu=pi/2."""
+    yield "fig1 mu=0: monotone decrease, endpoints 1 and 0", [
+        f"fig1 mu=0 nu={nu!r}: r must fall monotonically from 1 to 0"
+        for nu, r in zip(nus, curves(0.0, "r_eq10"))
+        if not (monotone_nonincreasing(r) and abs(r[0] - 1.0) <= 1e-12 and abs(r[-1]) <= 1e-12)
+    ]
+    # r vanishes identically on the lines with sin(nu) = 0, which pass
+    yield "fig1 mu=pi/2: unimodal with peak at 1/sqrt(2)", [
+        f"fig1 mu=pi/2 nu={nu!r}: r must peak at beta=1/sqrt(2)"
+        for nu, r in zip(nus, curves(math.pi / 2, "r_eq10"))
+        if abs(math.sin(nu)) > 1e-9
+        and not (rise_then_fall(r) and abs(betas[np.argmax(r)] - 1.0 / math.sqrt(2.0)) <= 0.01)
+    ]
 
 
-FIG1_CHECKS = (
-    ShapeCheck(0.0, "r_eq10", "fig1 mu=0: monotone decrease, endpoints 1 and 0",
-               "fig1 mu=0 nu={nu!r}: r must fall monotonically from 1 to 0",
-               lambda nu, betas, r: monotone_nonincreasing(r)
-               and abs(r[0] - 1.0) <= 1e-12 and abs(r[-1]) <= 1e-12),
-    ShapeCheck(math.pi / 2, "r_eq10", "fig1 mu=pi/2: unimodal with peak at 1/sqrt(2)",
-               "fig1 mu=pi/2 nu={nu!r}: r must peak at beta=1/sqrt(2)", _peaks_at_inv_sqrt2),
-)
-
-
-def _fig2_checks(column: str) -> tuple:
-    """mu=0 decreases toward a minimum, mu=pi/2 and mu=pi rise to an interior
-    maximum and then fall, and the squeezed interval at mu=pi/2 is widest."""
+def _fig2_checks(curves, nus, betas):
+    """For each normalization, mu=0 decreases toward a minimum, mu=pi/2 and
+    mu=pi rise to an interior maximum and then fall, and the squeezed
+    interval at mu=pi/2 is strictly the widest."""
     fall, rise = "decrease toward a minimum", "rise to an interior maximum, then fall"
-    shapes = (
-        (0.0, "mu=0", fall,
-         lambda nu, betas, xi2: monotone_nonincreasing(xi2) and xi2[0] > xi2[-1]),
-        (math.pi / 2, "mu=pi/2", rise, lambda nu, betas, xi2: rise_then_fall(xi2)),
-        (math.pi, "mu=pi", rise, lambda nu, betas, xi2: rise_then_fall(xi2)),
-    )
-    widest = WidestSqueezing(
-        math.pi / 2, column,
-        f"fig2 squeezed-interval widths ({column}): "
-        "mu=0={:.6g}, mu=pi/2={:.6g}, mu=pi={:.6g}",
-        f"fig2 ({column}): squeezed interval at mu=pi/2 must be strictly widest",
-    )
-    return tuple(ShapeCheck(mu, column, f"fig2 {tag} ({column}): {desc}",
-                            f"fig2 {tag} ({column}): expected {desc}", holds)
-                 for mu, tag, desc, holds in shapes) + (widest,)
-
-
-FIG2_CHECKS = _fig2_checks("xi2_std") + _fig2_checks("xi2_literal")
+    for column in ("xi2_std", "xi2_literal"):
+        xi2 = [curves(mu, column)[0] for mu in FIG2_MUS]
+        shapes = (
+            ("mu=0", fall, monotone_nonincreasing(xi2[0]) and xi2[0][0] > xi2[0][-1]),
+            ("mu=pi/2", rise, rise_then_fall(xi2[1])),
+            ("mu=pi", rise, rise_then_fall(xi2[2])),
+        )
+        for tag, desc, holds in shapes:
+            yield (f"fig2 {tag} ({column}): {desc}",
+                   [] if holds else [f"fig2 {tag} ({column}): expected {desc}"])
+        widths = [squeezed_interval_width(betas, curve) for curve in xi2]
+        yield (f"fig2 squeezed-interval widths ({column}): "
+               "mu=0={:.6g}, mu=pi/2={:.6g}, mu=pi={:.6g}".format(*widths),
+               [] if widths[1] > max(widths[0], widths[2]) else
+               [f"fig2 ({column}): squeezed interval at mu=pi/2 must be strictly widest"])
 
 
 def run_fig1(nu_steps: int = FIG1_NU_STEPS, beta_steps: int = FIG1_BETA_STEPS):
     """Mean-spin-length sweeps: three mu slices over a (nu, beta) grid."""
     return run_figure(FIG1_MUS, np.linspace(0.0, 2.0 * math.pi, nu_steps),
-                      np.linspace(0.0, 1.0, beta_steps), FIG1_CHECKS)
+                      np.linspace(0.0, 1.0, beta_steps), _fig1_checks)
 
 
 def run_fig2(beta_steps: int = FIG2_BETA_STEPS):
     """Squeezing sweeps at nu = -pi/3 for mu in {0, pi/2, pi}, checked for
     both squeezing normalizations."""
-    return run_figure(FIG2_MUS, (FIG2_NU,), np.linspace(0.0, 1.0, beta_steps), FIG2_CHECKS)
+    return run_figure(FIG2_MUS, (FIG2_NU,), np.linspace(0.0, 1.0, beta_steps), _fig2_checks)
 
 
 FIGURES = {"fig1": run_fig1, "fig2": run_fig2}

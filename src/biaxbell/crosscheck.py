@@ -25,7 +25,7 @@ one-row forms.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,13 +128,16 @@ class CrosscheckReport:
         return all(diffs[q] <= self.tol for q in CONVENTION_INDEPENDENT)
 
     def as_dict(self) -> dict:
-        """Fields in declaration order, independent_ok before the failures."""
-        data = asdict(self)
-        failures = data.pop("failures")
+        """Fields in declaration order, independent_ok before the failures,
+        and each failure's closed and oracle values as their repr; the other
+        fields hold scalars and flat dicts, so copying the dicts suffices."""
+        data = {}
+        for f in fields(self)[:-1]:         # every field but the failures
+            value = getattr(self, f.name)
+            data[f.name] = dict(value) if isinstance(value, dict) else value
         data["independent_ok"] = self.independent_ok
-        data["failures"] = [
-            {**f, "closed": repr(f["closed"]), "oracle": repr(f["oracle"])} for f in failures
-        ]
+        data["failures"] = [{**vars(f), "closed": repr(f.closed), "oracle": repr(f.oracle)}
+                            for f in self.failures]
         return data
 
 
@@ -146,18 +149,15 @@ def mean_spin_columns(grid: np.ndarray) -> dict[str, np.ndarray]:
     return dict(zip(MEAN_SPIN_QUANTITIES, columns))
 
 
-def closed_arrays(grid: np.ndarray, negate_nu: bool = False) -> dict[str, np.ndarray]:
+def closed_arrays(grid: np.ndarray) -> dict[str, np.ndarray]:
     """Every closed-form quantity over the parameter columns of a grid, one
-    array per CLOSED_QUANTITIES entry in grid order; with negate_nu, each
-    point is evaluated at -nu.
+    array per CLOSED_QUANTITIES entry in grid order.
 
     The frame entries are taken in the frame of the closed-form mean spin.
     "radical" is the minimal transverse variance without its one-half factor
     (xi2_std at N = 2); it and the frame entries are NaN on a row whose
     closed-form frame is fully degenerate.
     """
-    if negate_nu:
-        grid = grid * _NEGATE_NU
     mean = list(mean_spin_columns(grid).values())
     raising = raising_moments(*grid)
     cart = cartesian_moments(*raising)

@@ -30,6 +30,7 @@ from biaxbell.crosscheck import (
     INCONCLUSIVE,
     MEAN_SPIN_QUANTITIES,
     NU_NEGATED,
+    _NEGATE_NU,
     closed_arrays,
     closed_values,
     mean_spin_columns,
@@ -369,18 +370,18 @@ def test_closed_columns_match_scalar_functions_bit_for_bit(column_grid):
 
 
 def test_negated_columns_match_the_replaced_grid(column_grid):
-    negated = closed_arrays(param_columns(column_grid), negate_nu=True)
+    negated = closed_arrays(param_columns(column_grid) * _NEGATE_NU)
     replaced = closed_arrays(param_columns([replace(p, nu=-p.nu) for p in column_grid]))
     for q in CLOSED_QUANTITIES:
         assert _bits(negated[q]) == _bits(replaced[q]), q
 
 
-@pytest.mark.parametrize("negate_nu", [False, True], ids=["nu", "minus-nu"])
-def test_closed_columns_do_not_depend_on_batch_size(column_grid, negate_nu):
-    columns = param_columns(column_grid)
-    whole = closed_arrays(columns, negate_nu)
+@pytest.mark.parametrize("sign", [1.0, _NEGATE_NU], ids=["nu", "minus-nu"])
+def test_closed_columns_do_not_depend_on_batch_size(column_grid, sign):
+    columns = param_columns(column_grid) * sign
+    whole = closed_arrays(columns)
     for size in (1, 7):
-        chunks = [closed_arrays(columns[:, i:i + size], negate_nu)
+        chunks = [closed_arrays(columns[:, i:i + size])
                   for i in range(0, len(column_grid), size)]
         for q in CLOSED_QUANTITIES:
             joined = [v for chunk in chunks for v in chunk[q]]
