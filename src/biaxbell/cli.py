@@ -346,13 +346,13 @@ def _fig1_checks(curves, nus, betas):
     """r falls from 1 to 0 on every nu line of mu=0 and peaks at
     beta = 1/sqrt(2) on every nu line of mu=pi/2."""
     yield "fig1 mu=0: monotone decrease, endpoints 1 and 0", [
-        f"fig1 mu=0 nu={nu!r}: r must fall monotonically from 1 to 0"
+        f"fig1 mu=0 nu={float(nu)!r}: r must fall monotonically from 1 to 0"
         for nu, r in zip(nus, curves(0.0, "r_eq10"))
         if not (monotone_nonincreasing(r) and abs(r[0] - 1.0) <= 1e-12 and abs(r[-1]) <= 1e-12)
     ]
     # r vanishes identically on the lines with sin(nu) = 0, which pass
     yield "fig1 mu=pi/2: unimodal with peak at 1/sqrt(2)", [
-        f"fig1 mu=pi/2 nu={nu!r}: r must peak at beta=1/sqrt(2)"
+        f"fig1 mu=pi/2 nu={float(nu)!r}: r must peak at beta=1/sqrt(2)"
         for nu, r in zip(nus, curves(math.pi / 2, "r_eq10"))
         if abs(math.sin(nu)) > 1e-9
         and not (rise_then_fall(r) and abs(betas[np.argmax(r)] - 1.0 / math.sqrt(2.0)) <= 0.01)

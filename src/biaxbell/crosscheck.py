@@ -30,16 +30,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .closedform import (
-    CartesianSecondMoments,
-    FrameMoments,
-    MomentSet,
-    cartesian_moments,
-    raising_moments,
+    CartesianSecondMoments, FrameMoments, MomentSet, cartesian_moments, raising_moments,
     transverse_moments,
 )
-from .frame import FrameStatus, frame_angles, mean_spin_components, radical_length, spin_length
+from .frame import (
+    FULLY_DEGENERATE_CODE, STATUS_VALUES, frame_angles, mean_spin_components, radical_length,
+    spin_length,
+)
 from .oracle import oracle_arrays
-from .spincore import SqueezeParams, axis_grid, param_columns, readonly
+from .spincore import SqueezeParams, axis_grid, math_columns, param_columns, readonly
 
 DEFAULT_TOL = 1e-10
 
@@ -51,22 +50,19 @@ INCONCLUSIVE = "inconclusive"
 
 # identical under both nu candidates; any failure here is a defect, not a
 # convention question
-CONVENTION_INDEPENDENT = (
-    "jx",
-    "jz",
-    "r",
-    "jplus_sq",
-    "jz_sq",
-    "xz_anticomm",
-    "jx2_plus_jy2",
-    "jx2_minus_jy2",
-    "xy_anticomm",
-)
+CONVENTION_INDEPENDENT = ("jx", "jz", "r", "jplus_sq", "jz_sq", "xz_anticomm", "jx2_plus_jy2",
+                          "jx2_minus_jy2", "xy_anticomm")
 NU_DISCRIMINATING = ("jy", "yz_anticomm", "anticomm")
 FRAME_DEPENDENT = ("jn1_sq", "jn2_sq", "anticomm")
 # compared under the selected nu candidate, in report order
 NU_SELECTED = ("jy", "yz_anticomm", *FRAME_DEPENDENT)
 _REPORTED = (*CONVENTION_INDEPENDENT, *NU_SELECTED, "lambda_min")
+# run_crosscheck's diff rows: 2p as printed and 2p + 1 at -nu for the p-th real
+# reported quantity, then the radical, literal and halved, against lambda_min;
+# the complex <J+^2> as printed is the last row
+_COMPLEX = "jplus_sq"
+_REAL = tuple(q for q in _REPORTED[:-1] if q != _COMPLEX)
+_ROW = {q: 2 * p for p, q in enumerate((*_REAL, FACTOR_LITERAL, FACTOR_HALF))}
 
 # the closed-form record: the mean spin with its length from the components
 # (r_eq9) and from the single-radical form (r), then the fields of MomentSet,
@@ -162,10 +158,9 @@ def closed_arrays(grid: np.ndarray) -> dict[str, np.ndarray]:
     raising = raising_moments(*grid)
     cart = cartesian_moments(*raising)
     theta, phi, status = frame_angles(*mean[:4])
-    flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status], dtype=bool)
+    flat = status == FULLY_DEGENERATE_CODE
     a, b, c = moments = np.where(flat, math.nan, transverse_moments(cart, raising[1], theta, phi))
-    # variance_radical, with math.hypot mapped over the columns
-    radical = (a + b) - np.array(list(map(math.hypot, (a - b).tolist(), c.tolist())), dtype=float)
+    radical = (a + b) - math_columns(math.hypot, a - b, c)     # variance_radical
     columns = (*mean, *raising, *cart, *moments, radical)
     return {name: np.asarray(column) for name, column in zip(CLOSED_QUANTITIES, columns)}
 
@@ -187,18 +182,11 @@ def _nanmax_abs(d: np.ndarray) -> float:
     return float(np.fmax.reduce(np.abs(d), axis=None, initial=0.0))
 
 
-def _hypothesis(names: tuple[str, str], first, second, oracle, tol: float):
-    """Verdict, each candidate's largest miss against the oracle, and the
-    largest gap between the candidates; NaN entries take no part.
-
-    A candidate wins when it alone is within tol and the candidates differ
-    by more than tol; otherwise the verdict is inconclusive.
-    """
-    misses = {names[0]: _nanmax_abs(first - oracle), names[1]: _nanmax_abs(second - oracle)}
-    discrimination = _nanmax_abs(first - second)
+def _verdict(misses: dict[str, float], discrimination: float, tol: float) -> str:
+    """The candidate that alone is within tol of the oracle when the
+    candidates differ by more than tol; otherwise inconclusive."""
     within = [name for name, miss in misses.items() if miss <= tol]
-    verdict = within[0] if discrimination > tol and len(within) == 1 else INCONCLUSIVE
-    return verdict, misses, discrimination
+    return within[0] if discrimination > tol and len(within) == 1 else INCONCLUSIVE
 
 
 def run_crosscheck(grid: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> CrosscheckReport:
@@ -207,7 +195,8 @@ def run_crosscheck(grid: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> 
 
     A route without a transverse frame has its frame quantities NaN-marked
     here; they then take no part in any maximum, verdict or failure, so the
-    report never carries a NaN.
+    report never carries a NaN.  Each hypothesis's candidates are judged by
+    their largest miss against the oracle and the largest gap between them.
     """
     if grid is None:
         grid = default_grid()
@@ -216,56 +205,63 @@ def run_crosscheck(grid: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> 
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
-    oracle = oracle_arrays(grid)
-    # both nu candidates in one pass over [grid | grid at -nu], split after
-    both, n = closed_arrays(np.concatenate([grid, grid * _NEGATE_NU], axis=1)), grid.shape[1]
-    printed, negated = ({q: c[part] for q, c in both.items()} for part in (np.s_[:n], np.s_[n:]))
-    # the all-directions minimum of a frameless point is not a transverse one
-    oracle["lambda_min"][np.isnan(oracle["jn1_sq"])] = math.nan
-    status = list(oracle["frame_status"])
-
-    nu_hypothesis, nu_candidate_max, nu_discrimination = _hypothesis(
-        (NU_AS_PRINTED, NU_NEGATED),
-        *(np.array([cols[q] for q in NU_DISCRIMINATING]) for cols in (printed, negated, oracle)),
-        tol,
-    )
-    # judged where both routes have a frame; the radical is the same under
-    # both nu candidates
+    oracle, n = oracle_arrays(grid), grid.shape[1]
+    # both nu candidates in one pass over [grid | grid at -nu]
+    both = closed_arrays(np.concatenate([grid, grid * _NEGATE_NU], axis=1))
     lam = oracle["lambda_min"]
-    radical = np.where(np.isnan(lam), math.nan, printed["radical"])
-    factor_hypothesis, factor_candidate_max, factor_discrimination = _hypothesis(
-        (FACTOR_LITERAL, FACTOR_HALF), radical, radical / 2.0, lam, tol
-    )
+    # the all-directions minimum of a frameless point is not a transverse one
+    lam[np.isnan(oracle["jn1_sq"])] = math.nan
+    radical = both["radical"]
+    closed = np.array([*(both[q] for q in _REAL), radical, radical / 2.0])
+    observed = np.array([*(oracle[q] for q in _REAL), lam, lam])
+    diffs = np.concatenate([np.abs(closed.reshape(-1, 2, n) - observed[:, None]).reshape(-1, n),
+                            np.abs(both[_COMPLEX][None, :n] - oracle[_COMPLEX])])
+    maxima = np.fmax.reduce(diffs, axis=1, initial=0.0).tolist()
 
-    # reported diffs: independent quantities as printed, the rest under the
+    nu_misses = {name: max(maxima[_ROW[q] + c] for q in NU_DISCRIMINATING)
+                 for c, name in enumerate((NU_AS_PRINTED, NU_NEGATED))}
+    nu_rows = [_ROW[q] // 2 for q in NU_DISCRIMINATING]
+    nu_discrimination = _nanmax_abs(closed[nu_rows, :n] - closed[nu_rows, n:])
+    nu_hypothesis = _verdict(nu_misses, nu_discrimination, tol)
+    # judged as printed, where both routes have a frame; the radical is the
+    # same under both nu candidates
+    factor_misses = {name: maxima[_ROW[name]] for name in (FACTOR_LITERAL, FACTOR_HALF)}
+    framed = np.where(np.isnan(lam), math.nan, radical[:n])
+    factor_discrimination = _nanmax_abs(framed - framed / 2.0)
+    factor_hypothesis = _verdict(factor_misses, factor_discrimination, tol)
+
+    # reported rows: independent quantities as printed, the rest under the
     # selected candidates (falling back to as-printed when inconclusive)
-    selected = negated if nu_hypothesis == NU_NEGATED else printed
-    lam_factor = 1.0 if factor_hypothesis == FACTOR_LITERAL else 0.5
-    closed = [printed[q] for q in CONVENTION_INDEPENDENT]
-    closed += [selected[q] for q in NU_SELECTED]
-    closed.append(selected["radical"] * lam_factor)
-    observed = [oracle[q] for q in _REPORTED]
-    diffs = np.array([np.abs(c - o) for c, o in zip(closed, observed)])
-    failures = [
-        CrosscheckFailure(
-            *grid[1:, i].tolist(), _REPORTED[k],
-            closed[k][i].item(), observed[k][i].item(), diffs[k, i].item(),
-        )
-        for i, k in np.argwhere(diffs.T > tol)
-    ]
+    c = int(nu_hypothesis == NU_NEGATED)
+    lam_row = FACTOR_LITERAL if factor_hypothesis == FACTOR_LITERAL else FACTOR_HALF
+    rows = [len(diffs) - 1 if q == _COMPLEX else _ROW[q] for q in CONVENTION_INDEPENDENT]
+    rows += [_ROW[q] + c for q in NU_SELECTED] + [_ROW[lam_row] + c]
+    reported = diffs[rows]
 
+    def values(row: int, i: int) -> tuple:          # the closed and oracle value of a diff
+        if row == len(diffs) - 1:
+            return both[_COMPLEX][i].item(), oracle[_COMPLEX][i].item()
+        return closed[row // 2, row % 2 * n + i].item(), observed[row // 2, i].item()
+
+    failures = [
+        CrosscheckFailure(*grid[1:, i].tolist(), _REPORTED[k], *values(rows[k], i),
+                          reported[k, i].item())
+        for i, k in np.argwhere(reported.T > tol)
+    ]
+    regular, polar, flat = (int(np.count_nonzero(oracle["frame_status"] == value))
+                            for value in STATUS_VALUES)
     return CrosscheckReport(
-        samples=grid.shape[1],
+        samples=n,
         tol=tol,
         nu_sign_hypothesis=nu_hypothesis,
         factor_hypothesis=factor_hypothesis,
-        max_abs_diff_per_quantity={q: _nanmax_abs(d) for q, d in zip(_REPORTED, diffs)},
-        nu_candidate_max_diff=nu_candidate_max,
+        max_abs_diff_per_quantity={q: maxima[row] for q, row in zip(_REPORTED, rows)},
+        nu_candidate_max_diff=nu_misses,
         nu_discrimination=nu_discrimination,
-        factor_candidate_max_diff=factor_candidate_max,
+        factor_candidate_max_diff=factor_misses,
         factor_discrimination=factor_discrimination,
-        regular_points=status.count(FrameStatus.REGULAR.value),
-        polar_degenerate_points=status.count(FrameStatus.POLAR_DEGENERATE.value),
-        fully_degenerate_points=status.count(FrameStatus.FULLY_DEGENERATE.value),
+        regular_points=regular,
+        polar_degenerate_points=polar,
+        fully_degenerate_points=flat,
         failures=failures,
     )

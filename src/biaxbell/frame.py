@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spincore import SpinOperatorSet, SqueezeParams, param_columns, readonly, square
+from .spincore import SpinOperatorSet, SqueezeParams, math_columns, param_columns, readonly, square
 
 DEFAULT_EPS = 1e-12
 
@@ -26,6 +26,11 @@ class FrameStatus(Enum):
     REGULAR = "regular"
     POLAR_DEGENERATE = "polar-degenerate"
     FULLY_DEGENERATE = "fully-degenerate"
+
+
+# frame_angles' status codes are positions in FrameStatus
+STATUS_VALUES = readonly(np.array([s.value for s in FrameStatus]))
+FULLY_DEGENERATE_CODE = 2
 
 
 @dataclass(frozen=True)
@@ -104,28 +109,23 @@ def mean_spin_length_closed_form(params: SqueezeParams) -> float:
     return float(radical_length(*param_columns([params]))[0])
 
 
-def _acos(x: np.ndarray) -> np.ndarray:
-    """math.acos over a column clamped to [-1, 1]."""
-    return np.array(list(map(math.acos, np.clip(x, -1.0, 1.0).tolist())), dtype=float)
-
-
 def frame_angles(jx, jy, jz, r, eps: float = DEFAULT_EPS) -> tuple:
-    """theta and phi columns and the list of statuses of the frames
-    compute_frame builds for the mean spins (jx, jy, jz) of spin_length r.
-    math.acos and math.hypot are mapped over the columns (np.arccos and
-    np.hypot round differently); the branches are masks, and a masked row
-    divides by 1 in place of a vanishing length."""
+    """theta, phi and the status codes of the frames compute_frame builds for
+    the mean spins (jx, jy, jz) of spin_length r, as columns.  math.acos and
+    math.hypot are mapped over the columns (np.arccos and np.hypot round
+    differently), acos clamped to [-1, 1]; the branches are masks, and a
+    masked row divides by 1 in place of a vanishing length."""
     flat = r < eps
     r = np.where(flat, 1.0, r)
-    rho = np.array(list(map(math.hypot, jx.tolist(), jy.tolist())), dtype=float)
+    rho = math_columns(math.hypot, jx, jy)
     polar = ~flat & (rho / r < eps)
     regular = ~(flat | polar)
-    base = _acos(jx / np.where(regular, rho, 1.0))
+    cosines = np.concatenate([jz / r, jx / np.where(regular, rho, 1.0)])
+    theta, base = math_columns(math.acos, np.minimum(np.maximum(cosines, -1.0), 1.0)).reshape(2, -1)
     phi = np.where(jy > 0.0, base, 2.0 * math.pi - base)
     phi = np.where(regular & (phi < 2.0 * math.pi), phi, 0.0)
-    theta = np.where(flat, 0.0, _acos(jz / r))
-    status = np.where(flat, 2, np.where(polar, 1, 0))         # in FrameStatus order
-    return theta, phi, np.array(list(FrameStatus))[status].tolist()
+    theta = np.where(flat, 0.0, theta)
+    return theta, phi, FULLY_DEGENERATE_CODE * flat + polar
 
 
 def frame_triad(theta, phi) -> np.ndarray:
@@ -133,8 +133,8 @@ def frame_triad(theta, phi) -> np.ndarray:
     theta and azimuth phi, one per entry of the angle columns."""
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    rows = ((-sp, cp, np.zeros_like(sp)), (-ct * cp, -ct * sp, st), (st * cp, st * sp, ct))
-    return np.moveaxis(np.array(rows), -1, 0)
+    rows = (-sp, cp, np.zeros_like(sp), -ct * cp, -ct * sp, st, st * cp, st * sp, ct)
+    return np.array(rows).T.reshape(-1, 3, 3)
 
 
 def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
@@ -151,9 +151,9 @@ def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     r = mean_spin_length(ms)
-    theta, phi, (status,) = frame_angles(*np.array([[ms.jx], [ms.jy], [ms.jz], [r]]), eps)
+    theta, phi, (code,) = frame_angles(*np.array([[ms.jx], [ms.jy], [ms.jz], [r]]), eps)
     n1, n2, n3 = readonly(frame_triad(theta, phi)[0])
-    return SpinFrame(n1, n2, n3, theta.item(), phi.item(), r, status)
+    return SpinFrame(n1, n2, n3, theta.item(), phi.item(), r, list(FrameStatus)[code])
 
 
 def transverse_operators(directions: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:

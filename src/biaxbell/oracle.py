@@ -10,8 +10,8 @@ min_transverse_variance_scan and _sphere_scan.
 oracle_arrays evaluates a whole grid, given as its (4, n) parameter
 columns, as arrays in blocks of rows, states and frame triads included.
 Only the steps numpy rounds differently from math run in math: the frame
-angles (acos, hypot; mapped over columns), the 2x2 eigen route (hypot,
-atan2; per row) and the concurrence (complex abs).  So no value depends on
+angles (acos, hypot) and the 2x2 eigen route (hypot, atan2), both mapped
+over columns, and the concurrence (complex abs).  So no value depends on
 the rows evaluated with it, and the one-point functions are one-row calls
 of the same code.  When a check fails in a block, its rows are evaluated
 again one at a time, so the error is the one the earliest failing row
@@ -39,22 +39,11 @@ import numpy as np
 
 from .closedform import FrameMoments, MomentSet
 from .frame import (
-    DegenerateFrameError,
-    FrameStatus,
-    MeanSpin,
-    SpinFrame,
-    frame_angles,
-    frame_triad,
-    project_transverse_operators,
-    spin_length,
-    transverse_operators,
+    FULLY_DEGENERATE_CODE, STATUS_VALUES, DegenerateFrameError, FrameStatus, MeanSpin, SpinFrame,
+    frame_angles, frame_triad, project_transverse_operators, spin_length, transverse_operators,
 )
 from .spincore import (
-    SpinOperatorSet,
-    SqueezeParams,
-    build_spin_operators,
-    param_columns,
-    readonly,
+    SpinOperatorSet, SqueezeParams, build_spin_operators, math_columns, param_columns, readonly,
     superposition_states,
 )
 
@@ -118,19 +107,23 @@ def _gram(split: np.ndarray) -> np.ndarray:
 
 
 def _expectations(stack: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row psi of states (n, d) and each op of a stack (shared, or
-    one per row): the vectors op psi (n, k, d) and <psi| op |psi> (n, k),
-    summed exactly as spincore.expectation sums them."""
-    vectors = stack @ states[:, None, :, None]
-    return vectors[..., 0], (states.conj()[:, None, None, :] @ vectors)[..., 0, 0]
+    """_braket of the vectors op psi (n, k, d) of each op of a shared stack
+    (k, d, d), contracted by einsum as a plain sum of products."""
+    return _braket(states, np.einsum("kij,nj->nki", stack, states))
+
+
+def _braket(states: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors op psi (n, k, d) of each row psi of states (n, d), and
+    <psi| op |psi> (n, k) summed exactly as spincore.expectation sums them."""
+    return vectors, (states.conj()[:, None, None, :] @ vectors[..., None])[..., 0, 0]
 
 
 def _real(values: np.ndarray, names) -> np.ndarray:
     """Real parts of values (n, k); an imaginary part beyond _HERMITICITY_TOL
     raises, the first row first and within it the first check."""
-    bad = np.argwhere(np.abs(values.imag) > _HERMITICITY_TOL)
-    if bad.size:
-        i, k = bad[0]
+    bad = np.abs(values.imag) > _HERMITICITY_TOL
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
         imag = values[i, k].imag.item()
         raise RuntimeError(f"{names[k]} should be real, got imaginary part {imag!r}")
     return values.real
@@ -149,9 +142,9 @@ def _definite(gram: np.ndarray, k: int, shift: np.ndarray) -> np.ndarray:
     of a _gram row: by Sylvester's law of inertia, whether every pivot of its
     LDL^T is > 0.  It eliminates on the upper triangle's columns (_schur): a
     step's m_ij - m_0i m_0j / m_00 keeps the matrix exactly symmetric."""
-    a, b = _pairs(k)
-    m, ok = gram / np.where(a == b, 1.0, 2.0), np.ones(len(gram), dtype=bool)
-    m[:, a == b] -= shift[:, None]
+    diagonal = np.equal(*_pairs(k))
+    m, ok = gram / (2.0 - diagonal), np.ones(len(gram), dtype=bool)
+    m[:, diagonal] -= shift[:, None]
     for size in range(k, 1, -1):
         ok &= m[:, 0] > 0.0
         pivot = np.where(ok, m[:, 0], 1.0)[:, None]             # 1 on rejected rows
@@ -208,9 +201,19 @@ def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
 def _transverse_moments(states, jn1, jn2):
     """The vectors Jn1 psi and Jn2 psi (n, 2, d), and <Jn1>, <Jn2>, <Jn1^2>,
     <Jn2^2> and <{Jn1,Jn2}> (n, 5), for per-row Jn1 and Jn2 (n, d, d)."""
-    stack = np.stack([jn1, jn2, jn1 @ jn1, jn2 @ jn2, jn1 @ jn2 + jn2 @ jn1], axis=1)
-    vectors, values = _expectations(stack, states)
+    n, d = states.shape
+    vectors = (_operator_rows(jn1, jn2) @ states[..., None]).reshape(n, 5, d)
+    vectors, values = _braket(states, vectors)
     return vectors[:, :2], _real(values, _TRANSVERSE_NAMES)
+
+
+def _operator_rows(jn1, jn2) -> np.ndarray:
+    """Jn1, Jn2, Jn1^2, Jn2^2 and {Jn1, Jn2} stacked as rows (n, 5d, d), the
+    products from [Jn1; Jn2] Jn1 and [Jn1; Jn2] Jn2: matmul rounds each row of a
+    stacked product, or of the stack times psi, as it rounds the d x d one alone."""
+    d = jn1.shape[-1]
+    left, right = (np.concatenate([jn1, jn2], axis=1) @ jn for jn in (jn1, jn2))
+    return np.concatenate([jn1, jn2, left[:, :d], right[:, d:], right[:, :d] + left[:, d:]], axis=1)
 
 
 def _transverse_split(states, vectors, moments) -> np.ndarray:
@@ -247,32 +250,29 @@ def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.arctan2(np.where(top, p, q), np.where(top, -q, -r)) % math.pi
 
 
-def _eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm) -> tuple[float, float]:
-    """Smaller eigenvalue of the 2x2 transverse covariance matrix and its
-    angle in [0, pi), chi = 0 where the minimum is flat."""
+def _eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm) -> tuple[np.ndarray, np.ndarray]:
+    """Smaller eigenvalue of each row's 2x2 transverse covariance matrix and
+    its angle in [0, pi), chi = 0 where the minimum is flat, over columns."""
     g11 = jn1_sq - m1 * m1
     g22 = jn2_sq - m2 * m2
     g12 = anticomm / 2.0 - m1 * m2
 
-    half_gap = math.hypot(g11 - g22, 2.0 * g12) / 2.0
+    gap, off = g11 - g22, 2.0 * g12
+    half_gap = math_columns(math.hypot, gap, off) / 2.0
     lam = (g11 + g22) / 2.0 - half_gap
-    scale = max(1.0, abs(g11), abs(g22))
-    if half_gap <= 1e-14 * scale:
-        return lam, 0.0                 # isotropic plane, minimum is flat
-    chi = math.atan2(-2.0 * g12, -(g11 - g22)) / 2.0
-    if chi < 0.0:
-        chi += math.pi
-    if chi >= math.pi:
-        chi -= math.pi
-    return lam, chi
+    scale = np.maximum(1.0, np.maximum(np.abs(g11), np.abs(g22)))
+    chi = math_columns(math.atan2, -off, -gap) / 2.0
+    chi = np.where(chi < 0.0, chi + math.pi, chi)
+    chi = np.where(chi >= math.pi, chi - math.pi, chi)
+    return lam, np.where(half_gap <= 1e-14 * scale, 0.0, chi)     # flat: isotropic plane
 
 
 def _transverse(states, jn):
     """Transverse moments (n, 5), minima and angles from each row's Jn1 and
     Jn2 (n, 2, d, d): the 2x2 eigen route, certified on _transverse_split."""
     vectors, moments = _transverse_moments(states, jn[:, 0], jn[:, 1])
-    lam, chi = zip(*(_eigen_min(*m) for m in moments.tolist()))
-    _certify("transverse", lam, np.column_stack([np.cos(chi), np.sin(chi)]),
+    lam, chi = _eigen_min(*moments.T)
+    _certify("transverse", lam, np.array([np.cos(chi), np.sin(chi)]).T,
              _transverse_split(states, vectors, moments), TRANSVERSE_AGREE_TOL)
     return moments, lam, chi
 
@@ -306,8 +306,8 @@ def min_transverse_variance(
         raise DegenerateFrameError("transverse variance undefined: mean spin below eps")
     state = _state_vector(state, ops)
     jn = np.array([project_transverse_operators(frame, ops)])
-    _, (lam,), (chi,) = _transverse(state[None], jn)
-    return lam, chi
+    _, lam, chi = _transverse(state[None], jn)
+    return lam.item(), chi.item()
 
 
 def _sphere_min(split: np.ndarray) -> np.ndarray:
@@ -361,13 +361,18 @@ def concurrence(state: np.ndarray) -> float:
     state = np.asarray(state)
     if state.shape != (3,):
         raise ValueError(f"expected a length-3 state, got shape {state.shape}")
-    return _concurrences([state.tolist()])[0]
+    return _concurrences(state[None])[0]
 
 
-def _concurrences(states: list) -> list[float]:
-    """concurrence of each state (c_{+1}, c_0, c_{-1}), as Python complex
-    numbers, in Python arithmetic."""
-    return [min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0) for up, zero, down in states]
+def _concurrences(states) -> list[float]:
+    """concurrence of each state (c_{+1}, c_0, c_{-1}), a row of states (n, 3),
+    as Python's complex arithmetic rounds min(2 |c_{+1} c_{-1} - c_0^2 / 2|, 1):
+    in real parts, with abs as np.hypot (libm's; numpy's complex abs differs)."""
+    columns = np.asarray(states, dtype=complex).T
+    (up, zero, down), (upi, zeroi, downi) = columns.real, columns.imag
+    re = (up * down - upi * downi) - (zero * zero - zeroi * zeroi) / 2.0
+    im = (up * downi + upi * down) - (zero * zeroi + zeroi * zero) / 2.0
+    return np.minimum(2.0 * np.hypot(re, im), 1.0).tolist()
 
 
 def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
@@ -381,7 +386,7 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
     r = spin_length(re[:, 0], re[:, 1], re[:, 2])
     theta, phi, status = frame_angles(re[:, 0], re[:, 1], re[:, 2], r)
     triad = frame_triad(theta, phi)
-    flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status])
+    flat = status == FULLY_DEGENERATE_CODE
     plane, sphere = np.flatnonzero(~flat), np.flatnonzero(flat)
     moments = np.full((n, 5), math.nan)
     lam, chi = np.empty(n), np.zeros(n)         # chi = 0 without a transverse plane
@@ -399,12 +404,12 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
         "jx2_minus_jy2": tables[:, 0, 0] - tables[:, 1, 1],
         "xy_anticomm": 2.0 * tables[:, 0, 1],
         "theta": theta, "phi": phi,
-        "frame_status": np.array([s.value for s in status]),
+        "frame_status": STATUS_VALUES[status],
         "method": np.where(flat, METHOD_ALL_DIRECTIONS, METHOD_TRANSVERSE),
         "lambda_min": lam, "chi_min": chi,
         "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
         "xi2_literal": 2.0 * (2.0 * lam),
-        "concurrence": np.array(_concurrences(psi.tolist())),
+        "concurrence": np.array(_concurrences(psi)),
         "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
     }
     return record, psi, values, triad

@@ -108,6 +108,12 @@ def square(x):
     return np.float_power(x, 2)
 
 
+def math_columns(f, *columns) -> np.ndarray:
+    """The math function f mapped over float columns, as a float column:
+    numpy's own arccos, hypot and arctan2 round differently."""
+    return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
+
+
 def complex_column(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The complex column with exactly these real and imaginary parts
     (re + 1j * im can flip the sign of a zero)."""
@@ -134,17 +140,19 @@ def axis_grid(order: tuple[str, str, str], *, beta, mu, nu) -> np.ndarray:
     axes = dict(zip(("beta", "mu", "nu"), (np.asarray(a, dtype=float) for a in (beta, mu, nu))))
     if any(axis.size == 0 for axis in axes.values()):
         return np.empty((4, 0))
-    beta, mu, nu = axes.values()
+    beta, mu, nu = (axis.tolist() for axis in axes.values())
     # the range checks also fail on nan and inf
-    if not (((0.0 <= beta) & (beta <= 1.0)).all() and ((0.0 <= mu) & (mu <= math.pi)).all()
-            and np.isfinite(nu).all()):
+    if not (all(0.0 <= x <= 1.0 for x in beta) and all(0.0 <= x <= math.pi for x in mu)
+            and all(map(math.isfinite, nu))):
         first = {name: axis[0].item() for name, axis in axes.items()}
         for name in reversed(order):
             for value in axes[name].tolist():
                 SqueezeParams(**{**first, name: value})
-    index = dict(zip(order, np.indices([axes[name].size for name in order]).reshape(3, -1)))
-    alpha = np.sqrt(np.maximum(0.0, 1.0 - square(beta)))
-    return np.array([alpha[index["beta"]], beta[index["beta"]], mu[index["mu"]], nu[index["nu"]]])
+    sizes = [axes[name].size for name in order]
+    for k, name in enumerate(order):      # repeated over inner axes, tiled over outer ones
+        inner = axes[name].repeat(math.prod(sizes[k + 1:]))
+        axes[name] = inner[None].repeat(math.prod(sizes[:k]), axis=0).ravel()
+    return np.array([np.sqrt(np.maximum(0.0, 1.0 - square(axes["beta"]))), *axes.values()])
 
 
 def superposition_states(alpha, beta, mu, nu) -> np.ndarray:

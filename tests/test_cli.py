@@ -832,8 +832,8 @@ def test_figure_fail_paths_are_pinned(monkeypatch):
         "fig1 mu=pi/2: unimodal with peak at 1/sqrt(2): FAIL",
     ]
     assert violations == [
-        "fig1 mu=0 nu=np.float64(1.5707963267948966): r must fall monotonically from 1 to 0",
-        "fig1 mu=pi/2 nu=np.float64(1.5707963267948966): r must peak at beta=1/sqrt(2)",
+        "fig1 mu=0 nu=1.5707963267948966: r must fall monotonically from 1 to 0",
+        "fig1 mu=pi/2 nu=1.5707963267948966: r must peak at beta=1/sqrt(2)",
     ]
 
     # fig2 on betas 0, 1/4, ..., 1: in xi2_std the mu=0 curve rises and its

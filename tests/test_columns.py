@@ -34,6 +34,7 @@ from biaxbell.frame import (
     radical_length,
     spin_length,
 )
+from biaxbell.oracle import _eigen_min
 from biaxbell.spincore import (
     SqueezeParams,
     build_superposition_state,
@@ -135,6 +136,23 @@ def ref_frame_angles(jx, jy, jz, r, eps=DEFAULT_EPS):
     if phi >= 2.0 * math.pi:
         phi = 0.0
     return theta, phi, FrameStatus.REGULAR
+
+
+def ref_eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm):
+    g11 = jn1_sq - m1 * m1
+    g22 = jn2_sq - m2 * m2
+    g12 = anticomm / 2.0 - m1 * m2
+    half_gap = math.hypot(g11 - g22, 2.0 * g12) / 2.0
+    lam = (g11 + g22) / 2.0 - half_gap
+    scale = max(1.0, abs(g11), abs(g22))
+    if half_gap <= 1e-14 * scale:
+        return lam, 0.0
+    chi = math.atan2(-2.0 * g12, -(g11 - g22)) / 2.0
+    if chi < 0.0:
+        chi += math.pi
+    if chi >= math.pi:
+        chi -= math.pi
+    return lam, chi
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +282,42 @@ def test_frame_angles_on_edge_rows():
     ]
     assert 0.5 / below > 1.0
     want = [ref_frame_angles(*row) for row in rows]
-    theta, phi, status = frame_angles(*np.array(rows).T)
+    theta, phi, codes = frame_angles(*np.array(rows).T)
+    status = [list(FrameStatus)[code] for code in codes]
     _assert_bit_equal("frame_angles", (theta, phi), [w[:2] for w in want], rows)
     assert status == [w[2] for w in want]
     assert set(status) == set(FrameStatus)
     assert [w[1] for w in want[5:8]] == [0.0, 0.0, math.pi]
+
+
+def test_eigen_min_matches_the_scalar_route():
+    # seeded transverse moments, the zero-mean and isotropic ones among them,
+    # then every branch: flat minima below and at the 1e-14 gap and one above
+    # it, g12 = 0 with g11 > g22 (chi = pi/2) and with g11 < g22 (chi = -0.0),
+    # and an atan2 so small and negative that chi + pi rounds to pi and wraps
+    rng = np.random.default_rng(26)
+    moments = np.column_stack([rng.uniform(-1.0, 1.0, (24_000, 2)),
+                               rng.uniform(0.0, 2.0, (24_000, 2)),
+                               rng.uniform(-2.0, 2.0, 24_000)])
+    moments[::7, :2] = 0.0
+    moments[::11, 3] = moments[::11, 2]
+    moments[::11, 4] = 2.0 * moments[::11, 0] * moments[::11, 1]
+    edges = [
+        (0.0, 0.0, 0.5, 0.5, 0.0),
+        (0.0, 0.0, 0.5 + 1e-15, 0.5, 0.0),
+        (0.0, 0.0, 2e-14, 0.0, 0.0),
+        (0.0, 0.0, 0.5 + 1e-13, 0.5, 0.0),
+        (0.0, 0.0, 0.7, 0.3, 0.0),
+        (0.0, 0.0, 0.3, 0.7, 0.0),
+        (0.0, 0.0, 0.3, 0.7, 1e-300),
+    ]
+    rows = [*map(tuple, moments.tolist()), *edges]
+    want = [ref_eigen_min(*row) for row in rows]
+    _assert_bit_equal("_eigen_min", _eigen_min(*np.array(rows).T), want, rows)
+    chis = [chi for _, chi in want[-len(edges):]]
+    assert chis[:3] == [0.0, 0.0, 0.0] and chis[3] > 0.0 and chis[4] == math.pi / 2
+    assert math.copysign(1.0, chis[5]) == -1.0 and chis[6] == 0.0
+    assert math.atan2(-1e-300, 0.4) / 2.0 + math.pi == math.pi
 
 
 def test_one_point_functions_are_bit_equal_to_the_reference():

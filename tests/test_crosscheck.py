@@ -37,6 +37,7 @@ from biaxbell.crosscheck import (
     oracle_values,
 )
 from biaxbell.frame import FrameStatus, compute_frame, mean_spin_length
+from biaxbell.oracle import evaluate_oracle
 from biaxbell.spincore import param_columns
 
 
@@ -79,6 +80,19 @@ def test_default_run_counts_frame_statuses(default_report):
     assert rep.polar_degenerate_points == 36
     assert rep.fully_degenerate_points == 86
     assert rep.regular_points + rep.polar_degenerate_points + rep.fully_degenerate_points == 882
+
+
+def test_status_counts_match_the_per_row_frames():
+    # mu = 0 at beta = 0 is polar-degenerate, mu = pi/2 at nu = 0 fully
+    # degenerate and the rest regular: the counts equal each row's oracle frame
+    grid = default_grid([0.0, 0.5, 1.0], (0.0, math.pi / 3, math.pi / 2), (0.0, 1.0, -2.0))
+    statuses = [evaluate_oracle(SqueezeParams(b, m, n)).frame.status
+                for _, b, m, n in grid.T.tolist()]
+    rep = run_crosscheck(grid)
+    counts = [rep.regular_points, rep.polar_degenerate_points, rep.fully_degenerate_points]
+    assert counts == [statuses.count(s) for s in FrameStatus]
+    assert all(counts) and sum(counts) == grid.shape[1]
+    assert all(type(c) is int for c in counts)
 
 
 def test_nu_hypothesis_inconclusive_without_discriminating_phase():

@@ -37,6 +37,7 @@ from biaxbell.oracle import (
     _definite,
     _expectations,
     _gram,
+    _operator_rows,
     _pairs,
     _real_split,
     _sphere_min,
@@ -148,6 +149,27 @@ def test_transverse_moments_equal_per_operator_expectations():
         assert moments[0].tolist() == [expectation(op, state).real for op in ops]
         checked += 1
     assert checked >= 300
+
+
+def test_operator_rows_round_as_the_separate_products():
+    # the stacked products [Jn1; Jn2] Jn1 and [Jn1; Jn2] Jn2 and the stack
+    # times psi equal, bit for bit, the d x d products and per-operator
+    # vectors, on seeded complex rows and on the transverse operators of states
+    rng = np.random.default_rng(26)
+    jn = rng.normal(size=(3000, 2, 3, 3)) + 1j * rng.normal(size=(3000, 2, 3, 3))
+    psi = rng.normal(size=(3000, 3)) + 1j * rng.normal(size=(3000, 3))
+    states = _moment_test_states()
+    frames = [_frame_of(state) for state in states]
+    plane = [i for i, f in enumerate(frames) if f.status is not FrameStatus.FULLY_DEGENERATE]
+    jn = np.concatenate([jn, [project_transverse_operators(frames[i], OPS) for i in plane]])
+    psi = np.concatenate([psi, [states[i] for i in plane]])
+    jn1, jn2 = jn[:, 0], jn[:, 1]
+    stack = np.stack([jn1, jn2, jn1 @ jn1, jn2 @ jn2, jn1 @ jn2 + jn2 @ jn1], axis=1)
+    rows = _operator_rows(jn1, jn2)
+    assert np.array_equal(rows.reshape(stack.shape).view(np.uint64), stack.view(np.uint64))
+    vectors = (stack @ psi[:, None, :, None])[..., 0]
+    assert np.array_equal((rows @ psi[..., None]).reshape(vectors.shape).view(np.uint64),
+                          vectors.view(np.uint64))
 
 
 def test_moments_reality_check_still_fires():
@@ -326,7 +348,8 @@ def scan_rows():
 
 def test_scans_do_not_depend_on_batch(scan_rows):
     # every scan value and transverse angle, bit for bit, whatever rows share
-    # the call: the coarse pass and the refinement are per-row arithmetic
+    # the call: each row bisects its own bracket, and each bisection step is
+    # per-row arithmetic
     sphere, transverse = scan_rows
     assert len(sphere) >= 1000 and len(transverse[0]) >= 1000
     whole = (*_transverse_scan(*transverse), _sphere_min(sphere))
@@ -684,6 +707,21 @@ def test_concurrence_column_equals_concurrence_per_state():
     states = [build_superposition_state(p) for p in grid]
     assert column.tolist() == [concurrence(s) for s in states]
     assert column.tolist() == _concurrences([s.tolist() for s in states])
+
+
+def test_concurrences_round_as_python_complex_arithmetic():
+    # the column form against the formula in Python complex numbers, on
+    # seeded states with zero, -0.0 and real entries, normalized or not
+    rng = np.random.default_rng(27)
+    states = rng.normal(size=(5000, 3)) + 1j * rng.normal(size=(5000, 3))
+    states[::2] /= np.linalg.norm(states[::2], axis=1)[:, None]
+    states[::5, 1] = 0.0
+    states[::7, 0] = complex(-0.0, -0.0)
+    states[::11] = states[::11].real
+    rows = states.tolist()
+    want = [min(2.0 * abs(up * down - zero ** 2 / 2.0), 1.0) for up, zero, down in rows]
+    assert list(map(repr, _concurrences(states))) == list(map(repr, want))
+    assert list(map(repr, _concurrences(rows))) == list(map(repr, want))
 
 
 def test_concurrence_shape_check():

@@ -39,8 +39,8 @@ cases=(
     "bench_sweep_fig1|sweep --mu-list pi/3 --nu-list=2.0943951023931953 --beta-steps 41 --format csv --out out0.csv"
     "bench_crosscheck|crosscheck --format json --beta-min=0.35 --beta-max=0.65 --beta-steps 7 --nu-list=-1.0471975511965976 --out out0.json"
     "bench_sweep_zero_mean|sweep --mu-list pi/2 --nu-list pi --beta-min=0.0625 --beta-max=0.3 --beta-steps 26 --format json --out out0.json"
-    # all 202 zero-mean rows in one call: the sphere refinement of a block
-    # runs over more than 14 rows
+    # all 202 zero-mean rows in one call: one oracle block of up to 240 rows,
+    # every row on the all-directions route and its certificate
     "sweep_zero_mean_wide|sweep --mu-list pi/2 --nu-list 0,pi --beta-steps 101 --format json"
     "crosscheck_text|crosscheck"
     "crosscheck_json|crosscheck --format json"

@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Compare the sweep columns and crosscheck reports of biaxbell at a git
+revision with the working tree, bit for bit.
+
+    python3 tools/column_diff.py REV [ROWS]      e.g. tools/column_diff.py HEAD~1
+
+src/ at REV is exported with `git archive`; the working tree's src/ is
+copied as it is on disk.  Both land in a temporary directory, so nothing is
+written inside the repository.  Each tree is then imported by its own
+python3 process, which evaluates the same seeded grid of about ROWS rows
+(default 200,000): mu and nu axes of 40 and 50 values with the poles, the
+equator, nu = -0.0 and |nu| > 2 pi among them, and a beta axis with 0, 1
+and 1/sqrt(2) among ROWS / 2000 values.  The beta axis is taken in chunks
+of 10 values.  For each chunk the process writes a digest of the repr of
+every cell of
+
+- cli.sweep_columns of its axis_grid in (mu, nu, beta) order, and
+- run_crosscheck(grid, DEFAULT_TOL).as_dict() of its default_grid, with
+  run_crosscheck(..., 1e-17) of every 50th of those points, whose report
+  lists failures.
+
+repr tells -0.0 from 0.0, so a flipped sign of zero shows (a NaN reads nan
+whatever its payload).  Exit status: 0 when every digest is the same on both
+trees, 1 when any differs (each differing chunk and column is printed), and
+2 on a usage error.
+"""
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CHUNK = 10              # beta values per chunk
+ROWS_PER_BETA = 40 * 50
+
+# run by each tree's interpreter: PYTHONPATH points at that tree's src/
+CHILD = r"""
+import hashlib, json, math, sys
+import numpy as np
+from biaxbell import cli
+from biaxbell.crosscheck import DEFAULT_TOL, default_grid, run_crosscheck
+
+betas_per_axis, chunk = int(sys.argv[1]), int(sys.argv[2])
+rng = np.random.default_rng(26)
+mus = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 37)])
+nus = np.concatenate([[0.0, -0.0, math.pi, -math.pi, math.pi / 2, 9.0, -7.5],
+                      rng.uniform(-9.0, 9.0, 43)])
+betas = np.concatenate([[0.0, 1.0, 1.0 / math.sqrt(2.0)],
+                        rng.uniform(0.0, 1.0, max(0, betas_per_axis - 3))])[:betas_per_axis]
+
+
+def digest(values) -> str:
+    return hashlib.sha256("\x1f".join(map(repr, values)).encode()).hexdigest()
+
+
+out, rows = {}, 0
+for lo in range(0, len(betas), chunk):
+    part = betas[lo:lo + chunk]
+    columns = cli.sweep_columns(cli.axis_grid(("mu", "nu", "beta"), mu=mus, nu=nus, beta=part))
+    rows += len(columns["beta"])
+    for name, column in columns.items():
+        out[f"chunk {lo // chunk} sweep {name}"] = digest(column)
+    grid = default_grid(part, mus, nus)
+    for tag, report in (("crosscheck", run_crosscheck(grid, DEFAULT_TOL)),
+                        ("crosscheck tight", run_crosscheck(grid[:, ::50], 1e-17))):
+        for name, value in report.as_dict().items():
+            cells = value.items() if isinstance(value, dict) else (
+                [sorted(f.items()) for f in value] if isinstance(value, list) else [value])
+            out[f"chunk {lo // chunk} {tag} {name}"] = digest(cells)
+print(json.dumps({"rows": rows, "digests": out}))
+"""
+
+
+def export(repo: Path, rev: str, dest: Path) -> None:
+    """src/ of rev into dest/src, as tools/cli_diff.sh exports it."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_side(src: Path, betas: int) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", CHILD, str(betas), str(CHUNK)], env=env,
+                          check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if not 1 <= len(argv) <= 2 or (len(argv) == 2 and not argv[1].isdigit()):
+        print("usage: column_diff.py REV [ROWS]", file=sys.stderr)
+        return 2
+    rev, rows = argv[0], int(argv[1]) if len(argv) == 2 else 200_000
+    repo = Path(__file__).resolve().parents[1]
+    known = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", "--quiet",
+                            f"{rev}^{{commit}}"], capture_output=True)
+    if known.returncode:
+        print(f"column_diff: unknown revision '{rev}'", file=sys.stderr)
+        return 2
+    betas = max(1, math.ceil(rows / ROWS_PER_BETA))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "rev").mkdir()
+        export(repo, rev, tmp / "rev")
+        shutil.copytree(repo / "src", tmp / "work" / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        sides = {side: run_side(tmp / side / "src", betas) for side in ("rev", "work")}
+    before, after = sides["rev"]["digests"], sides["work"]["digests"]
+    differ = [key for key in before.keys() | after.keys() if before.get(key) != after.get(key)]
+    for key in sorted(differ):
+        print(f"column_diff: differs: {key}", file=sys.stderr)
+    print(f"column_diff: {sides['work']['rows']} sweep rows and their crosscheck, "
+          f"{len(after)} digests: " + ("identical" if not differ else f"{len(differ)} differ")
+          + f" between {rev} and the working tree")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,7 @@ from biaxbell.cli import (  # noqa: E402
     FIG1_BETA_STEPS, FIG1_MUS, FIG1_NU_STEPS, FIG2_BETA_STEPS, FIG2_MUS, FIG2_NU,
 )
 from biaxbell.frame import (  # noqa: E402
-    FrameStatus, frame_angles, frame_triad, spin_length, transverse_operators,
+    FULLY_DEGENERATE_CODE, frame_angles, frame_triad, spin_length, transverse_operators,
 )
 from biaxbell.oracle import (  # noqa: E402
     _BLOCK, ALL_DIRECTIONS_AGREE_TOL, TRANSVERSE_AGREE_TOL, _certify, _eigen_min, _expectations,
@@ -79,11 +79,11 @@ def gaps(states: np.ndarray) -> dict[str, list]:
         vectors, values = _expectations(ops.moment_stack, psi)
         jx, jy, jz = values.real[:, :3].T
         theta, phi, status = frame_angles(jx, jy, jz, spin_length(jx, jy, jz))
-        flat = np.array([s is FrameStatus.FULLY_DEGENERATE for s in status])
+        flat = status == FULLY_DEGENERATE_CODE
         if not flat.all():
             jn = transverse_operators(frame_triad(theta, phi)[~flat, :2], ops)
             vecs, moments = _transverse_moments(psi[~flat], jn[:, 0], jn[:, 1])
-            lam, chi = np.array([_eigen_min(*m) for m in moments.tolist()]).T
+            lam, chi = _eigen_min(*moments.T)
             record("transverse", lam, _transverse_scan(psi[~flat], vecs, moments)[0],
                    np.column_stack([np.cos(chi), np.sin(chi)]),
                    _transverse_split(psi[~flat], vecs, moments), TRANSVERSE_AGREE_TOL)
