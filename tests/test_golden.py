@@ -46,6 +46,13 @@ CASES = {
     "sweep_mixed_status_json": "sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9 --format json",
     # ν = −0.0, |ν| > 2π, both poles and β ∈ {0, 1}
     "sweep_signed_zero": "sweep --mu-list 0,pi/2,pi --nu-list=-0,9,0 --beta-steps 3 --format json",
+    # 732 rows in four oracle blocks of 240, with all three frame statuses
+    "sweep_multi_block_csv": "sweep --mu-list 0,pi/2,pi/3 --nu-list 0,0.3,pi,-1 --beta-steps 61 "
+                             "--out out0.csv",
+    # 604 rows; all 152 fully-degenerate rows come after row 240, and the
+    # strict exit 2 follows the whole output
+    "sweep_multi_block_strict_json": "sweep --mu-list pi/3,pi/2 --nu-list 0.3,0 --beta-max 0.9 "
+                                     "--beta-steps 151 --format json --strict",
     # exits 2 by design: its mu=pi shape clause contradicts a rotation symmetry
     "figure_fig2": "figure fig2 --outdir figs",
     # invalid axes exit 1 with the error of the first rejected row in row

@@ -69,6 +69,11 @@ cases=(
     # nu = -0.0, |nu| > 2 pi, both poles and beta in {0, 1}: where assembling
     # complex values can flip the sign of a zero
     "sweep_signed_zero|sweep --mu-list 0,pi/2,pi --nu-list=-0,9,0 --beta-steps 3 --format json"
+    # rows across the seams of 240-row oracle blocks: 732 rows in four blocks
+    # with all three frame statuses, and 604 strict JSON rows whose 152
+    # fully-degenerate rows all come after row 240
+    "sweep_multi_block_csv|sweep --mu-list 0,pi/2,pi/3 --nu-list 0,0.3,pi,-1 --beta-steps 61 --out out0.csv"
+    "sweep_multi_block_strict_json|sweep --mu-list pi/3,pi/2 --nu-list 0.3,0 --beta-max 0.9 --beta-steps 151 --format json --strict"
     "sweep_config|sweep --config $tmp/sweep.cfg"
     # the flags override the file's format and beta-steps
     "crosscheck_config_flags_win|crosscheck --config $tmp/crosscheck.cfg --format text --beta-steps 3"
