@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .crosscheck import (
     mean_spin_columns, oracle_values, run_crosscheck,
 )
 from .frame import FrameStatus
-from .oracle import oracle_arrays
+from .oracle import _BLOCK, oracle_arrays
 from .spincore import SqueezeParams, axis_grid
 
 # each output key is (route, quantity): "in" is the input point, "cf" and "or"
@@ -235,12 +236,12 @@ def sweep_columns(grid: np.ndarray) -> dict[str, list]:
     return {key: column.tolist() for key, column in _select(SWEEP_TABLE, routes).items()}
 
 
-def write_rows_csv(columns: dict[str, list], handle, names=SWEEP_COLUMNS) -> None:
-    """The named columns as CSV rows, each float in fmt's 17 significant
-    digits, formatted in one pass; no value needs CSV quoting."""
-    values = [columns[name] for name in names]
+def write_rows_csv(blocks, handle, names=SWEEP_COLUMNS) -> None:
+    """The named columns of each block as CSV rows under one header, each float in fmt's 17
+    significant digits, one pass per block as it comes; no value needs CSV quoting."""
     handle.write(",".join(names) + "\n")
-    if values[0]:
+    for columns in blocks:
+        values = [columns[name] for name in names]
         line = ",".join("%s" if isinstance(v[0], str) else "%.17g" for v in values) + "\n"
         handle.write("".join([line % row for row in zip(*values)]))
 
@@ -260,18 +261,18 @@ def _json_cells(column: list) -> list[str]:
     return cells
 
 
-def write_rows_json(columns: dict[str, list], handle) -> None:
-    """{"columns": [...], "rows": [[...], ...]} byte for byte as
-    json.dump(payload, handle, indent=2) writes it, with one formatter per
-    column, and a final newline."""
-    values = [columns[name] for name in SWEEP_COLUMNS]
+def write_rows_json(blocks, handle) -> None:
+    """{"columns": [...], "rows": [[...], ...]} as json.dump(payload, handle, indent=2) writes
+    it plus a newline, byte for byte; each block written as it comes, one formatter per column."""
     names = ",\n    ".join(map(encode_basestring_ascii, SWEEP_COLUMNS))
     handle.write('{\n  "columns": [\n    ' + names + '\n  ],\n  "rows": [')
-    if values[0]:
-        cells = [_json_cells(v) for v in values]
-        row = "    [\n      " + ",\n      ".join(["%s"] * len(cells)) + "\n    ]"
-        handle.write("\n" + ",\n".join([row % r for r in zip(*cells)]) + "\n  ")
-    handle.write("]\n}\n")
+    row = "    [\n      " + ",\n      ".join(["%s"] * len(SWEEP_COLUMNS)) + "\n    ]"
+    seam = "\n"
+    for columns in blocks:
+        cells = [_json_cells(columns[name]) for name in SWEEP_COLUMNS]
+        handle.write(seam + ",\n".join([row % r for r in zip(*cells)]))
+        seam = ",\n"
+    handle.write("]\n}\n" if seam == "\n" else "\n  ]\n}\n")
 
 
 def _open_out(path: str | None):
@@ -438,24 +439,27 @@ def _betas(args: argparse.Namespace) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Evaluate and write one 240-row oracle block at a time, in flat memory; the output opens
+    after the first, a later failure keeps the rows before it, --strict exits 2 after all rows."""
     _required(args, "mu-list", "nu-list")
     betas = _betas(args)
     # accepted and validated for compatibility; evaluation is serial
     if args.threads < 1:
         raise UsageError("threads must be at least 1")
 
-    columns = sweep_columns(axis_grid(("mu", "nu", "beta"), mu=args.mu_list, nu=args.nu_list,
-                                      beta=betas))
+    def evaluated(start):
+        columns = sweep_columns(grid[:, start:start + _BLOCK])
+        degenerate.append(columns["frame_status"].count(FrameStatus.FULLY_DEGENERATE.value))
+        return columns
 
+    grid = axis_grid(("mu", "nu", "beta"), mu=args.mu_list, nu=args.nu_list, beta=betas)
+    degenerate = []     # the fully-degenerate rows of each block evaluated
+    blocks = itertools.chain([evaluated(0)], map(evaluated, range(_BLOCK, grid.shape[1], _BLOCK)))
     with _open_out(args.out) as handle:
-        if args.format == "csv":
-            write_rows_csv(columns, handle)
-        else:
-            write_rows_json(columns, handle)
+        (write_rows_csv if args.format == "csv" else write_rows_json)(blocks, handle)
 
-    degenerate = columns["frame_status"].count(FrameStatus.FULLY_DEGENERATE.value)
-    if args.strict and degenerate:
-        print(f"strict mode: {degenerate} fully-degenerate points in sweep", file=sys.stderr)
+    if args.strict and sum(degenerate):
+        print(f"strict mode: {sum(degenerate)} fully-degenerate points in sweep", file=sys.stderr)
         return 2
     return 0
 
@@ -469,7 +473,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     for index, (mu, columns) in enumerate(slices.items()):
         path = os.path.join(outdir, f"{name}_mu{index}.csv")
         with _open_out(path) as handle:
-            write_rows_csv(columns, handle)
+            write_rows_csv([columns], handle)
         lines.insert(index, f"{name} slice {index}: mu = {fmt(float(mu))} -> {path}")
 
     if name == "fig2":
@@ -480,7 +484,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         diag["abs_diff"] = [abs(xi2 - (1.0 - c))
                             for xi2, c in zip(diag["xi2_std"], diag["concurrence"])]
         with _open_out(os.path.join(outdir, "fig2_xi2_concurrence.csv")) as handle:
-            write_rows_csv(diag, handle, tuple(diag))
+            write_rows_csv([diag], handle, tuple(diag))
         max_gap = max([0.0] + diag["abs_diff"])
         lines.append(f"fig2 diagnostic: max |xi2_std - (1 - concurrence)| = {max_gap:.6g}")
 

@@ -398,6 +398,52 @@ def test_sweep_strict_flags_degenerate_rows(tmp_path, capsys):
     assert out.exists()      # output still written before the strict exit
 
 
+def _fail_on_call(monkeypatch, failing):
+    """Make sweep_columns raise an internal-check error on call number failing."""
+    calls = []
+    real = cli.sweep_columns
+
+    def wrapped(grid):
+        calls.append(grid.shape[1])
+        if len(calls) == failing:
+            raise RuntimeError("boom")
+        return real(grid)
+
+    monkeypatch.setattr(cli, "sweep_columns", wrapped)
+    return calls
+
+
+# 2 x 2 x 61 = 244 rows: one full block of 240 rows and one of 4
+_TWO_BLOCK_SWEEP = ["sweep", "--mu-list", "0,pi/3", "--nu-list", "0.3,1", "--beta-steps", "61"]
+
+
+def test_sweep_failing_in_its_first_block_writes_nothing(tmp_path, monkeypatch, capsys):
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier output\n")
+    calls = _fail_on_call(monkeypatch, 1)
+    assert main([*_TWO_BLOCK_SWEEP, "--out", str(fresh)]) == 2
+    assert capsys.readouterr().err == "biaxbell: internal check failed: boom\n"
+    assert not fresh.exists()
+    calls.clear()
+    assert main([*_TWO_BLOCK_SWEEP, "--out", str(kept)]) == 2
+    assert capsys.readouterr().err == "biaxbell: internal check failed: boom\n"
+    assert kept.read_bytes() == b"earlier output\n"
+    assert calls == [240]
+
+
+def test_sweep_failing_after_its_first_block_keeps_the_rows_before(tmp_path, monkeypatch,
+                                                                   capsys):
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    assert main([*_TWO_BLOCK_SWEEP, "--out", str(whole)]) == 0
+    lines = whole.read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + 244
+    calls = _fail_on_call(monkeypatch, 2)
+    assert main([*_TWO_BLOCK_SWEEP, "--out", str(cut)]) == 2
+    assert capsys.readouterr().err == "biaxbell: internal check failed: boom\n"
+    assert cut.read_text() == "".join(lines[:1 + 240])
+    assert calls == [240, 4]
+
+
 def test_csv_writer_formats_as_the_csv_module_does():
     # one "%.17g" pass over the columns writes what csv.writer wrote from
     # fmt(value) row by row, NaN cells and signed zeros included
@@ -414,9 +460,18 @@ def test_csv_writer_formats_as_the_csv_module_does():
     for row in zip(*columns.values()):
         writer.writerow([fmt(value) for value in row])
     written = io.StringIO()
-    write_rows_csv(columns, written, names)
+    write_rows_csv([columns], written, names)
     assert written.getvalue() == expected.getvalue()
     assert "nan" in written.getvalue().splitlines()[1].split(",")
+    written = io.StringIO()
+    write_rows_csv(_two_blocks(columns, 3), written, names)
+    assert written.getvalue() == expected.getvalue()
+
+
+def _two_blocks(columns, cut):
+    """columns as two blocks of columns, split before row cut."""
+    return [{name: column[:cut] for name, column in columns.items()},
+            {name: column[cut:] for name, column in columns.items()}]
 
 
 
@@ -456,10 +511,13 @@ def test_json_writer_writes_what_json_dump_writes(columns):
     json.dump(payload, expected, indent=2)
     expected.write("\n")
     written = io.StringIO()
-    write_rows_json(columns, written)
+    write_rows_json([columns], written)
     assert written.getvalue() == expected.getvalue()
     if len(columns["frame_status"]) > 1:
         assert set(columns["frame_status"]) == {s.value for s in FrameStatus}
+        written = io.StringIO()
+        write_rows_json(_two_blocks(columns, len(columns["frame_status"]) // 2), written)
+        assert written.getvalue() == expected.getvalue()
 
 def _spin1_with(**operators):
     ops = build_spin_operators(1.0)

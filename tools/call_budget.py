@@ -11,8 +11,9 @@ cmd_sweep and cmd_crosscheck run, in their order:
 - grid: the beta axis and the (4, n) parameter columns;
 - oracle: oracle_arrays;
 - closed forms: mean_spin_columns (sweep) or closed_arrays (crosscheck);
-- selection (sweep_columns) or adjudication (run_crosscheck): the rest of
-  the function that calls the two routes;
+- selection (sweep_columns, once per 240-row block as cmd_sweep calls it)
+  or adjudication (run_crosscheck): the rest of the function that calls the
+  two routes;
 - open, writer and close: the output file.
 
 oracle and closed forms are timed by wrapping the names sweep_columns and
@@ -23,6 +24,7 @@ the stage sum and of the whole cli.main call.  Output files go to a
 temporary directory.  The package is imported from the src/ next to this
 script, so a checkout of any revision measures its own code.
 """
+import itertools
 import json
 import sys
 import tempfile
@@ -90,12 +92,18 @@ def sweep_call(argv, budget):
     with budget.stage("grid"):
         grid = cli.axis_grid(("mu", "nu", "beta"), mu=args.mu_list, nu=args.nu_list,
                              beta=cli._betas(args))
-    with budget.stage("selection"):
-        columns = cli.sweep_columns(grid)
+
+    def evaluated(start):
+        # a block evaluated inside the writer stage counts as selection, not writer
+        with budget.stage("selection"):
+            return cli.sweep_columns(grid[:, start:start + cli._BLOCK])
+
+    blocks = itertools.chain([evaluated(0)],
+                             map(evaluated, range(cli._BLOCK, grid.shape[1], cli._BLOCK)))
     with budget.stage("open"):
         handle = cli._open_out(args.out)
     with budget.stage("writer"):
-        (cli.write_rows_csv if args.format == "csv" else cli.write_rows_json)(columns, handle)
+        (cli.write_rows_csv if args.format == "csv" else cli.write_rows_json)(blocks, handle)
     with budget.stage("close"):
         handle.close()
 
