@@ -251,14 +251,13 @@ _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_cells(column: list) -> list[str]:
-    """The cells of a column of strings or of floats as json.dump writes
-    them, by one formatter chosen from the first cell."""
+    """The cells of a column of strings or of floats as json.dump writes them, by one formatter
+    chosen from the first cell; a float column with a sum that is not finite takes json's names."""
     if isinstance(column[0], str):
         return list(map(encode_basestring_ascii, column))
-    cells = list(map(float.__repr__, column))
-    if any(text in cells for text in _JSON_FLOATS):
-        cells = [_JSON_FLOATS.get(cell, cell) for cell in cells]
-    return cells
+    if math.isfinite(sum(column)):
+        return list(map(float.__repr__, column))
+    return [_JSON_FLOATS.get(cell, cell) for cell in map(float.__repr__, column)]
 
 
 def write_rows_json(blocks, handle) -> None:
@@ -488,8 +487,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         max_gap = max([0.0] + diag["abs_diff"])
         lines.append(f"fig2 diagnostic: max |xi2_std - (1 - concurrence)| = {max_gap:.6g}")
 
-    summary_path = os.path.join(outdir, f"{name}_shapes.txt")
-    with open(summary_path, "w", encoding="utf-8") as handle:
+    with _open_out(os.path.join(outdir, f"{name}_shapes.txt")) as handle:
         handle.write("\n".join(lines) + "\n")
 
     for line in lines:
@@ -502,16 +500,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _render_crosscheck_text(report: CrosscheckReport, handle) -> None:
-    # the scalar entries, in report order; tables and failures follow
+    # the scalar entries, in report order; the tables, each sorted, and the failures follow
     for key, value in report.as_dict().items():
         if not isinstance(value, (dict, list)):
             handle.write(f"{key} = {fmt(value)}\n")
-    for label, diff in sorted(report.nu_candidate_max_diff.items()):
-        handle.write(f"nu_candidate_max_diff[{label}] = {fmt(diff)}\n")
-    for label, diff in sorted(report.factor_candidate_max_diff.items()):
-        handle.write(f"factor_candidate_max_diff[{label}] = {fmt(diff)}\n")
-    for name, diff in sorted(report.max_abs_diff_per_quantity.items()):
-        handle.write(f"max_abs_diff[{name}] = {fmt(diff)}\n")
+    for key in ("nu_candidate_max_diff", "factor_candidate_max_diff", "max_abs_diff_per_quantity"):
+        for label, diff in sorted(getattr(report, key).items()):
+            handle.write(f"{key.removesuffix('_per_quantity')}[{label}] = {fmt(diff)}\n")
     handle.write(f"failures = {len(report.failures)}\n")
     for failure in report.failures:
         handle.write(

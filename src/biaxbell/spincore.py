@@ -46,7 +46,7 @@ class SqueezeParams:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         if not 0.0 <= self.mu <= math.pi:
             raise ValueError(f"mu must lie in [0, pi], got {self.mu!r}")
-        object.__setattr__(self, "alpha", math.sqrt(max(0.0, 1.0 - self.beta ** 2)))
+        object.__setattr__(self, "alpha", float(alpha_of(self.beta)))
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,11 @@ def square(x):
     return np.float_power(x, 2)
 
 
+def alpha_of(beta):
+    """alpha = sqrt(max(0, 1 - beta^2)) of a beta or of a beta column."""
+    return np.sqrt(np.maximum(0.0, 1.0 - square(beta)))
+
+
 def math_columns(f, *columns) -> np.ndarray:
     """The math function f mapped over float columns, as a float column:
     numpy's own arccos, hypot and arctan2 round differently."""
@@ -152,7 +157,7 @@ def axis_grid(order: tuple[str, str, str], *, beta, mu, nu) -> np.ndarray:
     for k, name in enumerate(order):      # repeated over inner axes, tiled over outer ones
         inner = axes[name].repeat(math.prod(sizes[k + 1:]))
         axes[name] = inner[None].repeat(math.prod(sizes[:k]), axis=0).ravel()
-    return np.array([np.sqrt(np.maximum(0.0, 1.0 - square(axes["beta"]))), *axes.values()])
+    return np.array([alpha_of(axes["beta"]), *axes.values()])
 
 
 def superposition_states(alpha, beta, mu, nu) -> np.ndarray:

@@ -519,6 +519,32 @@ def test_json_writer_writes_what_json_dump_writes(columns):
         write_rows_json(_two_blocks(columns, len(columns["frame_status"]) // 2), written)
         assert written.getvalue() == expected.getvalue()
 
+
+@pytest.mark.parametrize("cells", [
+    pytest.param([0.5, math.nan, -2.0, 1e-300], id="nan"),
+    pytest.param([0.5, math.inf, -2.0, 1e-300], id="inf"),
+    pytest.param([0.5, -math.inf, -2.0, 1e-300], id="minus-inf"),
+    pytest.param([math.nan, math.inf, -math.inf, 0.1], id="nan-and-both-infs"),
+    pytest.param([-0.0, 0.0, -0.0, 5e-324], id="signed-zeros"),
+    # finite cells whose sum overflows to inf: the column is mapped all the same
+    pytest.param([1.7976931348623157e308, 1e308, -1.5, 0.25], id="finite-sum-overflows"),
+])
+def test_json_writer_special_floats_match_json_dumps(cells):
+    # every float column holds the cells, rotated by its position, in one
+    # block and in two blocks of which only one may hold a special value
+    columns = {name: [FrameStatus.REGULAR.value] * len(cells) if name == "frame_status"
+               else [oracle.METHOD_TRANSVERSE] * len(cells) if name == "method"
+               else cells[k % len(cells):] + cells[:k % len(cells)]
+               for k, name in enumerate(SWEEP_COLUMNS)}
+    payload = {"columns": list(SWEEP_COLUMNS),
+               "rows": [list(row) for row in zip(*(columns[name] for name in SWEEP_COLUMNS))]}
+    expected = json.dumps(payload, indent=2) + "\n"
+    for blocks in ([columns], _two_blocks(columns, 2)):
+        written = io.StringIO()
+        write_rows_json(blocks, written)
+        assert written.getvalue() == expected
+
+
 def _spin1_with(**operators):
     ops = build_spin_operators(1.0)
     replaced = dataclasses.replace(ops, **{k: getattr(ops, v) for k, v in operators.items()})

@@ -1,10 +1,12 @@
 """The byte contract: SHA-256 digests of what the CLI writes, pinned.
 
-Each case runs main() in-process in a fresh directory, with the argv of the
-case of the same name in tools/cli_diff.sh.  Its stdout, its stderr, its
-exit code (as cli_diff.sh's exit_code file spells it, "N\\n") and every file
-it writes are hashed and compared with golden_digests.json.  A numpy or
-LAPACK that moves the last bit of any printed value fails here.
+CASES is the one list of the contract's cases; tools/cli_diff.sh reads it
+and CONFIGS to compare two revisions.  Each case runs main() in-process in a
+fresh directory that holds only the CONFIGS files its argv names.  Its
+stdout, its stderr, its exit code (as cli_diff.sh's exit_code file spells
+it, "N\\n") and every file in the directory are hashed and compared with
+golden_digests.json.  A numpy or LAPACK that moves the last bit of any
+printed value fails here.
 
 A digest is re-pinned only with the case and the cause named in CHANGES.md.
 To print the table for the code under test:
@@ -34,14 +36,33 @@ CASES = {
                         "--beta-steps 7 --nu-list=-1.0471975511965976 --out out0.json",
     "bench_sweep_zero_mean": "sweep --mu-list pi/2 --nu-list pi --beta-min=0.0625 "
                              "--beta-max=0.3 --beta-steps 26 --format json --out out0.json",
+    # all 202 zero-mean rows in one oracle block, every row on the
+    # all-directions route and its certificate
     "sweep_zero_mean_wide": "sweep --mu-list pi/2 --nu-list 0,pi --beta-steps 101 --format json",
     "crosscheck_text": "crosscheck",
     "crosscheck_json": "crosscheck --format json",
     # reports with failure records: every closed and oracle repr is pinned
     "crosscheck_tight_text": "crosscheck --tol 1e-18 --beta-steps 3",
     "crosscheck_tight_json": "crosscheck --tol 1e-18 --beta-steps 3 --format json",
+    "crosscheck_nu_inconclusive": "crosscheck --nu-list 0 --beta-steps 5",
+    "crosscheck_nu_pair_json": "crosscheck --tol 1e-17 --beta-steps 6 --nu-list 0.3,-2 "
+                               "--format json",
+    # polar-degenerate frames (mu = 0, pi) and |nu| > 2 pi on both nu
+    # candidates, with every FAIL record
+    "crosscheck_polar_wide_nu": "crosscheck --mu-list 0,pi/3,pi --nu-list=-7.5,9 --beta-steps 5 "
+                                "--tol 1e-17 --format json",
+    # mu = pi/2 with nu in {0, pi}: 6 fully-degenerate points, 30 failures, exit 2
+    "crosscheck_degenerate": "crosscheck --beta-steps 3 --mu-list pi/2 --nu-list 0,pi --tol 1e-18",
     "point_text": "point --beta 0.6 --mu pi/3 --nu pi/4",
     "point_json": "point --beta 0.6 --mu pi/3 --nu pi/4 --format json",
+    "point_degenerate": "point --beta 1 --mu pi/2 --nu 0 --convention paper-literal",
+    "point_degenerate_json": "point --beta 1 --mu 0.5 --nu 0.3 --format json",
+    "point_polar": "point --beta 0 --mu 0 --nu 0",
+    "sweep_csv": "sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11",
+    "sweep_json": "sweep --mu-list 0,pi/2,2pi/3 --nu-list=-pi/3,1 --beta-steps 11 --format json",
+    "sweep_strict": "sweep --mu-list pi/2 --nu-list 0,1 --beta-steps 5 --strict",
+    # regular, polar-degenerate (beta = 0 at mu = 0) and fully-degenerate rows
+    # (mu = pi/2, nu = 0) in one call, and their NaN cells through the JSON writer
     "sweep_mixed_status": "sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9",
     "sweep_mixed_status_json": "sweep --mu-list 0,pi/2 --nu-list 0,1 --beta-steps 9 --format json",
     # ν = −0.0, |ν| > 2π, both poles and β ∈ {0, 1}
@@ -53,6 +74,11 @@ CASES = {
     # strict exit 2 follows the whole output
     "sweep_multi_block_strict_json": "sweep --mu-list pi/3,pi/2 --nu-list 0.3,0 --beta-max 0.9 "
                                      "--beta-steps 151 --format json --strict",
+    "sweep_config": "sweep --config sweep.cfg",
+    # the flags override the file's format and beta-steps
+    "crosscheck_config_flags_win": "crosscheck --config crosscheck.cfg --format text "
+                                   "--beta-steps 3",
+    "figure_fig1": "figure fig1 --outdir figs",
     # exits 2 by design: its mu=pi shape clause contradicts a rotation symmetry
     "figure_fig2": "figure fig2 --outdir figs",
     # invalid axes exit 1 with the error of the first rejected row in row
@@ -64,14 +90,28 @@ CASES = {
     "crosscheck_invalid_nu_first": "crosscheck --mu-list 0,4 --nu-list=0,inf --beta-steps 3",
 }
 
+# the files the --config cases read, by the name their argv gives
+CONFIGS = {
+    "sweep.cfg": "mu-list=0,pi/2\nnu-list=-pi/3,1\nbeta-steps=6\nformat=json\n",
+    "crosscheck.cfg": "mu-list=pi/3\nnu-list=0.3,-2\nbeta-steps=4\ntol=1e-17\nformat=json\n",
+}
+
+
+def write_configs(argv: str, where: Path) -> None:
+    """Write into the directory where each file of CONFIGS that argv names."""
+    for name in CONFIGS.keys() & argv.split():
+        (where / name).write_text(CONFIGS[name], encoding="utf-8")
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def run_case(argv: str, where: Path) -> dict[str, str]:
-    """The digests of one case run in the empty directory where: stdout,
-    stderr, exit_code and each written file by its relative path."""
+    """The digests of one case run in the empty directory where, after the
+    config files its argv names: stdout, stderr, exit_code and each file in
+    where by its relative path."""
+    write_configs(argv, where)
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(where)

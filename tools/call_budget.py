@@ -3,29 +3,32 @@
 
     python3 tools/call_budget.py [REPEATS]        (REPEATS defaults to 1500)
 
-Takes one call of each of the three benchmark argv shapes (perfbench's
-workloads, the bench_* cases of tools/cli_diff.sh) apart into the stages
-cmd_sweep and cmd_crosscheck run, in their order:
+Times cli.main on each of the three benchmark argv shapes (perfbench's
+workloads, the bench_* cases of tests/test_golden.py) and splits each call
+into stages by wrapping the names main, cmd_sweep and cmd_crosscheck look up:
 
-- parse: the argument parser;
-- grid: the beta axis and the (4, n) parameter columns;
+- parse: the cached parser's parse_args;
+- grid: _betas, axis_grid and default_grid;
 - oracle: oracle_arrays;
 - closed forms: mean_spin_columns (sweep) or closed_arrays (crosscheck);
-- selection (sweep_columns, once per 240-row block as cmd_sweep calls it)
-  or adjudication (run_crosscheck): the rest of the function that calls the
-  two routes;
-- open, writer and close: the output file.
+- selection: sweep_columns, or adjudication: run_crosscheck, less the two
+  routes they call;
+- open: _open_out;
+- writer: write_rows_csv, write_rows_json and json.dump;
+- rest: cli.main's wall time less every stage above: dispatch, the checks
+  between the stages and closing the output.
 
-oracle and closed forms are timed by wrapping the names sweep_columns and
-run_crosscheck look up, so a stage holds every call made to it.  Each call
-is repeated REPEATS times after a warm-up, and the 10th percentile of each
-stage's wall time is printed in microseconds, with the 10th percentile of
-the stage sum and of the whole cli.main call.  Output files go to a
-temporary directory.  The package is imported from the src/ next to this
-script, so a checkout of any revision measures its own code.
+A stage holds the self time of every call made to it: a wrapped call entered
+inside another counts for its own stage alone, so the blocks cmd_sweep
+evaluates while its writer iterates them count as selection.  In each repeat
+the stages add up to that call's wall time.  Each call is repeated REPEATS
+times after a warm-up, and the 10th percentile of each row is printed in
+microseconds, each row's on its own.  The calls run in a temporary directory,
+where their --out files go.  The package is imported from the src/ next to
+this script, so a checkout of any revision measures its own code.
 """
-import itertools
 import json
+import os
 import sys
 import tempfile
 import time
@@ -34,21 +37,26 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from biaxbell import cli, crosscheck  # noqa: E402
+from test_golden import CASES  # noqa: E402
 
-# the argv of the bench_* cases of tools/cli_diff.sh, output path last
-SHAPES = {
-    "sweep_fig1": "sweep --mu-list pi/3 --nu-list=2.0943951023931953 --beta-steps 41 "
-                  "--format csv --out",
-    "crosscheck": "crosscheck --format json --beta-min=0.35 --beta-max=0.65 --beta-steps 7 "
-                  "--nu-list=-1.0471975511965976 --out",
-    "sweep_zero_mean": "sweep --mu-list pi/2 --nu-list pi --beta-min=0.0625 --beta-max=0.3 "
-                       "--beta-steps 26 --format json --out",
+SHAPES = {name.removeprefix("bench_"): argv.split()
+          for name, argv in CASES.items() if name.startswith("bench_")}
+# each stage and the (owner, name) lookups whose calls it holds
+WRAPPED = {
+    "parse": [(cli.build_parser(), "parse_args")],
+    "grid": [(cli, "_betas"), (cli, "axis_grid"), (cli, "default_grid")],
+    "oracle": [(cli, "oracle_arrays"), (crosscheck, "oracle_arrays")],
+    "closed forms": [(cli, "mean_spin_columns"), (crosscheck, "closed_arrays")],
+    "selection": [(cli, "sweep_columns")],
+    "adjudication": [(cli, "run_crosscheck")],
+    "open": [(cli, "_open_out")],
+    "writer": [(cli, "write_rows_csv"), (cli, "write_rows_json"), (json, "dump")],
 }
-STAGES = ("parse", "grid", "oracle", "closed forms", "selection", "adjudication",
-          "open", "writer", "close")
+ROWS = (*WRAPPED, "rest", "cli.main")
 WARMUP = 20
 
 
@@ -60,7 +68,7 @@ class Budget:
         self.reset()
 
     def reset(self):
-        self.spent = dict.fromkeys(STAGES, 0.0)
+        self.spent = dict.fromkeys(WRAPPED, 0.0)
         self._inner = []
 
     @contextmanager
@@ -75,54 +83,14 @@ class Budget:
             if self._inner:
                 self._inner[-1] += elapsed
 
-    def wrap(self, module, name, stage):
-        inner = getattr(module, name)
+    def wrap(self, owner, name, stage):
+        inner = getattr(owner, name)
 
         def timed(*args, **kwargs):
             with self.stage(stage):
                 return inner(*args, **kwargs)
 
-        setattr(module, name, timed)
-
-
-def sweep_call(argv, budget):
-    """cmd_sweep's steps."""
-    with budget.stage("parse"):
-        args = cli.build_parser().parse_args(argv)
-    with budget.stage("grid"):
-        grid = cli.axis_grid(("mu", "nu", "beta"), mu=args.mu_list, nu=args.nu_list,
-                             beta=cli._betas(args))
-
-    def evaluated(start):
-        # a block evaluated inside the writer stage counts as selection, not writer
-        with budget.stage("selection"):
-            return cli.sweep_columns(grid[:, start:start + cli._BLOCK])
-
-    blocks = itertools.chain([evaluated(0)],
-                             map(evaluated, range(cli._BLOCK, grid.shape[1], cli._BLOCK)))
-    with budget.stage("open"):
-        handle = cli._open_out(args.out)
-    with budget.stage("writer"):
-        (cli.write_rows_csv if args.format == "csv" else cli.write_rows_json)(blocks, handle)
-    with budget.stage("close"):
-        handle.close()
-
-
-def crosscheck_call(argv, budget):
-    """cmd_crosscheck's steps."""
-    with budget.stage("parse"):
-        args = cli.build_parser().parse_args(argv)
-    with budget.stage("grid"):
-        grid = cli.default_grid(cli._betas(args), args.mu_list, args.nu_list)
-    with budget.stage("adjudication"):
-        report = cli.run_crosscheck(grid, args.tol)
-    with budget.stage("open"):
-        handle = cli._open_out(args.out)
-    with budget.stage("writer"):
-        json.dump(report.as_dict(), handle, indent=2)
-        handle.write("\n")
-    with budget.stage("close"):
-        handle.close()
+        setattr(owner, name, timed)
 
 
 def main(argv=None) -> int:
@@ -132,34 +100,32 @@ def main(argv=None) -> int:
         print("call_budget: REPEATS must be at least 10", file=sys.stderr)
         return 2
     budget = Budget()
-    budget.wrap(cli, "oracle_arrays", "oracle")
-    budget.wrap(cli, "mean_spin_columns", "closed forms")
-    budget.wrap(crosscheck, "oracle_arrays", "oracle")
-    budget.wrap(crosscheck, "closed_arrays", "closed forms")
+    for stage, lookups in WRAPPED.items():
+        for owner, name in lookups:
+            budget.wrap(owner, name, stage)
 
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for shape, text in SHAPES.items():
-            argv = [*text.split(), str(Path(tmp) / "out")]
-            call = crosscheck_call if argv[0] == "crosscheck" else sweep_call
-            stages, whole = [], []
+        os.chdir(tmp)
+        for shape, shape_argv in SHAPES.items():
+            calls = []
             for _ in range(WARMUP + repeats):
                 budget.reset()
-                call(argv, budget)
-                stages.append(budget.spent)
-            for _ in range(WARMUP + repeats):
                 start = time.perf_counter()
-                cli.main(argv)
-                whole.append(time.perf_counter() - start)
-            stages, whole = stages[WARMUP:], whole[WARMUP:]
-            table[shape] = {name: np.percentile([s[name] for s in stages], 10) for name in STAGES}
-            table[shape]["stage sum"] = np.percentile([sum(s.values()) for s in stages], 10)
-            table[shape]["cli.main"] = np.percentile(whole, 10)
+                code = cli.main(shape_argv)
+                whole = time.perf_counter() - start
+                if code:
+                    print(f"call_budget: {shape} exited {code}", file=sys.stderr)
+                    return 1
+                calls.append({**budget.spent, "rest": whole - sum(budget.spent.values()),
+                              "cli.main": whole})
+            table[shape] = {row: np.percentile([c[row] for c in calls[WARMUP:]], 10)
+                            for row in ROWS}
 
     print(f"call_budget: p10 wall time per stage of one call, us, {repeats} repeats")
     print(f"{'stage':14s}" + "".join(f"{shape:>17s}" for shape in SHAPES))
-    for name in (*STAGES, "stage sum", "cli.main"):
-        print(f"{name:14s}" + "".join(f"{table[shape][name] * 1e6:17.1f}" for shape in SHAPES))
+    for row in ROWS:
+        print(f"{row:14s}" + "".join(f"{table[shape][row] * 1e6:17.1f}" for shape in SHAPES))
     return 0
 
 
