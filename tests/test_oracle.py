@@ -1,5 +1,6 @@
 """Operator-oracle moments, variance minimization, concurrence."""
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -559,6 +560,30 @@ def test_bisect_min_meets_eigvalsh(k):
     split = rng.normal(size=(300, k, 6)) * rng.uniform(0.01, 2.0, (300, 1, 1))
     eig = np.linalg.eigvalsh(split @ split.transpose(0, 2, 1))
     assert np.all(np.abs(_bisect_min(_gram(split), k) - eig[:, 0]) <= 2e-15 * eig[:, -1])
+
+
+def _reference_digests():
+    """SHA-256 of _sphere_min's minima and of _transverse_scan's minima and
+    angles on seeded random inputs, rows whose scales span 0.01 to 2."""
+    rng = np.random.default_rng(29)
+    split = rng.normal(size=(500, 3, 6)) * rng.uniform(0.01, 2.0, (500, 1, 1))
+    scale = rng.uniform(0.01, 2.0, (500, 1))
+    states = (rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))) * scale
+    vectors = (rng.normal(size=(500, 2, 3)) + 1j * rng.normal(size=(500, 2, 3))) * scale[..., None]
+    moments = rng.normal(size=(500, 5))
+    lam, chi = _transverse_scan(states, vectors, moments)
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in (_sphere_min(split), np.stack([lam, chi]))]
+
+
+def test_reference_bits_are_pinned():
+    # the bisection reference is elementwise numpy arithmetic with no matmul,
+    # so its bits depend on no BLAS build; a change to how P is stored or
+    # reduced must keep every minimum and angle bit for bit
+    assert _reference_digests() == [
+        "601fe7584ea084e59db9931a32f3d76586c14ea8d2e32973cfc56b021240b395",
+        "936a62cf39563c3dbaa8bd6d595cee0d4c9ee2a56a275d266fd5d2d654f9d243",
+    ]
 
 
 def _tied_matrix():
