@@ -285,22 +285,22 @@ def _open_out(path: str | None):
 # shape checks shared by the figure command and the acceptance tests
 
 
-def monotone_nonincreasing(values, slack: float = _SHAPE_SLACK) -> bool:
+def monotone_nonincreasing(values) -> bool:
     arr = np.asarray(values, dtype=float)
-    return bool(np.all(np.diff(arr) <= slack))
+    return bool(np.all(np.diff(arr) <= _SHAPE_SLACK))
 
 
-def rise_then_fall(values, slack: float = _SHAPE_SLACK) -> bool:
+def rise_then_fall(values) -> bool:
     """Interior maximum with nondecreasing approach and nonincreasing exit."""
     arr = np.asarray(values, dtype=float)
     peak = int(np.argmax(arr))
     if peak == 0 or peak == len(arr) - 1:
         return False
-    if arr[peak] <= arr[0] + slack or arr[peak] <= arr[-1] + slack:
+    if arr[peak] <= arr[0] + _SHAPE_SLACK or arr[peak] <= arr[-1] + _SHAPE_SLACK:
         return False
     return bool(
-        np.all(np.diff(arr[: peak + 1]) >= -slack)
-        and np.all(np.diff(arr[peak:]) <= slack)
+        np.all(np.diff(arr[: peak + 1]) >= -_SHAPE_SLACK)
+        and np.all(np.diff(arr[peak:]) <= _SHAPE_SLACK)
     )
 
 

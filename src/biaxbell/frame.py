@@ -109,16 +109,16 @@ def mean_spin_length_closed_form(params: SqueezeParams) -> float:
     return float(radical_length(*param_columns([params]))[0])
 
 
-def frame_angles(jx, jy, jz, r, eps: float = DEFAULT_EPS) -> tuple:
+def frame_angles(jx, jy, jz, r) -> tuple:
     """theta, phi and the status codes of the frames compute_frame builds for
     the mean spins (jx, jy, jz) of spin_length r, as columns.  math.acos and
     math.hypot are mapped over the columns (np.arccos and np.hypot round
     differently), acos clamped to [-1, 1]; the branches are masks, and a
     masked row divides by 1 in place of a vanishing length."""
-    flat = r < eps
+    flat = r < DEFAULT_EPS
     r = np.where(flat, 1.0, r)
     rho = math_columns(math.hypot, jx, jy)
-    polar = ~flat & (rho / r < eps)
+    polar = ~flat & (rho / r < DEFAULT_EPS)
     regular = ~(flat | polar)
     cosines = np.concatenate([jz / r, jx / np.where(regular, rho, 1.0)])
     theta, base = math_columns(math.acos, np.minimum(np.maximum(cosines, -1.0), 1.0)).reshape(2, -1)
@@ -137,7 +137,7 @@ def frame_triad(theta, phi) -> np.ndarray:
     return np.array(rows).T.reshape(-1, 3, 3)
 
 
-def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
+def compute_frame(ms: MeanSpin) -> SpinFrame:
     """Build the frame (n1, n2, n3) from a mean-spin vector.
 
     theta = arccos(<Jz>/r).  phi = arccos(<Jx>/(r sin theta)) when <Jy> > 0,
@@ -148,10 +148,8 @@ def compute_frame(ms: MeanSpin, eps: float = DEFAULT_EPS) -> SpinFrame:
     the whole vector vanishes (fully-degenerate).  arccos arguments are
     clamped to [-1, 1] before evaluation.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
     r = mean_spin_length(ms)
-    theta, phi, (code,) = frame_angles(*np.array([[ms.jx], [ms.jy], [ms.jz], [r]]), eps)
+    theta, phi, (code,) = frame_angles(*np.array([[ms.jx], [ms.jy], [ms.jz], [r]]))
     n1, n2, n3 = readonly(frame_triad(theta, phi)[0])
     return SpinFrame(n1, n2, n3, theta.item(), phi.item(), r, list(FrameStatus)[code])
 

@@ -21,12 +21,13 @@ The moments are one contraction over a stack of operators (the read-only
 SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
 exactly as spincore.expectation does.  With S the real split (real and
 imaginary parts) of the vectors J_k psi, centred for the transverse
-variance, <J_u^2> = |u S|^2 = u P u^T with P = S S^T.  The eigen routes
-build their covariances from operator products and never read P.  By
-Courant-Fischer, an eigen minimum lam with u P u^T <= lam + tol at its unit
-minimizer u, and with P - (lam - tol) I positive definite, is within tol of
-min u P u^T, so no search is needed.  _bisect_min reads the same P and no
-eigen route: min u P u^T is the largest s with P - s I positive definite.
+variance, <J_u^2> = |u S|^2 = u P u^T with P = S S^T, each row's P a
+symmetric k x k matrix.  The eigen routes build their covariances from
+operator products and never read P.  By Courant-Fischer, an eigen minimum
+lam with u P u^T <= lam + tol at its unit minimizer u, and with
+P - (lam - tol) I positive definite, is within tol of min u P u^T, so no
+search is needed.  _bisect_min reads the same P and no eigen route:
+min u P u^T is the largest s with P - s I positive definite.
 """
 from __future__ import annotations
 
@@ -70,12 +71,6 @@ def _spin1() -> SpinOperatorSet:
     return build_spin_operators(1.0)
 
 
-@lru_cache(maxsize=None)
-def _pairs(k: int) -> np.ndarray:
-    """The indices (2, entries) of the upper triangle a <= b of a k x k matrix."""
-    return readonly(np.array(np.triu_indices(k)))
-
-
 def _state_vector(state: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
     state = np.asarray(state)
     if state.ndim != 1 or state.shape[0] != ops.dim:
@@ -91,18 +86,16 @@ def _real_split(vectors: np.ndarray) -> np.ndarray:
 
 
 def _gram(split: np.ndarray) -> np.ndarray:
-    """The Gram matrices P = S S^T of split (rows, k, 2d), as the upper
-    triangle (rows, entries) in _pairs order with the off-diagonal entries
-    doubled.  Each entry sums real products in a fixed order, with no complex
-    product and no matmul, so no bit depends on the rows evaluated with it."""
-    k, d = split.shape[1], split.shape[-1] // 2
-    pairs = split[:, _pairs(k)]
-    terms = pairs[:, 0] * pairs[:, 1]                # (rows, entries, 2d)
+    """The Gram matrices P = S S^T (rows, k, k) of split (rows, k, 2d).  Each
+    entry sums real products in a fixed order, with no complex product and no
+    matmul, so no bit depends on the rows evaluated with it, and P_ab equals
+    P_ba bit for bit."""
+    d = split.shape[-1] // 2
+    terms = split[:, :, None] * split[:, None]       # (rows, k, k, 2d)
     terms = terms[..., :d] + terms[..., d:]          # real plus imaginary parts
     gram = terms[..., 0] + terms[..., 1]
     for j in range(2, d):
         gram += terms[..., j]
-    gram[:, np.not_equal(*_pairs(k))] *= 2.0
     return gram
 
 
@@ -129,28 +122,19 @@ def _real(values: np.ndarray, names) -> np.ndarray:
     return values.real
 
 
-@lru_cache(maxsize=None)
-def _schur(k: int) -> np.ndarray:
-    """The positions of (i, j), (0, i) = i and (0, j) = j in a k x k upper
-    triangle in _pairs order, for each (i, j) 1 <= i <= j in _pairs(k - 1) order."""
-    i, j = _pairs(k - 1) + 1
-    return readonly(np.array([i * k - i * (i - 1) // 2 + j - i, i, j]))
-
-
-def _definite(gram: np.ndarray, k: int, shift: np.ndarray) -> np.ndarray:
-    """Per row, whether P - shift I is positive definite, P the k x k matrix
-    of a _gram row: by Sylvester's law of inertia, whether every pivot of its
-    LDL^T is > 0.  It eliminates on the upper triangle's columns (_schur): a
-    step's m_ij - m_0i m_0j / m_00 keeps the matrix exactly symmetric."""
-    diagonal = np.equal(*_pairs(k))
-    m, ok = gram / (2.0 - diagonal), np.ones(len(gram), dtype=bool)
-    m[:, diagonal] -= shift[:, None]
-    for size in range(k, 1, -1):
-        ok &= m[:, 0] > 0.0
-        pivot = np.where(ok, m[:, 0], 1.0)[:, None]             # 1 on rejected rows
-        rest, first, second = _schur(size)
-        m = m[:, rest] - m[:, first] * m[:, second] / pivot
-    return ok & (m[:, 0] > 0.0)
+def _definite(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per row, whether P - shift I is positive definite, P a k x k matrix of
+    gram (rows, k, k): by Sylvester's law of inertia, whether every pivot of
+    its LDL^T is > 0.  A Schur step's m_ij - m_i0 m_0j / m_00 keeps a
+    symmetric matrix exactly symmetric."""
+    k = gram.shape[1]
+    m, ok = gram.copy(), np.ones(len(gram), dtype=bool)
+    m[:, range(k), range(k)] -= shift[:, None]
+    for _ in range(k - 1):
+        ok &= m[:, 0, 0] > 0.0
+        pivot = np.where(ok, m[:, 0, 0], 1.0)[:, None, None]   # 1 on rejected rows
+        m = m[:, 1:, 1:] - m[:, 1:, :1] * m[:, :1, 1:] / pivot
+    return ok & (m[:, 0, 0] > 0.0)
 
 
 def _certify(what: str, lam, u: np.ndarray, split: np.ndarray, tol: float) -> None:
@@ -159,9 +143,9 @@ def _certify(what: str, lam, u: np.ndarray, split: np.ndarray, tol: float) -> No
     tol of min v P v^T over unit v, P the _gram of split.  u P u^T <= lam + tol
     bounds that minimum from above; P - (lam - tol) I positive definite
     (_definite) bounds it from below."""
-    lam, (a, b), gram = np.asarray(lam), _pairs(u.shape[1]), _gram(split)
-    quotient = (gram * u[:, a] * u[:, b]).sum(axis=1)
-    ok = (quotient - lam <= tol) & _definite(gram, u.shape[1], lam - tol)
+    lam, gram = np.asarray(lam), _gram(split)
+    quotient = (u[:, :, None] * gram * u[:, None, :]).sum(axis=(1, 2))
+    ok = (quotient - lam <= tol) & _definite(gram, lam - tol)
     if not ok.all():
         i = np.flatnonzero(~ok)[0]
         raise RuntimeError(f"{what} minimization mismatch: eigen {lam[i].item()!r} vs u P u^T "
@@ -221,19 +205,18 @@ def _transverse_split(states, vectors, moments) -> np.ndarray:
     return _real_split(vectors - moments[:, :2, None] * states[:, None, :])
 
 
-def _bisect_min(gram: np.ndarray, k: int) -> np.ndarray:
-    """Reference minimum of u P u^T over unit u per row, P the k x k matrix of
-    a _gram row: the largest shift s with P - s I positive definite
+def _bisect_min(gram: np.ndarray) -> np.ndarray:
+    """Reference minimum of u P u^T over unit u per row, P a k x k matrix of
+    gram (rows, k, k): the largest shift s with P - s I positive definite
     (_definite), bisected from Gershgorin's bracket once per bit of a float's
     significand, so no tuning constant and no eigen route is read."""
-    a, b = _pairs(k)
-    diag, off = gram[:, a == b], np.abs(gram) / 2.0             # |P_ab| off the diagonal
-    radius = np.column_stack([off[:, (a != b) & ((a == i) | (b == i))].sum(axis=1)
-                              for i in range(k)])
+    k = gram.shape[1]
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    radius = (np.abs(gram) * (1.0 - np.eye(k))).sum(axis=2)    # |P_ab| off the diagonal
     lo, hi = (diag - radius).min(axis=1), (diag + radius).max(axis=1)
     for _ in range(np.finfo(float).nmant + 1):
         mid = (lo + hi) / 2.0
-        below = _definite(gram, k, mid)
+        below = _definite(gram, mid)
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return lo
 
@@ -244,8 +227,8 @@ def _transverse_scan(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     _gram P of _transverse_split, and the null direction of P - lam I read
     from its larger row, (p, q) or (q, r)."""
     gram = _gram(_transverse_split(states, vectors, moments))
-    lam = _bisect_min(gram, 2)
-    p, q, r = gram[:, 0] - lam, gram[:, 1] / 2.0, gram[:, 2] - lam
+    lam = _bisect_min(gram)
+    p, q, r = gram[:, 0, 0] - lam, gram[:, 0, 1], gram[:, 1, 1] - lam
     top = np.abs(p) >= np.abs(r)
     return lam, np.arctan2(np.where(top, p, q), np.where(top, -q, -r)) % math.pi
 
@@ -313,7 +296,7 @@ def min_transverse_variance(
 def _sphere_min(split: np.ndarray) -> np.ndarray:
     """Minimum of <J_u^2> over all unit directions per row, S the real split
     of (Jx psi, Jy psi, Jz psi), by _bisect_min of its _gram."""
-    return _bisect_min(_gram(split), 3)
+    return _bisect_min(_gram(split))
 
 
 def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:

@@ -77,7 +77,7 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_spin_operators(j: float, max_dim: int = DEFAULT_MAX_DIM) -> SpinOperatorSet:
+def build_spin_operators(j: float) -> SpinOperatorSet:
     """Build jx, jy, jz, j+, j- as (2j+1) x (2j+1) complex matrices.
 
     j must be a nonnegative half-integer.  Ladder matrix elements are
@@ -89,8 +89,8 @@ def build_spin_operators(j: float, max_dim: int = DEFAULT_MAX_DIM) -> SpinOperat
     if abs(twoj - round(twoj)) > 1e-9:
         raise ValueError(f"j must be a half-integer, got {j!r}")
     dim = int(round(twoj)) + 1
-    if dim > max_dim:
-        raise ValueError(f"dimension {dim} exceeds the configured maximum {max_dim}")
+    if dim > DEFAULT_MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the configured maximum {DEFAULT_MAX_DIM}")
 
     m = j - np.arange(dim)               # m = +j ... -j down the basis
     # j+ maps column state m to row state m+1

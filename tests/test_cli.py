@@ -632,11 +632,8 @@ def _eigh_low(tables):
     return eigvals - 2.0 * oracle.ALL_DIRECTIONS_AGREE_TOL, eigvecs
 
 
-def _gram_undoubled(split):
-    gram = _GRAM(split)
-    upper = np.triu_indices(split.shape[1])
-    gram[:, upper[0] != upper[1]] /= 2.0
-    return gram
+def _gram_off_diagonal_halved(split):
+    return _GRAM(split) * ((np.eye(split.shape[1]) + 1.0) / 2.0)
 
 
 @pytest.mark.parametrize(
@@ -646,7 +643,7 @@ def _gram_undoubled(split):
         (oracle, "_eigen_min", _eigen_min_low),
         (np.linalg, "eigh", _eigh_middle),
         (np.linalg, "eigh", _eigh_low),
-        (oracle, "_gram", _gram_undoubled),
+        (oracle, "_gram", _gram_off_diagonal_halved),
     ],
     ids=["transverse-larger-eigenvalue", "transverse-lambda-minus-2tol",
          "all-directions-middle-eigenvalue", "all-directions-lambda-minus-2tol",
@@ -667,7 +664,7 @@ def test_pipeline_never_runs_the_scan(monkeypatch, capsys):
         assert main(argv) == 0
         expected.append(capsys.readouterr().out)
 
-    def no_reference(gram, k):
+    def no_reference(gram):
         raise AssertionError("the pipeline ran the reference")
 
     monkeypatch.setattr(oracle, "_bisect_min", no_reference)

@@ -142,11 +142,6 @@ def test_phi_branch_continuity():
     assert on.phi == 0.0
 
 
-def test_frame_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        compute_frame(MeanSpin(0.0, 0.0, 1.0), eps=0.0)
-
-
 vector_st = st.tuples(
     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
 ).filter(lambda v: math.hypot(*v) > 1e-6)

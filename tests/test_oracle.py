@@ -39,7 +39,6 @@ from biaxbell.oracle import (
     _expectations,
     _gram,
     _operator_rows,
-    _pairs,
     _real_split,
     _sphere_min,
     _sphere_scan,
@@ -432,12 +431,12 @@ def test_scans_reject_wrong_state_shape(shape):
 
 @pytest.mark.parametrize(
     "table",
-    [_pairs(2), _pairs(3), OPS.moment_stack],
-    ids=["circle_pairs", "sphere_pairs", "moment_stack"],
+    [OPS.moment_stack],
+    ids=["moment_stack"],
 )
 def test_scan_tables_are_read_only(table):
-    # the certificate and the reference (and every moments_oracle call, for
-    # the moment stack) share these arrays; a write would corrupt all later calls
+    # every moments_oracle call and every oracle block share the moment
+    # stack; a write would corrupt all later calls
     with pytest.raises(ValueError):
         table[(0,) * table.ndim] = 0.0
 
@@ -533,12 +532,6 @@ def test_certificate_brackets_the_smallest_eigenvalue(eigvecs, eigvals):
                 _certify("test", [wrong], u, split, tol)
 
 
-def _gram_of(p):
-    """The _gram rows of symmetric matrices p (rows, k, k)."""
-    a, b = _pairs(p.shape[-1])
-    return p[:, a, b] * np.where(a == b, 1.0, 2.0)
-
-
 @pytest.mark.parametrize("k", [2, 3], ids=["circle", "sphere"])
 def test_definite_is_the_sign_of_the_smallest_eigenvalue(k):
     # P - s I is positive definite exactly when s lies below eigvalsh's
@@ -548,8 +541,8 @@ def test_definite_is_the_sign_of_the_smallest_eigenvalue(k):
     gram = _gram(split)
     lam = np.linalg.eigvalsh(split @ split.transpose(0, 2, 1))[:, 0]
     for offset in (1e-9, 1e-6, 1e-3, 0.1):
-        assert _definite(gram, k, lam - offset).all(), offset
-        assert not _definite(gram, k, lam + offset).any(), offset
+        assert _definite(gram, lam - offset).all(), offset
+        assert not _definite(gram, lam + offset).any(), offset
 
 
 @pytest.mark.parametrize("k", [2, 3], ids=["circle", "sphere"])
@@ -559,7 +552,20 @@ def test_bisect_min_meets_eigvalsh(k):
     rng = np.random.default_rng(23)
     split = rng.normal(size=(300, k, 6)) * rng.uniform(0.01, 2.0, (300, 1, 1))
     eig = np.linalg.eigvalsh(split @ split.transpose(0, 2, 1))
-    assert np.all(np.abs(_bisect_min(_gram(split), k) - eig[:, 0]) <= 2e-15 * eig[:, -1])
+    assert np.all(np.abs(_bisect_min(_gram(split)) - eig[:, 0]) <= 2e-15 * eig[:, -1])
+
+
+@pytest.mark.parametrize("k", [2, 3], ids=["circle", "sphere"])
+def test_gram_is_exactly_symmetric(k):
+    # each Schur step of _definite keeps its matrix symmetric only if P is,
+    # bit for bit; then P and its transpose give the same verdicts
+    rng = np.random.default_rng(28)
+    split = rng.normal(size=(300, k, 6)) * rng.uniform(0.01, 2.0, (300, 1, 1))
+    gram = _gram(split)
+    assert np.array_equal(gram.view(np.uint64), gram.transpose(0, 2, 1).view(np.uint64))
+    lam = np.linalg.eigvalsh(split @ split.transpose(0, 2, 1))[:, 0]
+    for shift in (lam - 1e-9, lam + 1e-9, lam, rng.uniform(-1.0, 3.0, 300)):
+        assert np.array_equal(_definite(gram, shift), _definite(gram.transpose(0, 2, 1), shift))
 
 
 def _reference_digests():
@@ -603,12 +609,12 @@ def test_bisect_min_on_special_matrices(p, exact):
     # comes back exactly, and a shift equal to it is not definite (a zero
     # pivot fails); a singular P and a tied smallest pair land within
     # rounding of eigvalsh
-    gram = _gram_of(p[None])
+    gram = p[None]
     lam = np.linalg.eigvalsh(p)[0]
-    got = _bisect_min(gram, 3)
+    got = _bisect_min(gram)
     if exact:
         assert got.item() == np.diag(p).min()
-        assert not _definite(gram, 3, got).any()
+        assert not _definite(gram, got).any()
     else:
         assert abs(got.item() - lam) <= 1e-15
 

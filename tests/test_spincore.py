@@ -212,7 +212,7 @@ def test_build_rejects_bad_j(j):
 
 def test_build_rejects_oversized_dim():
     with pytest.raises(ValueError):
-        build_spin_operators(40.0, max_dim=64)
+        build_spin_operators(40.0)
 
 
 def test_operator_matrices_readonly():

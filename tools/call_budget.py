@@ -9,7 +9,9 @@ into stages by wrapping the names main, cmd_sweep and cmd_crosscheck look up:
 
 - parse: the cached parser's parse_args;
 - grid: _betas, axis_grid and default_grid;
-- oracle: oracle_arrays;
+- oracle: oracle_arrays, less the certificate it calls;
+- certificate: _certify, as the oracle looks it up: the gate on both
+  minimizations;
 - closed forms: mean_spin_columns (sweep) or closed_arrays (crosscheck);
 - selection: sweep_columns, or adjudication: run_crosscheck, less the two
   routes they call;
@@ -40,7 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from biaxbell import cli, crosscheck  # noqa: E402
+from biaxbell import cli, crosscheck, oracle  # noqa: E402
 from test_golden import CASES  # noqa: E402
 
 SHAPES = {name.removeprefix("bench_"): argv.split()
@@ -50,6 +52,7 @@ WRAPPED = {
     "parse": [(cli.build_parser(), "parse_args")],
     "grid": [(cli, "_betas"), (cli, "axis_grid"), (cli, "default_grid")],
     "oracle": [(cli, "oracle_arrays"), (crosscheck, "oracle_arrays")],
+    "certificate": [(oracle, "_certify")],
     "closed forms": [(cli, "mean_spin_columns"), (crosscheck, "closed_arrays")],
     "selection": [(cli, "sweep_columns")],
     "adjudication": [(cli, "run_crosscheck")],
