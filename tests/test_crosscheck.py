@@ -1,6 +1,7 @@
 """Closed-form/oracle reconciliation and convention adjudication."""
 import copy
 import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
@@ -38,7 +39,7 @@ from biaxbell.crosscheck import (
 )
 from biaxbell.frame import FrameStatus, compute_frame, mean_spin_length
 from biaxbell.oracle import evaluate_oracle
-from biaxbell.spincore import param_columns
+from biaxbell.spincore import alpha_of, axis_grid, param_columns
 
 
 @pytest.fixture(scope="module")
@@ -400,3 +401,46 @@ def test_closed_columns_do_not_depend_on_batch_size(column_grid, sign):
         for q in CLOSED_QUANTITIES:
             joined = [v for chunk in chunks for v in chunk[q]]
             assert _bits(joined) == _bits(whole[q]), (size, q)
+
+
+def _closed_route_digests() -> dict[str, str]:
+    """The first 16 hex digits of the SHA-256 of the repr of every
+    closed_arrays column over 2,000 seeded points and 45 edge rows (the
+    zero-mean ones among them), after checking that mean_spin_columns gives
+    the same bits as its part of closed_arrays."""
+    rng = np.random.default_rng(30)
+    beta = rng.uniform(0.0, 1.0, 2000)
+    seeded = np.array([alpha_of(beta), beta, rng.uniform(0.0, math.pi, 2000),
+                       rng.uniform(-9.0, 9.0, 2000)])
+    edges = axis_grid(("beta", "mu", "nu"), beta=(0.0, 1.0, 1.0 / math.sqrt(2.0)),
+                      mu=(0.0, math.pi / 2, math.pi), nu=(0.0, -0.0, math.pi, 9.0, -7.5))
+    grid = np.concatenate([seeded, edges], axis=1)
+    columns, means = closed_arrays(grid), mean_spin_columns(grid)
+    assert all(_bits(means[q]) == _bits(columns[q]) for q in MEAN_SPIN_QUANTITIES)
+    return {q: hashlib.sha256(repr(column.tolist()).encode()).hexdigest()[:16]
+            for q, column in columns.items()}
+
+
+def test_closed_route_bits_are_pinned():
+    # the closed route's columns bit for bit, signed zeros and NaN marks
+    # included: a change to how the mean spin, its lengths or the moments
+    # are evaluated must keep every value's bits
+    assert _closed_route_digests() == {
+        "jx": "aea6e667047e7bd4",
+        "jy": "62b6a57eeb744dba",
+        "jz": "311f7066d5c082ee",
+        "r_eq9": "f9f9d4a2020d0277",
+        "r": "570503a556070f38",
+        "jplus_sq": "4206ec9b6290e0ca",
+        "jz_sq": "247e882f1958ffe4",
+        "jplus_2jz1": "9e418e21242a5557",
+        "jx2_plus_jy2": "010a0ac50ed32575",
+        "jx2_minus_jy2": "69f5d6927f7935b4",
+        "xy_anticomm": "40f39a2fdc0d21ee",
+        "xz_anticomm": "35fa9a2675c72c16",
+        "yz_anticomm": "003ef944b69dfb48",
+        "jn1_sq": "362fe86e0b825ef9",
+        "jn2_sq": "95438ffa8395da7b",
+        "anticomm": "c801d4fee72e44ad",
+        "radical": "193854fcc4496ac4",
+    }
