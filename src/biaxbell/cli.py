@@ -21,9 +21,9 @@ import numpy as np
 
 from .crosscheck import (
     BETA_STEPS, DEFAULT_TOL, MUS, NUS, CrosscheckReport, closed_values, default_grid,
-    mean_spin_columns, oracle_values, run_crosscheck,
+    oracle_values, run_crosscheck,
 )
-from .frame import FrameStatus
+from .frame import FrameStatus, mean_spin_columns
 from .oracle import _BLOCK, oracle_arrays
 from .spincore import SqueezeParams, axis_grid
 
@@ -251,7 +251,7 @@ _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_cells(column: list) -> list[str]:
-    """The cells of a column of strings or of floats as json.dump writes them, by one formatter
+    """The cells of a column of strings or of floats as json.dumps writes them, by one formatter
     chosen from the first cell; a float column with a sum that is not finite takes json's names."""
     if isinstance(column[0], str):
         return list(map(encode_basestring_ascii, column))
@@ -261,7 +261,7 @@ def _json_cells(column: list) -> list[str]:
 
 
 def write_rows_json(blocks, handle) -> None:
-    """{"columns": [...], "rows": [[...], ...]} as json.dump(payload, handle, indent=2) writes
+    """{"columns": [...], "rows": [[...], ...]} as json.dumps(payload, indent=2) writes
     it plus a newline, byte for byte; each block written as it comes, one formatter per column."""
     names = ",\n    ".join(map(encode_basestring_ascii, SWEEP_COLUMNS))
     handle.write('{\n  "columns": [\n    ' + names + '\n  ],\n  "rows": [')
@@ -416,8 +416,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     with _open_out(args.out) as handle:
         if args.format == "json":
             # complex values, the only ones json cannot encode, become [re, im]
-            json.dump(record, handle, indent=2, default=lambda v: [v.real, v.imag])
-            handle.write("\n")
+            handle.write(json.dumps(record, indent=2, default=lambda v: [v.real, v.imag]) + "\n")
         else:
             for key, value in record.items():
                 handle.write(f"{key} = {fmt(value)}\n")
@@ -520,8 +519,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     report = run_crosscheck(default_grid(_betas(args), args.mu_list, args.nu_list), args.tol)
     with _open_out(args.out) as handle:
         if args.format == "json":
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
+            handle.write(json.dumps(report.as_dict(), indent=2) + "\n")
         else:
             _render_crosscheck_text(report, handle)
 

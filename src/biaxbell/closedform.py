@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frame import DegenerateFrameError, FrameStatus, SpinFrame, ladder_prefactors
+from .frame import DegenerateFrameError, FrameStatus, SpinFrame
 from .spincore import N_QUBITS, TOTAL_SPIN, SqueezeParams, complex_column, param_columns, square
 
 
@@ -58,7 +58,8 @@ def raising_moments(alpha, beta, mu, nu) -> tuple[np.ndarray, ...]:
     """<J+^2>, <Jz^2>, <J+(2Jz+1)> columns from their closed forms: complex,
     float and complex."""
     cmu, smu2 = np.cos(mu), square(np.sin(mu))
-    denom, k = ladder_prefactors(alpha, beta, cmu)
+    denom = 1.0 + square(cmu)
+    k = 2.0 * alpha * beta / np.sqrt(denom)         # the alpha-beta coherence
     return (
         (-square(alpha) * smu2 / denom).astype(complex),
         2.0 * square(alpha) / denom * (1.0 - 0.5 * smu2),

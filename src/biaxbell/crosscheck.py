@@ -17,10 +17,10 @@ match as printed; those are the build-stopping ones.
 closed_arrays and oracle.oracle_arrays are the only readers of the two
 routes.  Each evaluates a whole grid, given as its (4, n) parameter columns
 (default_grid, spincore.axis_grid), in one call: the closed forms as
-columns, with math mapped over columns only for the frame angles and the
-variance radical's hypot (both nu candidates in one call), the oracle
-through its batched core.  closed_values and oracle_values are their
-one-row forms.
+columns, the mean spin from frame.mean_spin_columns, with math mapped over
+columns only for the frame angles and the variance radical's hypot (both nu
+candidates in one call), the oracle through its batched core.
+closed_values and oracle_values are their one-row forms.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ from .closedform import (
     transverse_moments,
 )
 from .frame import (
-    FULLY_DEGENERATE_CODE, STATUS_VALUES, frame_angles, mean_spin_components, radical_length,
-    spin_length,
+    FULLY_DEGENERATE_CODE, MEAN_SPIN_QUANTITIES, STATUS_VALUES, frame_angles, mean_spin_columns,
 )
 from .oracle import oracle_arrays
 from .spincore import SqueezeParams, axis_grid, math_columns, param_columns, readonly
@@ -64,10 +63,8 @@ _COMPLEX = "jplus_sq"
 _REAL = tuple(q for q in _REPORTED[:-1] if q != _COMPLEX)
 _ROW = {q: 2 * p for p, q in enumerate((*_REAL, FACTOR_LITERAL, FACTOR_HALF))}
 
-# the closed-form record: the mean spin with its length from the components
-# (r_eq9) and from the single-radical form (r), then the fields of MomentSet,
-# CartesianSecondMoments and FrameMoments, then the radical
-MEAN_SPIN_QUANTITIES = ("jx", "jy", "jz", "r_eq9", "r")
+# the closed-form record: frame.MEAN_SPIN_QUANTITIES, then the fields of
+# MomentSet, CartesianSecondMoments and FrameMoments, then the radical
 CLOSED_QUANTITIES = (
     *MEAN_SPIN_QUANTITIES,
     *(f.name for f in fields(MomentSet)),
@@ -135,14 +132,6 @@ class CrosscheckReport:
         data["failures"] = [{**vars(f), "closed": repr(f.closed), "oracle": repr(f.oracle)}
                             for f in self.failures]
         return data
-
-
-def mean_spin_columns(grid: np.ndarray) -> dict[str, np.ndarray]:
-    """The closed-form MEAN_SPIN_QUANTITIES over the parameter columns of a
-    grid, one array per quantity in grid order; no second moment is evaluated."""
-    jx, jy, jz = mean_spin_components(*grid)
-    columns = (jx, jy, jz, spin_length(jx, jy, jz), radical_length(*grid))
-    return dict(zip(MEAN_SPIN_QUANTITIES, columns))
 
 
 def closed_arrays(grid: np.ndarray) -> dict[str, np.ndarray]:

@@ -4,6 +4,10 @@ The closed-form first moments are evaluated exactly as written in the
 analytic model, including the sign convention of the nu-dependent term in
 <Jy>.  The crosscheck module is the place where that convention is compared
 against the operator oracle; nothing here takes a side.
+
+mean_spin_columns is the one closed-form mean-spin pass over a grid: the
+components and both lengths, each shared factor evaluated once.  The
+one-point functions and the crosscheck and sweep columns all read it.
 """
 from __future__ import annotations
 
@@ -31,6 +35,8 @@ class FrameStatus(Enum):
 # frame_angles' status codes are positions in FrameStatus
 STATUS_VALUES = readonly(np.array([s.value for s in FrameStatus]))
 FULLY_DEGENERATE_CODE = 2
+# the mean spin, its length from the components (eq. 9) and from one radical (eq. 10)
+MEAN_SPIN_QUANTITIES = ("jx", "jy", "jz", "r_eq9", "r")
 
 
 @dataclass(frozen=True)
@@ -63,40 +69,30 @@ class SpinFrame:
     status: FrameStatus
 
 
-def ladder_prefactors(alpha, beta, cmu) -> tuple[np.ndarray, np.ndarray]:
-    """1 + cos^2(mu) and the alpha-beta coherence 2 alpha beta / sqrt(1 + cos^2(mu))
-    that every nu-dependent moment carries, over columns."""
-    denom = 1.0 + square(cmu)
-    return denom, 2.0 * alpha * beta / np.sqrt(denom)
-
-
-def mean_spin_components(alpha, beta, mu, nu) -> tuple[np.ndarray, ...]:
-    """Closed-form <Jx>, <Jy>, <Jz> columns of the parameter columns."""
-    cmu = np.cos(mu)
-    denom, k = ladder_prefactors(alpha, beta, cmu)
-    return k * np.cos(nu) * cmu, -k * np.sin(nu), 2.0 * square(alpha) * cmu / denom
-
-
 def spin_length(jx, jy, jz) -> np.ndarray:
     """Euclidean length of each row (jx, jy, jz) of three columns."""
     return np.sqrt(square(jx) + square(jy) + square(jz))
 
 
-def radical_length(alpha, beta, mu, nu) -> np.ndarray:
-    """Mean-spin length column from the single-radical closed form."""
-    cmu = np.cos(mu)
-    denom = 1.0 + square(cmu)
-    radicand = (
-        square(beta) * square(np.cos(nu)) * np.float_power(cmu, 4)
-        + square(beta) * square(np.sin(nu))
-        + square(cmu)
-    )
-    return 2.0 * alpha / denom * np.sqrt(radicand)
+def mean_spin_columns(grid: np.ndarray) -> dict[str, np.ndarray]:
+    """The closed-form MEAN_SPIN_QUANTITIES over the parameter columns of a
+    grid, one array per quantity in grid order; no second moment is evaluated.
+    k = 2 alpha beta / sqrt(1 + cos^2(mu)) is the alpha-beta coherence."""
+    alpha, beta, mu, nu = grid
+    cmu, cnu, snu = np.cos(mu), np.cos(nu), np.sin(nu)
+    cmu2, beta2 = square(cmu), square(beta)
+    denom = 1.0 + cmu2
+    k = 2.0 * alpha * beta / np.sqrt(denom)
+    jx, jy, jz = k * cnu * cmu, -k * snu, 2.0 * square(alpha) * cmu / denom
+    radicand = beta2 * square(cnu) * np.float_power(cmu, 4) + beta2 * square(snu) + cmu2
+    columns = (jx, jy, jz, spin_length(jx, jy, jz), 2.0 * alpha / denom * np.sqrt(radicand))
+    return dict(zip(MEAN_SPIN_QUANTITIES, columns))
 
 
 def mean_spin_closed_form(params: SqueezeParams) -> MeanSpin:
     """First moments (<Jx>, <Jy>, <Jz>) from the closed-form expressions."""
-    return MeanSpin(*(float(c[0]) for c in mean_spin_components(*param_columns([params]))))
+    jx, jy, jz, _, _ = mean_spin_columns(param_columns([params])).values()
+    return MeanSpin(float(jx[0]), float(jy[0]), float(jz[0]))
 
 
 def mean_spin_length(ms: MeanSpin) -> float:
@@ -106,7 +102,7 @@ def mean_spin_length(ms: MeanSpin) -> float:
 
 def mean_spin_length_closed_form(params: SqueezeParams) -> float:
     """Mean-spin length evaluated directly from the single-radical closed form."""
-    return float(radical_length(*param_columns([params]))[0])
+    return float(mean_spin_columns(param_columns([params]))["r"][0])
 
 
 def frame_angles(jx, jy, jz, r) -> tuple:

@@ -125,11 +125,11 @@ def _real(values: np.ndarray, names) -> np.ndarray:
 def _definite(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Per row, whether P - shift I is positive definite, P a k x k matrix of
     gram (rows, k, k): by Sylvester's law of inertia, whether every pivot of
-    its LDL^T is > 0.  A Schur step's m_ij - m_i0 m_0j / m_00 keeps a
+    its LDL^T is > 0; off the diagonal, a finite shift * 0 flips at most the
+    sign of a zero.  A Schur step's m_ij - m_i0 m_0j / m_00 keeps a
     symmetric matrix exactly symmetric."""
     k = gram.shape[1]
-    m, ok = gram.copy(), np.ones(len(gram), dtype=bool)
-    m[:, range(k), range(k)] -= shift[:, None]
+    m, ok = gram - shift[:, None, None] * np.eye(k), np.ones(len(gram), dtype=bool)
     for _ in range(k - 1):
         ok &= m[:, 0, 0] > 0.0
         pivot = np.where(ok, m[:, 0, 0], 1.0)[:, None, None]   # 1 on rejected rows
@@ -306,10 +306,10 @@ def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
     return _sphere_min(_real_split(vectors)).item()
 
 
-def _all_directions(vectors, values):
-    """Eigenvalues and eigenvectors of each row's second-moment table, the
+def _all_directions(vectors, tables):
+    """Eigenvalues and eigenvectors of the caller's second-moment tables, the
     smallest pair certified on the split of (Jx psi, Jy psi, Jz psi)."""
-    eigvals, eigvecs = np.linalg.eigh(_tables(values))
+    eigvals, eigvecs = np.linalg.eigh(tables)
     lam = eigvals[:, 0].tolist()
     _certify("all-direction", lam, eigvecs[:, :, 0], _real_split(vectors[:, :3]),
              ALL_DIRECTIONS_AGREE_TOL)
@@ -327,7 +327,8 @@ def min_variance_all_directions(
     second-moment matrix are certified within ALL_DIRECTIONS_AGREE_TOL
     (_certify), or a RuntimeError is raised.
     """
-    (lam,), eigvecs = _all_directions(*_moments(_state_vector(state, ops)[None], ops))
+    vectors, values = _moments(_state_vector(state, ops)[None], ops)
+    (lam,), eigvecs = _all_directions(vectors, _tables(values))
     direction = eigvecs[0, :, 0].copy()
     pivot = int(np.argmax(np.abs(direction)))
     if direction[pivot] < 0.0:
@@ -377,7 +378,7 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
         moments[plane], lam[plane], chi[plane] = _transverse(
             psi[plane], transverse_operators(triad[plane, :2], ops))
     if sphere.size:
-        lam[sphere] = _all_directions(vectors[sphere], values[sphere])[0]
+        lam[sphere] = _all_directions(vectors[sphere], tables[sphere])[0]
     record = {
         "jx": re[:, 0], "jy": re[:, 1], "jz": re[:, 2], "r": r,
         "jplus_sq": values[:, 9], "jz_sq": re[:, 10], "jplus_2jz1": values[:, 11],

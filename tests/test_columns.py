@@ -26,12 +26,10 @@ from biaxbell.frame import (
     compute_frame,
     frame_angles,
     frame_triad,
-    ladder_prefactors,
     mean_spin_closed_form,
-    mean_spin_components,
+    mean_spin_columns,
     mean_spin_length,
     mean_spin_length_closed_form,
-    radical_length,
     spin_length,
 )
 from biaxbell.oracle import _eigen_min
@@ -203,10 +201,10 @@ def test_param_columns_keep_every_bit():
     _assert_bit_equal("param_columns", COLUMNS, ROWS)
 
 
-def _ladder_prefactors():
-    cmu = [math.cos(mu) for _, _, mu, _ in ROWS]
-    want = [ref_ladder_prefactors(a, b, c) for (a, b, _, _), c in zip(ROWS, cmu)]
-    return ladder_prefactors(COLUMNS[0], COLUMNS[1], np.array(cmu)), want
+def _mean_spin_columns():
+    mean = [ref_mean_spin_components(*row) for row in ROWS]
+    want = [(*m, ref_spin_length(*m), ref_radical_length(*row)) for m, row in zip(mean, ROWS)]
+    return tuple(mean_spin_columns(COLUMNS).values()), want
 
 
 def _spin_length():
@@ -236,12 +234,8 @@ def _frame_triad():
 
 
 HELPERS = {
-    "ladder_prefactors": _ladder_prefactors,
-    "mean_spin_components": lambda: (
-        mean_spin_components(*COLUMNS), [ref_mean_spin_components(*row) for row in ROWS]),
+    "mean_spin_columns": _mean_spin_columns,
     "spin_length": _spin_length,
-    "radical_length": lambda: (
-        (radical_length(*COLUMNS),), [(ref_radical_length(*row),) for row in ROWS]),
     "raising_moments": lambda: (
         raising_moments(*COLUMNS), [ref_raising_moments(*row) for row in ROWS]),
     "cartesian_moments": lambda: (

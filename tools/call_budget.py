@@ -16,9 +16,10 @@ into stages by wrapping the names main, cmd_sweep and cmd_crosscheck look up:
 - selection: sweep_columns, or adjudication: run_crosscheck, less the two
   routes they call;
 - open: _open_out;
-- writer: write_rows_csv, write_rows_json and json.dump;
+- writer: write_rows_csv, write_rows_json and json.dumps;
 - rest: cli.main's wall time less every stage above: dispatch, the checks
-  between the stages and closing the output.
+  between the stages, the one write of a JSON document and closing the
+  output.
 
 A stage holds the self time of every call made to it: a wrapped call entered
 inside another counts for its own stage alone, so the blocks cmd_sweep
@@ -26,9 +27,12 @@ evaluates while its writer iterates them count as selection.  In each repeat
 the stages add up to that call's wall time.  Each call is repeated REPEATS
 times after a warm-up, and the 10th percentile of each row is printed in
 microseconds, each row's on its own.  The calls run in a temporary directory,
-where their --out files go.  The package is imported from the src/ next to
-this script, so a checkout of any revision measures its own code.
+where their --out files go.  Each repeat deletes its call's --out file before
+it is timed, as perfbench does, so open never truncates the last repeat's
+output.  The package is imported from the src/ next to this script, so a
+checkout of any revision measures its own code.
 """
+import contextlib
 import json
 import os
 import sys
@@ -57,7 +61,7 @@ WRAPPED = {
     "selection": [(cli, "sweep_columns")],
     "adjudication": [(cli, "run_crosscheck")],
     "open": [(cli, "_open_out")],
-    "writer": [(cli, "write_rows_csv"), (cli, "write_rows_json"), (json, "dump")],
+    "writer": [(cli, "write_rows_csv"), (cli, "write_rows_json"), (json, "dumps")],
 }
 ROWS = (*WRAPPED, "rest", "cli.main")
 WARMUP = 20
@@ -111,8 +115,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for shape, shape_argv in SHAPES.items():
-            calls = []
+            calls, out = [], shape_argv[shape_argv.index("--out") + 1]
             for _ in range(WARMUP + repeats):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(out)
                 budget.reset()
                 start = time.perf_counter()
                 code = cli.main(shape_argv)
