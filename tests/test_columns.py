@@ -201,15 +201,22 @@ def test_param_columns_keep_every_bit():
     _assert_bit_equal("param_columns", COLUMNS, ROWS)
 
 
-def _mean_spin_columns():
-    mean = [ref_mean_spin_components(*row) for row in ROWS]
-    want = [(*m, ref_spin_length(*m), ref_radical_length(*row)) for m, row in zip(mean, ROWS)]
-    return tuple(mean_spin_columns(COLUMNS).values()), want
+def _ladder_prefactors():
+    # 1 + cos^2(mu) and the coherence k are formed in mean_spin_columns and
+    # again in raising_moments; <Jz>, <Jy>, <Jz^2> and <J+(2Jz+1)> are each one
+    # prefactor times trigonometric factors, so they pin both copies
+    mean = mean_spin_columns(COLUMNS)
+    _, jz_sq, jplus_2jz1 = raising_moments(*COLUMNS)
+    mean_ref = [ref_mean_spin_components(*row) for row in ROWS]
+    want = [(m[2], m[1], *ref_raising_moments(*row)[1:]) for m, row in zip(mean_ref, ROWS)]
+    return (mean["jz"], mean["jy"], jz_sq, jplus_2jz1), want
 
 
 def _spin_length():
+    # the helper on the reference components, and the r_eq9 column of the pass
     mean = [ref_mean_spin_components(*row) for row in ROWS]
-    return (spin_length(*np.array(mean).T),), [(ref_spin_length(*m),) for m in mean]
+    got = (spin_length(*np.array(mean).T), mean_spin_columns(COLUMNS)["r_eq9"])
+    return got, [(ref_spin_length(*m),) * 2 for m in mean]
 
 
 def _transverse_moments():
@@ -234,8 +241,13 @@ def _frame_triad():
 
 
 HELPERS = {
-    "mean_spin_columns": _mean_spin_columns,
+    "ladder_prefactors": _ladder_prefactors,
+    "mean_spin_components": lambda: (
+        tuple(mean_spin_columns(COLUMNS).values())[:3],
+        [ref_mean_spin_components(*row) for row in ROWS]),
     "spin_length": _spin_length,
+    "radical_length": lambda: (
+        (mean_spin_columns(COLUMNS)["r"],), [(ref_radical_length(*row),) for row in ROWS]),
     "raising_moments": lambda: (
         raising_moments(*COLUMNS), [ref_raising_moments(*row) for row in ROWS]),
     "cartesian_moments": lambda: (
