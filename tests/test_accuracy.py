@@ -1,0 +1,109 @@
+"""Accuracy of the oracle's transverse moments and minimum against a
+40-digit mpmath reference.
+
+The reference reads the oracle's own float inputs exactly: each row's state
+amplitudes and the frame vectors n1 and n2 that oracle_arrays built from its
+theta and phi columns (frame_triad).  It takes J from the exact spin-1
+matrices, <J_a> and G_ab = <{J_a, J_b}>/2 from the vectors J_a psi, and
+<Jn_a> = n_a . <J>, <{Jn_a, Jn_b}>/2 = n_a^T G n_b in that frame.  So it
+measures the oracle's moment arithmetic and its 2x2 eigen route, not the
+frame's conditioning near r = 0 nor alpha's near beta = 1.  lambda_min of a
+fully-degenerate row is the smallest eigenvalue of G.
+
+Each bound is absolute, one per quantity, twice the worst error measured
+on these points when the transverse moments were brakets of the operator
+products Jn_a Jn_b, rounded up.
+"""
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from biaxbell.cli import FIG2_BETA_STEPS, FIG2_MUS, FIG2_NU
+from biaxbell.frame import frame_triad
+from biaxbell.oracle import oracle_arrays
+from biaxbell.spincore import axis_grid, alpha_of, superposition_states
+
+DIGITS = 40
+UNIFORM_POINTS = 1200
+MIN_R = 1e-3
+
+# worst |oracle - reference| allowed per quantity
+BOUNDS = {"jn1_sq": 8.2e-16, "jn2_sq": 7.3e-16, "anticomm": 6.1e-16, "lambda_min": 6.2e-16}
+
+
+def _spin1():
+    """Jx, Jy and Jz of spin 1 in the basis m = 1, 0, -1, as mpc rows."""
+    s = mpmath.sqrt(2) / 2
+    zero, i = mpmath.mpc(0), mpmath.mpc(0, 1)
+    jx = [[zero, s, zero], [s, zero, s], [zero, s, zero]]
+    jy = [[zero, -i * s, zero], [i * s, zero, -i * s], [zero, i * s, zero]]
+    jz = [[mpmath.mpc(1), zero, zero], [zero, zero, zero], [zero, zero, mpmath.mpc(-1)]]
+    return jx, jy, jz
+
+
+def _reference(state, n1, n2, transverse):
+    """jn1_sq, jn2_sq, anticomm and lambda_min of one row at DIGITS digits,
+    or only lambda_min (the smallest eigenvalue of G) without a plane."""
+    psi = [mpmath.mpc(z.real, z.imag) for z in state.tolist()]
+    vectors = [[mpmath.fsum(op[r][c] * psi[c] for c in range(3)) for r in range(3)]
+               for op in _spin1()]
+
+    def inner(u, v):
+        return mpmath.fsum(mpmath.conj(a) * b for a, b in zip(u, v)).real
+
+    mean = [inner(psi, w) for w in vectors]
+    table = [[inner(u, v) for v in vectors] for u in vectors]
+    if not transverse:
+        return {"lambda_min": min(mpmath.eigsy(mpmath.matrix(table))[0])}
+    n = [[mpmath.mpf(x) for x in v.tolist()] for v in (n1, n2)]
+    m = [mpmath.fsum(a * b for a, b in zip(v, mean)) for v in n]
+
+    def form(u, v):
+        return mpmath.fsum(u[i] * table[i][j] * v[j] for i in range(3) for j in range(3))
+
+    s11, s22, s12 = form(n[0], n[0]), form(n[1], n[1]), form(n[0], n[1])
+    g11, g22, g12 = s11 - m[0] ** 2, s22 - m[1] ** 2, s12 - m[0] * m[1]
+    lam = (g11 + g22) / 2 - mpmath.sqrt(((g11 - g22) / 2) ** 2 + g12 ** 2)
+    return {"jn1_sq": s11, "jn2_sq": s22, "anticomm": 2 * s12, "lambda_min": lam}
+
+
+def _uniform_grid():
+    """Seeded uniform (beta, mu, nu) points whose oracle r is at least MIN_R."""
+    rng = np.random.default_rng(31)
+    beta, mu, nu = rng.uniform([0.0, 0.0, -math.pi], [1.0, math.pi, math.pi],
+                               (UNIFORM_POINTS, 3)).T
+    grid = np.array([alpha_of(beta), beta, mu, nu])
+    return grid[:, oracle_arrays(grid)["r"] >= MIN_R]
+
+
+POINT_SETS = {
+    "uniform": _uniform_grid,
+    "fig2": lambda: axis_grid(("mu", "nu", "beta"), mu=FIG2_MUS, nu=(FIG2_NU,),
+                              beta=np.linspace(0.0, 1.0, FIG2_BETA_STEPS)),
+}
+
+
+def worst_errors(grid) -> dict[str, float]:
+    """The largest |oracle_arrays - reference| per quantity over a grid."""
+    columns = oracle_arrays(grid)
+    states = superposition_states(*grid)
+    triads = frame_triad(columns["theta"], columns["phi"])
+    worst = dict.fromkeys(BOUNDS, 0.0)
+    with mpmath.workdps(DIGITS):
+        for i, state in enumerate(states):
+            transverse = columns["method"][i] == "transverse-eigen"
+            truth = _reference(state, triads[i, 0], triads[i, 1], transverse)
+            for name, value in truth.items():
+                error = abs(mpmath.mpf(columns[name][i].item()) - value)
+                worst[name] = max(worst[name], float(error))
+    return worst
+
+
+@pytest.mark.parametrize("points", list(POINT_SETS))
+def test_transverse_moments_and_minimum_are_accurate(points):
+    grid = POINT_SETS[points]()
+    assert grid.shape[1] >= 500
+    worst = worst_errors(grid)
+    assert all(worst[name] <= bound for name, bound in BOUNDS.items()), worst
