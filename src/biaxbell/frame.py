@@ -150,14 +150,6 @@ def compute_frame(ms: MeanSpin) -> SpinFrame:
     return SpinFrame(n1, n2, n3, theta.item(), phi.item(), r, list(FrameStatus)[code])
 
 
-def transverse_operators(directions: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
-    """The spin components n_x Jx + n_y Jy + n_z Jz along every direction row
-    n of an array (..., 3), as dense matrices (..., d, d)."""
-    x, y, z = (directions[..., k, None, None] for k in range(3))
-    # the leading 0 + keeps sum()'s start (-0.0 entries become +0.0)
-    return 0 + x * ops.jx + y * ops.jy + z * ops.jz
-
-
 def project_transverse_operators(
     frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,5 +162,6 @@ def project_transverse_operators(
         raise DegenerateFrameError(
             "transverse projection undefined: mean spin length is below eps"
         )
-    jn1, jn2 = transverse_operators(np.array([frame.n1, frame.n2]), ops)
+    # n_x Jx + n_y Jy + n_z Jz; the leading 0 + keeps sum()'s start (-0.0 entries become +0.0)
+    jn1, jn2 = (0 + n[0] * ops.jx + n[1] * ops.jy + n[2] * ops.jz for n in (frame.n1, frame.n2))
     return jn1, jn2

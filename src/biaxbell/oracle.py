@@ -17,13 +17,15 @@ of the same code.  When a check fails in a block, its rows are evaluated
 again one at a time, so the error is the one the earliest failing row
 raises alone.
 
-The moments are one contraction over a stack of operators (the read-only
-SpinOperatorSet.moment_stack, or Jn1 and Jn2 and their products) that sums
-exactly as spincore.expectation does.  With S the real split (real and
-imaginary parts) of the vectors J_k psi, centred for the transverse
-variance, <J_u^2> = |u S|^2 = u P u^T with P = S S^T, each row's P a
-symmetric k x k matrix.  The eigen routes build their covariances from
-operator products and never read P.  By Courant-Fischer, an eigen minimum
+The moments are one contraction over the read-only
+SpinOperatorSet.moment_stack that sums exactly as spincore.expectation
+does.  The transverse moments and the vectors Jn1 psi, Jn2 psi are
+fixed-order sums of that contraction's moments and vectors J psi along n1
+and n2 (_plane_moments).  With S the real split (real and imaginary parts)
+of the vectors J_k psi, centred for the transverse variance,
+<J_u^2> = |u S|^2 = u P u^T with P = S S^T, each row's P a symmetric k x k
+matrix.  The eigen routes build their covariances from the second-moment
+tables and never read P.  By Courant-Fischer, an eigen minimum
 lam with u P u^T <= lam + tol at its unit minimizer u, and with
 P - (lam - tol) I positive definite, is within tol of min u P u^T, so no
 search is needed.  _bisect_min reads the same P and no eigen route:
@@ -41,7 +43,7 @@ import numpy as np
 from .closedform import FrameMoments, MomentSet
 from .frame import (
     FULLY_DEGENERATE_CODE, STATUS_VALUES, DegenerateFrameError, FrameStatus, MeanSpin, SpinFrame,
-    frame_angles, frame_triad, project_transverse_operators, spin_length, transverse_operators,
+    frame_angles, frame_triad, spin_length,
 )
 from .spincore import (
     SpinOperatorSet, SqueezeParams, build_spin_operators, math_columns, param_columns, readonly,
@@ -55,7 +57,7 @@ METHOD_ALL_DIRECTIONS = "all-directions"
 TRANSVERSE_AGREE_TOL = 1e-8
 ALL_DIRECTIONS_AGREE_TOL = 1e-6
 _HERMITICITY_TOL = 1e-9
-# rows per block: bounds the block's per-row operator stacks (240 x 5 x 3 x 3)
+# rows per block: bounds the block's per-row arrays (240 x 12 x 3 vectors op psi)
 _BLOCK = 240
 
 # the moment_stack entries checked for reality, in check order, and the
@@ -63,7 +65,6 @@ _BLOCK = 240
 _REAL = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10]
 _REAL_NAMES = ("first moment",) * 3 + ("second moment",) * 6 + ("<Jz^2>",)
 _TABLE = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
-_TRANSVERSE_NAMES = ("<Jn1>", "<Jn2>", "<Jn1^2>", "<Jn2^2>", "<{Jn1,Jn2}>")
 
 
 @lru_cache(maxsize=None)
@@ -100,26 +101,22 @@ def _gram(split: np.ndarray) -> np.ndarray:
 
 
 def _expectations(stack: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_braket of the vectors op psi (n, k, d) of each op of a shared stack
-    (k, d, d), contracted by einsum as a plain sum of products."""
-    return _braket(states, np.einsum("kij,nj->nki", stack, states))
-
-
-def _braket(states: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors op psi (n, k, d) of each row psi of states (n, d), and
-    <psi| op |psi> (n, k) summed exactly as spincore.expectation sums them."""
+    """The vectors op psi (n, k, d) of each op of a shared stack (k, d, d) and
+    each row psi of states (n, d), contracted by einsum as a plain sum of
+    products, and <psi| op |psi> (n, k) summed exactly as
+    spincore.expectation sums them."""
+    vectors = np.einsum("kij,nj->nki", stack, states)
     return vectors, (states.conj()[:, None, None, :] @ vectors[..., None])[..., 0, 0]
 
 
-def _real(values: np.ndarray, names) -> np.ndarray:
-    """Real parts of values (n, k); an imaginary part beyond _HERMITICITY_TOL
-    raises, the first row first and within it the first check."""
+def _real(values: np.ndarray, names) -> None:
+    """Raise on an imaginary part of values (n, k) beyond _HERMITICITY_TOL,
+    the first row first and within it the first check."""
     bad = np.abs(values.imag) > _HERMITICITY_TOL
     if bad.any():
         i, k = np.argwhere(bad)[0]
         imag = values[i, k].imag.item()
         raise RuntimeError(f"{names[k]} should be real, got imaginary part {imag!r}")
-    return values.real
 
 
 def _definite(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -182,22 +179,22 @@ def moments_oracle(state: np.ndarray, ops: SpinOperatorSet) -> OracleMoments:
     return _oracle_moments(_moments(_state_vector(state, ops)[None], ops)[1][0])
 
 
-def _transverse_moments(states, jn1, jn2):
+def _plane_moments(vectors, mean, tables, directions) -> tuple[np.ndarray, np.ndarray]:
     """The vectors Jn1 psi and Jn2 psi (n, 2, d), and <Jn1>, <Jn2>, <Jn1^2>,
-    <Jn2^2> and <{Jn1,Jn2}> (n, 5), for per-row Jn1 and Jn2 (n, d, d)."""
-    n, d = states.shape
-    vectors = (_operator_rows(jn1, jn2) @ states[..., None]).reshape(n, 5, d)
-    vectors, values = _braket(states, vectors)
-    return vectors[:, :2], _real(values, _TRANSVERSE_NAMES)
+    <Jn2^2> and <{Jn1,Jn2}> (n, 5), from each row's vectors J psi (n, k, d),
+    <J> (n, 3), _tables G (n, 3, 3) and n1 and n2 (n, 2, 3):
+    Jn_a psi = sum_i n_ai J_i psi, <Jn_a> = n_a . <J> and
+    <{Jn_a, Jn_b}>/2 = n_a^T G n_b.  Each sum runs over i = x, y, z in that
+    order, with no einsum and no matmul, so no bit depends on the rows
+    evaluated with it nor on BLAS."""
+    def along(terms):          # the sum over the last axis of length 3, in order
+        return terms[..., 0] + terms[..., 1] + terms[..., 2]
 
-
-def _operator_rows(jn1, jn2) -> np.ndarray:
-    """Jn1, Jn2, Jn1^2, Jn2^2 and {Jn1, Jn2} stacked as rows (n, 5d, d), the
-    products from [Jn1; Jn2] Jn1 and [Jn1; Jn2] Jn2: matmul rounds each row of a
-    stacked product, or of the stack times psi, as it rounds the d x d one alone."""
-    d = jn1.shape[-1]
-    left, right = (np.concatenate([jn1, jn2], axis=1) @ jn for jn in (jn1, jn2))
-    return np.concatenate([jn1, jn2, left[:, :d], right[:, d:], right[:, :d] + left[:, d:]], axis=1)
+    jn = along(directions[:, :, None] * vectors[:, None, :3].swapaxes(2, 3))   # (n, 2, d)
+    g_n = along(tables[:, None] * directions[:, :, None])      # (n, 2, 3): G n_b
+    form = along(directions[:, :, None] * g_n[:, None])        # (n, 2, 2): n_a . G n_b
+    return jn, np.column_stack([along(directions * mean[:, None]),
+                                form[:, 0, 0], form[:, 1, 1], 2.0 * form[:, 0, 1]])
 
 
 def _transverse_split(states, vectors, moments) -> np.ndarray:
@@ -250,28 +247,34 @@ def _eigen_min(m1, m2, jn1_sq, jn2_sq, anticomm) -> tuple[np.ndarray, np.ndarray
     return lam, np.where(half_gap <= 1e-14 * scale, 0.0, chi)     # flat: isotropic plane
 
 
-def _transverse(states, jn):
-    """Transverse moments (n, 5), minima and angles from each row's Jn1 and
-    Jn2 (n, 2, d, d): the 2x2 eigen route, certified on _transverse_split."""
-    vectors, moments = _transverse_moments(states, jn[:, 0], jn[:, 1])
+def _transverse(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
+    """Minima and angles from each row's _plane_moments: the 2x2 eigen
+    route, certified on _transverse_split."""
     lam, chi = _eigen_min(*moments.T)
     _certify("transverse", lam, np.array([np.cos(chi), np.sin(chi)]).T,
              _transverse_split(states, vectors, moments), TRANSVERSE_AGREE_TOL)
-    return moments, lam, chi
+    return lam, chi
+
+
+def _plane_inputs(state, frame: SpinFrame, ops: SpinOperatorSet, what: str):
+    """One state (1, d) with its _plane_moments in the frame's transverse
+    plane; a fully-degenerate frame has none and raises."""
+    psi = _state_vector(state, ops)[None]
+    if frame.status is FrameStatus.FULLY_DEGENERATE:
+        raise DegenerateFrameError(f"{what} undefined: mean spin below eps")
+    vectors, values = _moments(psi, ops)
+    directions = np.array([[frame.n1, frame.n2]])
+    return psi, *_plane_moments(vectors, values.real[:, :3], _tables(values), directions)
 
 
 def min_transverse_variance_scan(
     state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
     """Minimum of Var(J_chi) over the transverse plane and its angle chi in
-    [0, pi), by bisection (_transverse_scan): the reference for
-    min_transverse_variance."""
-    state = _state_vector(state, ops)
-    if frame.status is FrameStatus.FULLY_DEGENERATE:
-        raise DegenerateFrameError("transverse scan undefined: mean spin below eps")
-    psi = state[None]
-    jn1, jn2 = project_transverse_operators(frame, ops)
-    val, chi = _transverse_scan(psi, *_transverse_moments(psi, jn1[None], jn2[None]))
+    [0, pi), by bisection (_transverse_scan) on the centred vectors Jn1 psi,
+    Jn2 psi of _plane_moments: the reference for min_transverse_variance,
+    reading no covariance."""
+    val, chi = _transverse_scan(*_plane_inputs(state, frame, ops, "transverse scan"))
     return val.item(), chi.item()
 
 
@@ -279,17 +282,15 @@ def min_transverse_variance(
     state: np.ndarray, frame: SpinFrame, ops: SpinOperatorSet
 ) -> tuple[float, float]:
     """Minimal transverse variance and its angle: the smaller eigenvalue of
-    the 2x2 transverse covariance matrix, certified within
-    TRANSVERSE_AGREE_TOL of the minimum over the Gram matrix of the centred
-    vectors Jn1 psi, Jn2 psi (_certify), or a RuntimeError is raised.
+    the 2x2 transverse covariance matrix, built from the state's mean spin
+    and second-moment table along the frame's n1 and n2 (_plane_moments),
+    certified within TRANSVERSE_AGREE_TOL of the minimum over the Gram
+    matrix of the centred vectors Jn1 psi, Jn2 psi (_certify), or a
+    RuntimeError is raised.
     chi_min lies in [0, pi), with chi_min = 0 as the tie-break when the
     minimum is flat.
     """
-    if frame.status is FrameStatus.FULLY_DEGENERATE:
-        raise DegenerateFrameError("transverse variance undefined: mean spin below eps")
-    state = _state_vector(state, ops)
-    jn = np.array([project_transverse_operators(frame, ops)])
-    _, lam, chi = _transverse(state[None], jn)
+    lam, chi = _transverse(*_plane_inputs(state, frame, ops, "transverse variance"))
     return lam.item(), chi.item()
 
 
@@ -345,10 +346,10 @@ def concurrence(state: np.ndarray) -> float:
     state = np.asarray(state)
     if state.shape != (3,):
         raise ValueError(f"expected a length-3 state, got shape {state.shape}")
-    return _concurrences(state[None])[0]
+    return _concurrences(state[None])[0].item()
 
 
-def _concurrences(states) -> list[float]:
+def _concurrences(states) -> np.ndarray:
     """concurrence of each state (c_{+1}, c_0, c_{-1}), a row of states (n, 3),
     as Python's complex arithmetic rounds min(2 |c_{+1} c_{-1} - c_0^2 / 2|, 1):
     in real parts, with abs as np.hypot (libm's; numpy's complex abs differs)."""
@@ -356,7 +357,7 @@ def _concurrences(states) -> list[float]:
     (up, zero, down), (upi, zeroi, downi) = columns.real, columns.imag
     re = (up * down - upi * downi) - (zero * zero - zeroi * zeroi) / 2.0
     im = (up * downi + upi * down) - (zero * zeroi + zeroi * zero) / 2.0
-    return np.minimum(2.0 * np.hypot(re, im), 1.0).tolist()
+    return np.minimum(2.0 * np.hypot(re, im), 1.0)
 
 
 def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
@@ -375,8 +376,9 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
     moments = np.full((n, 5), math.nan)
     lam, chi = np.empty(n), np.zeros(n)         # chi = 0 without a transverse plane
     if plane.size:
-        moments[plane], lam[plane], chi[plane] = _transverse(
-            psi[plane], transverse_operators(triad[plane, :2], ops))
+        jn, moments[plane] = _plane_moments(vectors[plane], re[plane, :3], tables[plane],
+                                             triad[plane, :2])
+        lam[plane], chi[plane] = _transverse(psi[plane], jn, moments[plane])
     if sphere.size:
         lam[sphere] = _all_directions(vectors[sphere], tables[sphere])[0]
     record = {
@@ -393,7 +395,7 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
         "lambda_min": lam, "chi_min": chi,
         "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
         "xi2_literal": 2.0 * (2.0 * lam),
-        "concurrence": np.array(_concurrences(psi)),
+        "concurrence": _concurrences(psi),
         "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
     }
     return record, psi, values, triad

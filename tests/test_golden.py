@@ -6,14 +6,12 @@ fresh directory that holds only the CONFIGS files its argv names.  Its
 stdout, its stderr, its exit code (as cli_diff.sh's exit_code file spells
 it, "N\\n") and every file in the directory are hashed and compared with
 golden_digests.json.  A numpy or LAPACK that moves the last bit of any
-printed value fails here.  Four steps under the digests round as this OpenBLAS
-does, not as a plain sum of products: oracle._transverse_moments' batched
-matmul (each row's 3x3 complex products and operator-times-psi vectors),
-oracle._braket's row-wise <psi| op psi> matmul (as spincore.expectation's
-@), the operator products of SpinOperatorSet.moment_stack, and the eigh of
-the all-directions route.  Every other oracle step is elementwise
-arithmetic or einsum, so another BLAS can fail these digests with correct
-arithmetic.
+printed value fails here.  Three steps under the digests round as this
+OpenBLAS does, not as a plain sum of products: oracle._expectations'
+row-wise <psi| op psi> matmul (as spincore.expectation's @), the operator
+products of SpinOperatorSet.moment_stack, and the eigh of the
+all-directions route.  Every other oracle step is elementwise arithmetic or
+einsum, so another BLAS can fail these digests with correct arithmetic.
 
 A digest is re-pinned only with the case and the cause named in CHANGES.md.
 To print the table for the code under test:

@@ -20,9 +20,13 @@ every cell of
   lists failures.
 
 repr tells -0.0 from 0.0, so a flipped sign of zero shows (a NaN reads nan
-whatever its payload).  Exit status: 0 when every digest is the same on both
-trees, 1 when any differs (each differing chunk and column is printed), and
-2 on a usage error.
+whatever its payload).  Each process also saves its float sweep columns and
+the max_abs_diff_per_quantity entries of its reports.  For every such
+column or entry whose bits differ, the largest |working tree - REV| over
+all chunks is printed to 3 digits (0.0 when only a sign of zero flipped;
+nan when a NaN meets a number).  Exit status: 0 when every digest is the
+same on both trees, 1 when any differs (each differing chunk and column is
+printed), and 2 on a usage error.
 """
 import json
 import math
@@ -32,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 CHUNK = 10              # beta values per chunk
 ROWS_PER_BETA = 40 * 50
@@ -43,7 +49,7 @@ import numpy as np
 from biaxbell import cli
 from biaxbell.crosscheck import DEFAULT_TOL, default_grid, run_crosscheck
 
-betas_per_axis, chunk = int(sys.argv[1]), int(sys.argv[2])
+betas_per_axis, chunk, saved = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 rng = np.random.default_rng(26)
 mus = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 37)])
 nus = np.concatenate([[0.0, -0.0, math.pi, -math.pi, math.pi / 2, 9.0, -7.5],
@@ -56,13 +62,15 @@ def digest(values) -> str:
     return hashlib.sha256("\x1f".join(map(repr, values)).encode()).hexdigest()
 
 
-out, rows = {}, 0
+out, numbers, rows = {}, {}, 0
 for lo in range(0, len(betas), chunk):
     part = betas[lo:lo + chunk]
     columns = cli.sweep_columns(cli.axis_grid(("mu", "nu", "beta"), mu=mus, nu=nus, beta=part))
     rows += len(columns["beta"])
     for name, column in columns.items():
         out[f"chunk {lo // chunk} sweep {name}"] = digest(column)
+        if all(isinstance(x, float) for x in column):
+            numbers[f"chunk {lo // chunk} sweep {name}"] = np.array(column)
     grid = default_grid(part, mus, nus)
     for tag, report in (("crosscheck", run_crosscheck(grid, DEFAULT_TOL)),
                         ("crosscheck tight", run_crosscheck(grid[:, ::50], 1e-17))):
@@ -70,6 +78,9 @@ for lo in range(0, len(betas), chunk):
             cells = value.items() if isinstance(value, dict) else (
                 [sorted(f.items()) for f in value] if isinstance(value, list) else [value])
             out[f"chunk {lo // chunk} {tag} {name}"] = digest(cells)
+        for q, x in report.max_abs_diff_per_quantity.items():
+            numbers[f"chunk {lo // chunk} {tag} max_abs_diff {q}"] = np.array([x])
+np.savez(saved, **numbers)
 print(json.dumps({"rows": rows, "digests": out}))
 """
 
@@ -81,11 +92,25 @@ def export(repo: Path, rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_side(src: Path, betas: int) -> dict:
+def run_side(src: Path, betas: int, saved: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-c", CHILD, str(betas), str(CHUNK)], env=env,
-                          check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", CHILD, str(betas), str(CHUNK), str(saved)],
+                          env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
+
+
+def moved(before: Path, after: Path) -> dict[str, float]:
+    """The largest |after - before| per saved column or report entry, named
+    without its chunk, over the ones whose bits differ in some chunk."""
+    worst = {}
+    with np.load(before) as rev, np.load(after) as work:
+        for key in rev.keys() & work.keys():
+            a, b = rev[key], work[key]
+            if a.tobytes() != b.tobytes():
+                same = (a == b) | (np.isnan(a) & np.isnan(b))
+                worst.setdefault(key.split(" ", 2)[2], []).append(
+                    np.where(same, 0.0, np.abs(b - a)).max())
+    return {name: np.max(diffs).item() for name, diffs in sorted(worst.items())}
 
 
 def main(argv=None) -> int:
@@ -107,11 +132,15 @@ def main(argv=None) -> int:
         export(repo, rev, tmp / "rev")
         shutil.copytree(repo / "src", tmp / "work" / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        sides = {side: run_side(tmp / side / "src", betas) for side in ("rev", "work")}
+        sides = {side: run_side(tmp / side / "src", betas, tmp / f"{side}.npz")
+                 for side in ("rev", "work")}
+        worst = moved(tmp / "rev.npz", tmp / "work.npz")
     before, after = sides["rev"]["digests"], sides["work"]["digests"]
     differ = [key for key in before.keys() | after.keys() if before.get(key) != after.get(key)]
     for key in sorted(differ):
         print(f"column_diff: differs: {key}", file=sys.stderr)
+    for name, diff in worst.items():
+        print(f"column_diff: {name} moved by at most {diff:.2e}")
     print(f"column_diff: {sides['work']['rows']} sweep rows and their crosscheck, "
           f"{len(after)} digests: " + ("identical" if not differ else f"{len(differ)} differ")
           + f" between {rev} and the working tree")

@@ -35,12 +35,11 @@ from biaxbell.cli import (  # noqa: E402
     FIG1_BETA_STEPS, FIG1_MUS, FIG1_NU_STEPS, FIG2_BETA_STEPS, FIG2_MUS, FIG2_NU,
 )
 from biaxbell.frame import (  # noqa: E402
-    FULLY_DEGENERATE_CODE, frame_angles, frame_triad, spin_length, transverse_operators,
+    FULLY_DEGENERATE_CODE, frame_angles, frame_triad, spin_length,
 )
 from biaxbell.oracle import (  # noqa: E402
     _BLOCK, ALL_DIRECTIONS_AGREE_TOL, TRANSVERSE_AGREE_TOL, _certify, _eigen_min, _expectations,
-    _real_split, _sphere_min, _spin1, _tables, _transverse_moments, _transverse_scan,
-    _transverse_split,
+    _plane_moments, _real_split, _sphere_min, _spin1, _tables, _transverse_scan, _transverse_split,
 )
 from biaxbell.spincore import axis_grid, superposition_states  # noqa: E402
 
@@ -79,15 +78,15 @@ def gaps(states: np.ndarray) -> dict[str, list]:
         vectors, values = _expectations(ops.moment_stack, psi)
         jx, jy, jz = values.real[:, :3].T
         theta, phi, status = frame_angles(jx, jy, jz, spin_length(jx, jy, jz))
-        flat = status == FULLY_DEGENERATE_CODE
+        flat, tables = status == FULLY_DEGENERATE_CODE, _tables(values)
         if not flat.all():
-            jn = transverse_operators(frame_triad(theta, phi)[~flat, :2], ops)
-            vecs, moments = _transverse_moments(psi[~flat], jn[:, 0], jn[:, 1])
+            vecs, moments = _plane_moments(vectors[~flat], values.real[~flat, :3],
+                                           tables[~flat], frame_triad(theta, phi)[~flat, :2])
             lam, chi = _eigen_min(*moments.T)
             record("transverse", lam, _transverse_scan(psi[~flat], vecs, moments)[0],
                    np.column_stack([np.cos(chi), np.sin(chi)]),
                    _transverse_split(psi[~flat], vecs, moments), TRANSVERSE_AGREE_TOL)
-        eigvals, eigvecs = np.linalg.eigh(_tables(values))
+        eigvals, eigvecs = np.linalg.eigh(tables)
         lam, u, split = eigvals[:, 0], eigvecs[:, :, 0], _real_split(vectors[:, :3])
         scan = _sphere_min(split)
         record("all-directions, degenerate", lam[flat], scan[flat], u[flat], split[flat],
