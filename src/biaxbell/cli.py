@@ -441,9 +441,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     after the first, a later failure keeps the rows before it, --strict exits 2 after all rows."""
     _required(args, "mu-list", "nu-list")
     betas = _betas(args)
-    # accepted and validated for compatibility; evaluation is serial
-    if args.threads < 1:
-        raise UsageError("threads must be at least 1")
 
     def evaluated(start):
         columns = sweep_columns(grid[:, start:start + _BLOCK])
@@ -581,8 +578,6 @@ def build_parser() -> _Parser:
         "--strict", nargs="?", const=True, default=False, type=parse_bool,
         help="exit 2 when fully-degenerate points occur",
     )
-    p_sweep.add_argument("--threads", type=int, default=1,
-                         help="accepted for compatibility; no effect")
     output(p_sweep, ("csv", "json"))
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -252,11 +252,13 @@ def test_criterion_09_concurrence_anchors(fig2_run, tmp_path):
 
 
 def test_criterion_10_sweep_determinism(tmp_path):
-    """Identical bytes from the same sweep at different thread counts."""
+    """Identical bytes from the same sweep run twice, with another sweep between."""
     base = ["sweep", "--beta-steps", "9", "--mu-list", "0,pi/2,pi",
             "--nu-list", "0,2pi/3"]
-    one = tmp_path / "threads1.csv"
-    four = tmp_path / "threads4.csv"
-    assert main(base + ["--threads", "1", "--out", str(one)]) == 0
-    assert main(base + ["--threads", "4", "--out", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes(), "outputs differ across thread counts"
+    first = tmp_path / "first.csv"
+    again = tmp_path / "again.csv"
+    assert main(base + ["--out", str(first)]) == 0
+    assert main(["sweep", "--beta-steps", "5", "--mu-list", "pi/3", "--nu-list", "0.4",
+                 "--out", str(tmp_path / "other.csv")]) == 0
+    assert main(base + ["--out", str(again)]) == 0
+    assert first.read_bytes() == again.read_bytes(), "outputs differ between runs"

@@ -119,10 +119,10 @@ def test_config_unknown_key_exits_one(tmp_path, capsys, line):
          ["crosscheck", "--tol", "1e-9", "--mu-list", "pi/3,pi/2", "--nu-list", "pi/4",
           "--beta-steps", "3", "--format", "json"]),
         ("beta-max=pi/4\nbeta-steps=3\nmu-list=0,pi/3\nnu-list=0.4\nstrict=no\n"
-         "threads=2\nformat=json\n",
+         "format=json\n",
          ["sweep"],
          ["sweep", "--beta-max", "pi/4", "--beta-steps", "3", "--mu-list", "0,pi/3",
-          "--nu-list", "0.4", "--strict=no", "--threads", "2", "--format", "json"]),
+          "--nu-list", "0.4", "--strict=no", "--format", "json"]),
         ("beta=0.6\nmu=pi/3\nnu=pi/4\nformat=json\n",
          ["point", "--mu", "pi/2", "--format", "text"],
          ["point", "--beta", "0.6", "--mu", "pi/2", "--nu", "pi/4"]),
@@ -172,7 +172,7 @@ def test_config_value_errors(tmp_path, capsys, argv, config, code, message):
 
 def test_config_key_of_another_subcommand_exits_one(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads=2\n")       # valid for sweep, not for point
+    cfg.write_text("strict=yes\n")      # valid for sweep, not for point
     assert main(["point", "--beta", "0", "--mu", "0", "--nu", "0",
                  "--config", str(cfg)]) == 1
 
@@ -685,19 +685,9 @@ def test_sweep_json_format(tmp_path):
     assert len(payload["rows"]) == 2
 
 
-def test_sweep_byte_identical_across_threads(tmp_path):
-    args = ["sweep", "--beta-steps", "11", "--mu-list", "0,pi/3", "--nu-list",
-            "0.4,2.0"]
-    one = tmp_path / "a.csv"
-    four = tmp_path / "b.csv"
-    assert main(args + ["--threads", "1", "--out", str(one)]) == 0
-    assert main(args + ["--threads", "4", "--out", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()
-
-
 def test_sweep_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("beta-steps=2\nmu-list=0\nnu-list=0.4\nthreads=2\n")
+    cfg.write_text("beta-steps=2\nmu-list=0\nnu-list=0.4\n")
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out_a)]) == 0
@@ -712,10 +702,6 @@ def test_sweep_config_file_with_flag_override(tmp_path):
 def test_sweep_rejects_bad_values(tmp_path):
     assert main(["sweep", "--beta-steps", "1", "--mu-list", "0", "--nu-list", "0"]) == 1
     assert main(["sweep", "--beta-steps", "3", "--nu-list", "0"]) == 1
-    assert main(
-        ["sweep", "--beta-steps", "3", "--mu-list", "0", "--nu-list", "0",
-         "--threads", "0"]
-    ) == 1
 
 
 @pytest.mark.parametrize("steps", ["1", "0"])
@@ -772,6 +758,7 @@ def test_beta_bounds_outside_unit_interval(command, bounds, message):
         ["figure", "fig2", "--outdir", "OUTDIR", "--format", "csv"],
         ["figure", "fig2", "--outdir", "OUTDIR", "--out", "x.csv"],
         ["figure", "fig2", "--outdir", "OUTDIR", "--threads", "2"],
+        ["sweep", "--beta-steps", "2", "--mu-list", "0", "--nu-list", "0", "--threads", "2"],
     ],
 )
 def test_removed_options_exit_one(tmp_path, capsys, argv):
@@ -993,7 +980,7 @@ def test_fig1_grid_validates_one_point_per_axis_value(monkeypatch):
 _FUZZ_OPTIONS = {
     "point": ("--beta", "--mu", "--nu", "--convention", "--format"),
     "sweep": ("--beta-min", "--beta-max", "--beta-steps", "--mu-list", "--nu-list",
-              "--strict", "--threads", "--format"),
+              "--strict", "--format"),
     "figure": ("--help",),
     "crosscheck": ("--beta-min", "--beta-max", "--beta-steps", "--mu-list", "--nu-list",
                    "--tol", "--format"),

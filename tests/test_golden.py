@@ -1,13 +1,13 @@
 """The byte contract: SHA-256 digests of what the CLI writes, pinned.
 
-CASES is the one list of the contract's cases; tools/cli_diff.sh reads it
-and CONFIGS to compare two revisions.  Each case runs main() in-process in a
-fresh directory that holds only the CONFIGS files its argv names.  Its
-stdout, its stderr, its exit code (as cli_diff.sh's exit_code file spells
-it, "N\\n") and every file in the directory are hashed and compared with
-golden_digests.json.  A numpy or LAPACK that moves the last bit of any
-printed value fails here.  Three steps under the digests round as this
-OpenBLAS does, not as a plain sum of products: oracle._expectations'
+CASES is the one list of the contract's cases, and run_case is the one way
+to run them; tools/cli_diff.py calls it to compare two revisions.  Each case
+runs main() in-process in a fresh directory that holds only the CONFIGS
+files its argv names.  Its stdout, its stderr and its exit code ("N\\n") are
+written there as files, and every file in the directory is hashed and
+compared with golden_digests.json.  A numpy or LAPACK that moves the last
+bit of any printed value fails here.  Three steps under the digests round
+as this OpenBLAS does, not as a plain sum of products: oracle._expectations'
 row-wise <psi| op psi> matmul (as spincore.expectation's @), the operator
 products of SpinOperatorSet.moment_stack, and the eigh of the
 all-directions route.  Every other oracle step is elementwise arithmetic or
@@ -102,21 +102,16 @@ CONFIGS = {
 }
 
 
-def write_configs(argv: str, where: Path) -> None:
-    """Write into the directory where each file of CONFIGS that argv names."""
-    for name in CONFIGS.keys() & argv.split():
-        (where / name).write_text(CONFIGS[name], encoding="utf-8")
-
-
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def run_case(argv: str, where: Path) -> dict[str, str]:
-    """The digests of one case run in the empty directory where, after the
-    config files its argv names: stdout, stderr, exit_code and each file in
-    where by its relative path."""
-    write_configs(argv, where)
+    """Run one case in the empty directory where, after the config files its
+    argv names; write its stdout, stderr and exit_code ("N\\n") there as
+    files, and return the digest of each file in where by its relative path."""
+    for name in CONFIGS.keys() & argv.split():
+        (where / name).write_text(CONFIGS[name], encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(where)
@@ -125,14 +120,12 @@ def run_case(argv: str, where: Path) -> dict[str, str]:
             code = main(argv.split())
     finally:
         os.chdir(cwd)
-    digests = {
-        "stdout": _sha(out.getvalue().encode()),
-        "stderr": _sha(err.getvalue().encode()),
-        "exit_code": _sha(f"{code}\n".encode()),
-    }
-    for path in sorted(p for p in where.rglob("*") if p.is_file()):
-        digests[path.relative_to(where).as_posix()] = _sha(path.read_bytes())
-    return digests
+    written = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit_code": f"{code}\n"}
+    for name, text in written.items():
+        (where / name).write_bytes(text.encode())
+    # the three written files first, then the rest sorted, as the table lists them
+    files = sorted(p.relative_to(where).as_posix() for p in where.rglob("*") if p.is_file())
+    return {name: _sha((where / name).read_bytes()) for name in [*written, *files]}
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -9,7 +9,10 @@ into stages by wrapping the names main, cmd_sweep and cmd_crosscheck look up:
 
 - parse: the cached parser's parse_args;
 - grid: _betas, axis_grid and default_grid;
-- oracle: oracle_arrays, less the certificate it calls;
+- oracle: oracle_arrays, less the frameless route and the certificate it
+  calls;
+- frameless route: _all_directions, the eigh of the rows without a frame,
+  less its certificate;
 - certificate: _certify, as the oracle looks it up: the gate on both
   minimizations;
 - closed forms: mean_spin_columns (sweep) or closed_arrays (crosscheck);
@@ -56,6 +59,7 @@ WRAPPED = {
     "parse": [(cli.build_parser(), "parse_args")],
     "grid": [(cli, "_betas"), (cli, "axis_grid"), (cli, "default_grid")],
     "oracle": [(cli, "oracle_arrays"), (crosscheck, "oracle_arrays")],
+    "frameless route": [(oracle, "_all_directions")],
     "certificate": [(oracle, "_certify")],
     "closed forms": [(cli, "mean_spin_columns"), (crosscheck, "closed_arrays")],
     "selection": [(cli, "sweep_columns")],
@@ -132,9 +136,9 @@ def main(argv=None) -> int:
                             for row in ROWS}
 
     print(f"call_budget: p10 wall time per stage of one call, us, {repeats} repeats")
-    print(f"{'stage':14s}" + "".join(f"{shape:>17s}" for shape in SHAPES))
+    print(f"{'stage':16s}" + "".join(f"{shape:>17s}" for shape in SHAPES))
     for row in ROWS:
-        print(f"{row:14s}" + "".join(f"{table[shape][row] * 1e6:17.1f}" for shape in SHAPES))
+        print(f"{row:16s}" + "".join(f"{table[shape][row] * 1e6:17.1f}" for shape in SHAPES))
     return 0
 
 

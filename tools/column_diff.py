@@ -4,15 +4,16 @@ revision with the working tree, bit for bit.
 
     python3 tools/column_diff.py REV [ROWS]      e.g. tools/column_diff.py HEAD~1
 
-src/ at REV is exported with `git archive`; the working tree's src/ is
-copied as it is on disk.  Both land in a temporary directory, so nothing is
-written inside the repository.  Each tree is then imported by its own
-python3 process, which evaluates the same seeded grid of about ROWS rows
+src/ at REV is exported with `git archive` into a temporary directory; the
+working tree's src/ is imported where it is, and no process writes bytecode,
+so nothing is written inside the repository.  Each tree is imported by its
+own python3 process, which evaluates the same seeded grid of about ROWS rows
 (default 200,000): mu and nu axes of 40 and 50 values with the poles, the
-equator, nu = -0.0 and |nu| > 2 pi among them, and a beta axis with 0, 1
-and 1/sqrt(2) among ROWS / 2000 values.  The beta axis is taken in chunks
-of 10 values.  For each chunk the process writes a digest of the repr of
-every cell of
+equator, nu = -0.0 and |nu| > 2 pi among them, and a beta axis of
+ROWS / 2000 values: 1/sqrt(2) and seeded values first, then 0 and 1, so
+that a short axis still holds a beta where the transverse moments are not
+trivial.  The beta axis is taken in chunks of 10 values.  For each chunk
+the process writes a digest of the repr of every cell of
 
 - cli.sweep_columns of its axis_grid in (mu, nu, beta) order, and
 - run_crosscheck(grid, DEFAULT_TOL).as_dict() of its default_grid, with
@@ -31,7 +32,6 @@ printed), and 2 on a usage error.
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -54,8 +54,9 @@ rng = np.random.default_rng(26)
 mus = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 37)])
 nus = np.concatenate([[0.0, -0.0, math.pi, -math.pi, math.pi / 2, 9.0, -7.5],
                       rng.uniform(-9.0, 9.0, 43)])
-betas = np.concatenate([[0.0, 1.0, 1.0 / math.sqrt(2.0)],
-                        rng.uniform(0.0, 1.0, max(0, betas_per_axis - 3))])[:betas_per_axis]
+betas = np.concatenate([[1.0 / math.sqrt(2.0)],
+                        rng.uniform(0.0, 1.0, max(0, betas_per_axis - 3)),
+                        [0.0, 1.0]])[:betas_per_axis]
 
 
 def digest(values) -> str:
@@ -85,18 +86,28 @@ print(json.dumps({"rows": rows, "digests": out}))
 """
 
 
+def known(repo: Path, rev: str, tool: str) -> bool:
+    """Whether rev names a commit of repo; if not, say so on stderr."""
+    found = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", "--quiet",
+                            f"{rev}^{{commit}}"], capture_output=True).returncode == 0
+    if not found:
+        print(f"{tool}: unknown revision '{rev}'", file=sys.stderr)
+    return found
+
+
 def export(repo: Path, rev: str, dest: Path) -> None:
-    """src/ of rev into dest/src, as tools/cli_diff.sh exports it."""
+    """src/ of rev into dest/src, by `git archive` (tools/cli_diff.py too)."""
     archive = subprocess.run(["git", "-C", str(repo), "archive", rev, "src"],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_side(src: Path, betas: int, saved: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-c", CHILD, str(betas), str(CHUNK), str(saved)],
-                          env=env, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
+def run_child(child: str, path: str, *args) -> str:
+    """The stdout of python3 -c child args, with PYTHONPATH=path, writing no
+    bytecode."""
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-c", child, *map(str, args)],
+                          env=env, check=True, capture_output=True, text=True).stdout
 
 
 def moved(before: Path, after: Path) -> dict[str, float]:
@@ -120,20 +131,14 @@ def main(argv=None) -> int:
         return 2
     rev, rows = argv[0], int(argv[1]) if len(argv) == 2 else 200_000
     repo = Path(__file__).resolve().parents[1]
-    known = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", "--quiet",
-                            f"{rev}^{{commit}}"], capture_output=True)
-    if known.returncode:
-        print(f"column_diff: unknown revision '{rev}'", file=sys.stderr)
+    if not known(repo, rev, "column_diff"):
         return 2
     betas = max(1, math.ceil(rows / ROWS_PER_BETA))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "rev").mkdir()
-        export(repo, rev, tmp / "rev")
-        shutil.copytree(repo / "src", tmp / "work" / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        sides = {side: run_side(tmp / side / "src", betas, tmp / f"{side}.npz")
-                 for side in ("rev", "work")}
+        export(repo, rev, tmp)
+        sides = {side: json.loads(run_child(CHILD, str(src), betas, CHUNK, tmp / f"{side}.npz"))
+                 for side, src in (("rev", tmp / "src"), ("work", repo / "src"))}
         worst = moved(tmp / "rev.npz", tmp / "work.npz")
     before, after = sides["rev"]["digests"], sides["work"]["digests"]
     differ = [key for key in before.keys() | after.keys() if before.get(key) != after.get(key)]
