@@ -598,14 +598,26 @@ def build_parser() -> _Parser:
     output(p_check, ("text", "json"))
     p_check.set_defaults(func=cmd_crosscheck)
 
+    parser.commands = sub.choices       # subcommand name -> its own parser
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The whole parser's parse_args(argv), by the parser argv[0] names when it leaves
+    no argument over; any other argv, and so every usage error, takes the whole parser."""
     parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        args, rest = parser.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         if args.config:
             # config entries enter as flags right after the subcommand name, so
             # later flags still win and each value takes its flag's path
@@ -613,7 +625,7 @@ def main(argv=None) -> int:
             config = read_config(args.config, known)
             at = argv.index(args.command) + 1
             flags = [f"--{k}={v}" for k, v in config.items()]
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
+            args = parse_args(argv[:at] + flags + argv[at:])
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

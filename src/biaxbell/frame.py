@@ -110,8 +110,11 @@ def frame_angles(jx, jy, jz, r) -> tuple:
     the mean spins (jx, jy, jz) of spin_length r, as columns.  math.acos and
     math.hypot are mapped over the columns (np.arccos and np.hypot round
     differently), acos clamped to [-1, 1]; the branches are masks, and a
-    masked row divides by 1 in place of a vanishing length."""
+    masked row divides by 1 in place of a vanishing length.  With no r at or
+    above DEFAULT_EPS, all rows are fully degenerate at once, with no angle evaluated."""
     flat = r < DEFAULT_EPS
+    if flat.all():
+        return *np.zeros((2, len(flat))), np.full(len(flat), FULLY_DEGENERATE_CODE)
     r = np.where(flat, 1.0, r)
     rho = math_columns(math.hypot, jx, jy)
     polar = ~flat & (rho / r < DEFAULT_EPS)

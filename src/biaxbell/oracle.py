@@ -7,8 +7,8 @@ that route never reads or the call fails loudly.  An exact bisection on the
 same positive-definiteness test stays as the reference behind
 min_transverse_variance_scan and _sphere_scan.
 
-oracle_arrays evaluates a whole grid, given as its (4, n) parameter
-columns, as arrays in blocks of rows, states and frame triads included.
+oracle_arrays evaluates a whole grid, given as its (4, n) parameter columns,
+as arrays in blocks of rows, states included and frame triads for plane rows alone.
 Only the steps numpy rounds differently from math run in math: the frame
 angles (acos, hypot) and the 2x2 eigen route (hypot, atan2), both mapped
 over columns, and the concurrence (complex abs).  So no value depends on
@@ -52,6 +52,8 @@ from .spincore import (
 
 METHOD_TRANSVERSE = "transverse-eigen"
 METHOD_ALL_DIRECTIONS = "all-directions"
+# the method of a row with a frame, and of a fully-degenerate row
+_METHODS = readonly(np.array([METHOD_TRANSVERSE, METHOD_ALL_DIRECTIONS]))
 
 # how far the eigen minima may lie from the Gram minima, the certificate's tol
 TRANSVERSE_AGREE_TOL = 1e-8
@@ -360,26 +362,27 @@ def _concurrences(states) -> np.ndarray:
     return np.minimum(2.0 * np.hypot(re, im), 1.0)
 
 
-def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
-                                         np.ndarray]:
-    """One block of the pipeline, given as parameter columns: its
-    oracle_arrays record, states, moments and frame triads."""
+def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """One block of the pipeline, given as parameter columns: its oracle_arrays record,
+    states and moments.  Only the transverse rows get a frame triad, and a block whose
+    rows all take one route is evaluated whole, with no row index taken."""
     ops, n = _spin1(), grid.shape[1]
     psi = superposition_states(*grid)
     vectors, values = _moments(psi, ops)
     re, tables = values.real, _tables(values)
     r = spin_length(re[:, 0], re[:, 1], re[:, 2])
     theta, phi, status = frame_angles(re[:, 0], re[:, 1], re[:, 2], r)
-    triad = frame_triad(theta, phi)
     flat = status == FULLY_DEGENERATE_CODE
-    plane, sphere = np.flatnonzero(~flat), np.flatnonzero(flat)
+    # each route's rows, as the whole block when they are all of it
+    plane, sphere = (slice(None) if rows.all() else np.flatnonzero(rows) for rows in (~flat, flat))
     moments = np.full((n, 5), math.nan)
     lam, chi = np.empty(n), np.zeros(n)         # chi = 0 without a transverse plane
-    if plane.size:
+    if not flat.all():
+        triad = frame_triad(theta[plane], phi[plane])
         jn, moments[plane] = _plane_moments(vectors[plane], re[plane, :3], tables[plane],
-                                             triad[plane, :2])
+                                             triad[:, :2])
         lam[plane], chi[plane] = _transverse(psi[plane], jn, moments[plane])
-    if sphere.size:
+    if flat.any():
         lam[sphere] = _all_directions(vectors[sphere], tables[sphere])[0]
     record = {
         "jx": re[:, 0], "jy": re[:, 1], "jz": re[:, 2], "r": r,
@@ -391,14 +394,14 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
         "xy_anticomm": 2.0 * tables[:, 0, 1],
         "theta": theta, "phi": phi,
         "frame_status": STATUS_VALUES[status],
-        "method": np.where(flat, METHOD_ALL_DIRECTIONS, METHOD_TRANSVERSE),
+        "method": _METHODS[flat.view(np.int8)],
         "lambda_min": lam, "chi_min": chi,
         "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
         "xi2_literal": 2.0 * (2.0 * lam),
         "concurrence": _concurrences(psi),
         "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
     }
-    return record, psi, values, triad
+    return record, psi, values
 
 
 def oracle_arrays(grid: np.ndarray) -> dict[str, np.ndarray]:
@@ -452,9 +455,10 @@ class OraclePoint:
 
 def evaluate_oracle(params: SqueezeParams) -> OraclePoint:
     """Run the full oracle pipeline for one point: a one-row oracle_arrays
-    block, kept as records, its frame built from the block's r, angles,
-    status and triad."""
-    record, (state,), values, (triad,) = _evaluate(param_columns([params]))
+    block, kept as records, its frame built from the block's r, angles and
+    status and a triad of its own (the block builds none for a frameless row)."""
+    record, (state,), values = _evaluate(param_columns([params]))
+    (triad,) = frame_triad(record["theta"], record["phi"])
     one = {name: column.item() for name, column in record.items()}
     moments = _oracle_moments(values[0])
     frame = SpinFrame(*readonly(triad), one["theta"], one["phi"], one["r"],

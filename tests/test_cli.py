@@ -35,6 +35,7 @@ from biaxbell.cli import (
     write_rows_json,
 )
 from biaxbell.spincore import axis_grid, param_columns
+from test_golden import CASES
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,28 @@ def test_parser_is_built_once_per_process(capsys):
         assert main(["point", "--beta", "0"]) == 1
     assert "missing required option --mu" in capsys.readouterr().err
     assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_dispatch_parses_as_the_whole_parser(monkeypatch, name):
+    argv = CASES[name].split()
+    whole = build_parser().parse_args(argv)
+    # a case argv leaves nothing over, so it never reaches the whole parser
+    monkeypatch.setattr(build_parser(), "parse_args", None)
+    # repr takes a NaN entry as equal to itself and also compares the key order
+    assert repr(vars(cli.parse_args(argv))) == repr(vars(whole))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["sweep", "-h"], ["no-such-command"], ["sweep", "--no-such-option"],
+    ["sweep", "--mu-list", "0", "point"], ["--beta-steps", "x"], ["sweep", "--beta-steps", "x"],
+    ["figure"],
+])
+def test_main_exits_as_the_whole_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    whole = int(exc.value.code or 0), *capsys.readouterr()
+    assert (main(argv), *capsys.readouterr()) == whole
 
 
 def test_config_values_do_not_leak_into_later_calls(tmp_path):

@@ -296,6 +296,29 @@ def test_frame_angles_on_edge_rows():
     assert [w[1] for w in want[5:8]] == [0.0, 0.0, math.pi]
 
 
+_FRAMELESS = [
+    (0.0, 0.0, 0.0, 0.0),
+    (-0.0, -0.0, -0.0, 0.0),
+    (0.0, -0.0, math.nextafter(DEFAULT_EPS, 0.0), math.nextafter(DEFAULT_EPS, 0.0)),
+    (-3e-13, 4e-13, -0.0, 5e-13),
+    (-0.0, 0.0, -9e-13, 9e-13),
+]
+
+
+@pytest.mark.parametrize("rows", [[row] for row in _FRAMELESS] + [_FRAMELESS],
+                         ids=[f"row{i}" for i in range(len(_FRAMELESS))] + ["all"])
+def test_frame_angles_on_calls_without_a_mean_spin(rows):
+    # every row below eps: the call returns the convention without an angle,
+    # with the codes of a call that also holds a regular row
+    want = [ref_frame_angles(*row) for row in rows]
+    theta, phi, codes = frame_angles(*np.array(rows).T)
+    mixed_codes = frame_angles(*np.array([*rows, (0.3, 0.4, 0.0, 0.5)]).T)[2]
+    _assert_bit_equal("frame_angles", (theta, phi), [w[:2] for w in want], rows)
+    assert [list(FrameStatus)[code] for code in codes] == [w[2] for w in want]
+    assert codes.dtype == mixed_codes.dtype == np.int64
+    assert codes.tolist() == mixed_codes[:-1].tolist()
+
+
 def test_eigen_min_matches_the_scalar_route():
     # seeded transverse moments, the zero-mean and isotropic ones among them,
     # then every branch: flat minima below and at the 1e-14 gap and one above

@@ -326,6 +326,31 @@ def test_oracle_columns_do_not_depend_on_batch_composition():
         assert exact(joined) == expected, size
 
 
+def _one_route_block(frameless):
+    """A seeded block of _BLOCK rows that all take one route: mu = pi/2,
+    nu = 0 has no mean spin on any beta, and the plane rows keep mu and nu
+    away from the zero-mean lines."""
+    rng = np.random.default_rng(20261021)
+    beta = rng.uniform(0.0, 1.0, _BLOCK)
+    if frameless:
+        return param_columns([SqueezeParams(b, math.pi / 2, 0.0) for b in beta.tolist()])
+    mu, nu = rng.uniform([0.0, 0.2], [math.pi / 2 - 0.2, math.pi - 0.2], (_BLOCK, 2)).T
+    return param_columns([SqueezeParams(*p) for p in zip(beta.tolist(), mu.tolist(),
+                                                         nu.tolist())])
+
+
+@pytest.mark.parametrize("frameless", [True, False], ids=["frameless", "plane"])
+def test_one_route_block_is_its_one_row_calls(frameless):
+    columns = _one_route_block(frameless)
+    whole = oracle_arrays(columns)
+    flat = whole["frame_status"] == "fully-degenerate"
+    assert len(flat) == _BLOCK and (flat.all() if frameless else not flat.any())
+    parts = [oracle_arrays(columns[:, i:i + 1]) for i in range(_BLOCK)]
+    for name, column in whole.items():      # repr tells -0.0 from 0.0, NaN equals NaN
+        joined = np.concatenate([part[name] for part in parts])
+        assert list(map(repr, column.tolist())) == list(map(repr, joined.tolist())), name
+
+
 @pytest.fixture(scope="module")
 def scan_rows():
     """The scan inputs of 1,400 states: 700 family points of the batch grid

@@ -7,7 +7,7 @@ Times cli.main on each of the three benchmark argv shapes (perfbench's
 workloads, the bench_* cases of tests/test_golden.py) and splits each call
 into stages by wrapping the names main, cmd_sweep and cmd_crosscheck look up:
 
-- parse: the cached parser's parse_args;
+- parse: cli.parse_args, the subcommand's parser or the whole one;
 - grid: _betas, axis_grid and default_grid;
 - oracle: oracle_arrays, less the frameless route and the certificate it
   calls;
@@ -56,7 +56,7 @@ SHAPES = {name.removeprefix("bench_"): argv.split()
           for name, argv in CASES.items() if name.startswith("bench_")}
 # each stage and the (owner, name) lookups whose calls it holds
 WRAPPED = {
-    "parse": [(cli.build_parser(), "parse_args")],
+    "parse": [(cli, "parse_args")],
     "grid": [(cli, "_betas"), (cli, "axis_grid"), (cli, "default_grid")],
     "oracle": [(cli, "oracle_arrays"), (crosscheck, "oracle_arrays")],
     "frameless route": [(oracle, "_all_directions")],
@@ -106,6 +106,9 @@ class Budget:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1 or argv and not argv[0].isdecimal():
+        print("usage: call_budget.py [REPEATS]", file=sys.stderr)
+        return 2
     repeats = int(argv[0]) if argv else 1500
     if repeats < 10:
         print("call_budget: REPEATS must be at least 10", file=sys.stderr)
