@@ -7,12 +7,17 @@ theta and phi columns (frame_triad).  It takes J from the exact spin-1
 matrices, <J_a> and G_ab = <{J_a, J_b}>/2 from the vectors J_a psi, and
 <Jn_a> = n_a . <J>, <{Jn_a, Jn_b}>/2 = n_a^T G n_b in that frame.  So it
 measures the oracle's moment arithmetic and its 2x2 eigen route, not the
-frame's conditioning near r = 0 nor alpha's near beta = 1.  lambda_min of a
-fully-degenerate row is the smallest eigenvalue of G.
+frame's conditioning near r = 0 nor alpha's near beta = 1.  For a
+fully-degenerate row the reference takes lambda_min as the minimum of
+<J_u^2> over all unit u, the smallest eigenvalue of G at 40 digits, however
+the oracle reaches it.  The concurrence min(2 |c_{+1} c_{-1} - c_0^2 / 2|, 1)
+is taken from the same amplitudes on every row: C <= 1 on a unit state, and
+the oracle clamps a float state's excess norm as the reference does.
 
 Each bound is absolute, one per quantity, twice the worst error measured
 on these points when the transverse moments were brakets of the operator
-products Jn_a Jn_b, rounded up.
+products Jn_a Jn_b, rounded up; the concurrence's is twice its worst error
+when the frameless lambda_min was the smallest eigh eigenvalue of G.
 
 The frame itself is checked near the pole: theta against atan2(rho, <Jz>)
 of the reference mean, to 1e-12 relative.  acos(<Jz>/r) loses theta's
@@ -35,7 +40,8 @@ UNIFORM_POINTS = 1200
 MIN_R = 1e-3
 
 # worst |oracle - reference| allowed per quantity
-BOUNDS = {"jn1_sq": 8.2e-16, "jn2_sq": 7.3e-16, "anticomm": 6.1e-16, "lambda_min": 6.2e-16}
+BOUNDS = {"jn1_sq": 8.2e-16, "jn2_sq": 7.3e-16, "anticomm": 6.1e-16, "lambda_min": 6.2e-16,
+          "concurrence": 3.5e-16}
 
 
 def _spin1():
@@ -61,11 +67,15 @@ def _moments(state):
 
 
 def _reference(state, n1, n2, transverse):
-    """jn1_sq, jn2_sq, anticomm and lambda_min of one row at DIGITS digits,
-    or only lambda_min (the smallest eigenvalue of G) without a plane."""
+    """jn1_sq, jn2_sq, anticomm, lambda_min and concurrence of one row at
+    DIGITS digits, or only lambda_min (the smallest eigenvalue of G) and
+    concurrence without a plane."""
+    up, zero, down = (mpmath.mpc(z.real, z.imag) for z in state.tolist())
+    conc = min(2 * abs(up * down - zero ** 2 / 2), 1)
     mean, table = _moments(state)
     if not transverse:
-        return {"lambda_min": min(mpmath.eigsy(mpmath.matrix(table))[0])}
+        lam = min(mpmath.eigsy(mpmath.matrix(table), eigvals_only=True))
+        return {"lambda_min": lam, "concurrence": conc}
     n = [[mpmath.mpf(x) for x in v.tolist()] for v in (n1, n2)]
     m = [mpmath.fsum(a * b for a, b in zip(v, mean)) for v in n]
 
@@ -75,7 +85,8 @@ def _reference(state, n1, n2, transverse):
     s11, s22, s12 = form(n[0], n[0]), form(n[1], n[1]), form(n[0], n[1])
     g11, g22, g12 = s11 - m[0] ** 2, s22 - m[1] ** 2, s12 - m[0] * m[1]
     lam = (g11 + g22) / 2 - mpmath.sqrt(((g11 - g22) / 2) ** 2 + g12 ** 2)
-    return {"jn1_sq": s11, "jn2_sq": s22, "anticomm": 2 * s12, "lambda_min": lam}
+    return {"jn1_sq": s11, "jn2_sq": s22, "anticomm": 2 * s12, "lambda_min": lam,
+            "concurrence": conc}
 
 
 def _uniform_grid():
@@ -87,10 +98,22 @@ def _uniform_grid():
     return grid[:, oracle_arrays(grid)["r"] >= MIN_R]
 
 
+def _frameless_grid():
+    """Rows without a mean spin: the zero-mean sweep (mu = pi/2, nu in {0, pi})
+    over 401 beta, and the Bell state (beta = 1) over 13 mu x 13 nu."""
+    return np.concatenate([
+        axis_grid(("mu", "nu", "beta"), mu=[math.pi / 2], nu=[0.0, math.pi],
+                  beta=np.linspace(0.0, 1.0, 401)),
+        axis_grid(("mu", "nu", "beta"), mu=np.linspace(0.0, math.pi, 13),
+                  nu=np.linspace(-math.pi, math.pi, 13), beta=[1.0]),
+    ], axis=1)
+
+
 POINT_SETS = {
     "uniform": _uniform_grid,
     "fig2": lambda: axis_grid(("mu", "nu", "beta"), mu=FIG2_MUS, nu=(FIG2_NU,),
                               beta=np.linspace(0.0, 1.0, FIG2_BETA_STEPS)),
+    "frameless": _frameless_grid,
 }
 
 
