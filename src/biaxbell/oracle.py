@@ -1,11 +1,11 @@
 """Operator oracle: ground truth by direct matrix arithmetic.
 
 Every quantity the closed forms predict is recomputed here from the state
-vector and dense operators, with no shared algebra.  Each minimization
-takes an eigenvalue route, and _certify proves every result against numbers
-that route never reads or the call fails loudly.  An exact bisection on the
-same positive-definiteness test stays as the reference behind
-min_transverse_variance_scan and _sphere_scan.
+vector and dense operators, with no shared algebra.  The transverse minimum
+is a 2x2 eigenvalue, the all-directions one (1 - C)/2, and _certify proves
+every result against numbers neither route reads or the call fails loudly.
+An exact bisection on the same positive-definiteness test stays as the
+reference behind min_transverse_variance_scan and _sphere_scan.
 
 oracle_arrays evaluates a whole grid, given as its (4, n) parameter columns,
 as arrays in blocks of rows, states included and frame triads for plane rows alone.
@@ -24,12 +24,12 @@ fixed-order sums of that contraction's moments and vectors J psi along n1
 and n2 (_plane_moments).  With S the real split (real and imaginary parts)
 of the vectors J_k psi, centred for the transverse variance,
 <J_u^2> = |u S|^2 = u P u^T with P = S S^T, each row's P a symmetric k x k
-matrix.  The eigen routes build their covariances from the second-moment
-tables and never read P.  By Courant-Fischer, an eigen minimum
-lam with u P u^T <= lam + tol at its unit minimizer u, and with
-P - (lam - tol) I positive definite, is within tol of min u P u^T, so no
-search is needed.  _bisect_min reads the same P and no eigen route:
-min u P u^T is the largest s with P - s I positive definite.
+matrix.  The 2x2 eigen route builds its covariance from the second-moment
+tables, the all-directions route reads the amplitudes alone, and neither
+reads P.  By Sylvester's law of inertia, P - (lam - tol) I positive definite
+and P - (lam + tol) I not puts min u P u^T in (lam - tol, lam + tol], so no
+search and no minimizer is needed.  _bisect_min reads the same P and no
+eigen route: min u P u^T is the largest s with P - s I positive definite.
 """
 from __future__ import annotations
 
@@ -136,19 +136,19 @@ def _definite(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok & (m[:, 0, 0] > 0.0)
 
 
-def _certify(what: str, lam, u: np.ndarray, split: np.ndarray, tol: float) -> None:
-    """The minimization gate, an exact certificate (Courant-Fischer): every
-    row's eigen minimum lam, with its unit minimizer u (rows, k), lies within
-    tol of min v P v^T over unit v, P the _gram of split.  u P u^T <= lam + tol
-    bounds that minimum from above; P - (lam - tol) I positive definite
-    (_definite) bounds it from below."""
+def _certify(what: str, lam, split: np.ndarray, tol: float) -> None:
+    """The minimization gate, an exact certificate that reads no minimizer: by
+    Sylvester's law of inertia, P - (lam - tol) I positive definite and
+    P - (lam + tol) I not (_definite, one call for both shifts) put each row's
+    min u P u^T over unit u in (lam - tol, lam + tol], P the _gram of split."""
     lam, gram = np.asarray(lam), _gram(split)
-    quotient = (u[:, :, None] * gram * u[:, None, :]).sum(axis=(1, 2))
-    ok = (quotient - lam <= tol) & _definite(gram, lam - tol)
-    if not ok.all():
-        i = np.flatnonzero(~ok)[0]
-        raise RuntimeError(f"{what} minimization mismatch: eigen {lam[i].item()!r} vs u P u^T "
-                           f"{quotient[i].item()!r}, not certified within {tol!r}")
+    lower, upper = _definite(np.concatenate([gram, gram]),
+                             np.concatenate([lam - tol, lam + tol])).reshape(2, -1)
+    if not (lower & ~upper).all():
+        i = np.flatnonzero(~(lower & ~upper))[0]
+        bound = "above lam + tol" if lower[i] else "at most lam - tol"
+        raise RuntimeError(f"{what} minimization mismatch: {lam[i].item()!r} not certified "
+                           f"within {tol!r}, min u P u^T is {bound}")
 
 
 class OracleMoments(NamedTuple):
@@ -253,8 +253,7 @@ def _transverse(states, vectors, moments) -> tuple[np.ndarray, np.ndarray]:
     """Minima and angles from each row's _plane_moments: the 2x2 eigen
     route, certified on _transverse_split."""
     lam, chi = _eigen_min(*moments.T)
-    _certify("transverse", lam, np.array([np.cos(chi), np.sin(chi)]).T,
-             _transverse_split(states, vectors, moments), TRANSVERSE_AGREE_TOL)
+    _certify("transverse", lam, _transverse_split(states, vectors, moments), TRANSVERSE_AGREE_TOL)
     return lam, chi
 
 
@@ -309,34 +308,34 @@ def _sphere_scan(state: np.ndarray, ops: SpinOperatorSet) -> float:
     return _sphere_min(_real_split(vectors)).item()
 
 
-def _all_directions(vectors, tables):
-    """Eigenvalues and eigenvectors of the caller's second-moment tables, the
-    smallest pair certified on the split of (Jx psi, Jy psi, Jz psi)."""
-    eigvals, eigvecs = np.linalg.eigh(tables)
-    lam = eigvals[:, 0].tolist()
-    _certify("all-direction", lam, eigvecs[:, :, 0], _real_split(vectors[:, :3]),
-             ALL_DIRECTIONS_AGREE_TOL)
-    return lam, eigvecs
+def _all_directions(vectors, concurrences) -> np.ndarray:
+    """Minimum of <J_u^2> over all unit u per row, (1 - C)/2 of its concurrence
+    C (Wang & Sanders, PRA 68, 012101 (2003)): a unit spin-1 state is
+    e^{i phi}(a + i b), a . b = 0 in the Cartesian basis, with the table
+    I - a a^T - b b^T and C = | |a|^2 - |b|^2 |.  Certified on the split of
+    (Jx psi, Jy psi, Jz psi), which the identity never reads."""
+    lam = (1.0 - concurrences) / 2.0
+    _certify("all-direction", lam, _real_split(vectors[:, :3]), ALL_DIRECTIONS_AGREE_TOL)
+    return lam
 
 
 def min_variance_all_directions(
     state: np.ndarray, ops: SpinOperatorSet
 ) -> tuple[float, np.ndarray]:
-    """Minimum of <J_u^2> over all unit vectors u, with the minimizing u.
+    """Minimum of <J_u^2> over all unit vectors u of a unit-norm state, with
+    the minimizing u.
 
     This is the fallback used when the mean spin vanishes and no transverse
     plane is distinguished; there the second moment and the variance
-    coincide.  The smallest eigenvalue and eigenvector of the 3x3
-    second-moment matrix are certified within ALL_DIRECTIONS_AGREE_TOL
-    (_certify), or a RuntimeError is raised.
+    coincide.  The minimum (1 - C)/2 is certified within ALL_DIRECTIONS_AGREE_TOL
+    (_all_directions), or a RuntimeError is raised, as for a norm other than 1;
+    u is the eigh eigenvector of the 3x3 second-moment matrix's smallest eigenvalue.
     """
-    vectors, values = _moments(_state_vector(state, ops)[None], ops)
-    (lam,), eigvecs = _all_directions(vectors, _tables(values))
-    direction = eigvecs[0, :, 0].copy()
-    pivot = int(np.argmax(np.abs(direction)))
-    if direction[pivot] < 0.0:
-        direction = -direction
-    return lam, readonly(direction)
+    psi = _state_vector(state, ops)[None]
+    vectors, values = _moments(psi, ops)
+    (lam,) = _all_directions(vectors, _concurrences(psi)).tolist()
+    direction = np.linalg.eigh(_tables(values)[0])[1][:, 0]     # its largest entry made positive
+    return lam, readonly(direction * np.sign(direction[np.argmax(np.abs(direction))]))
 
 
 def concurrence(state: np.ndarray) -> float:
@@ -368,6 +367,7 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
     rows all take one route is evaluated whole, with no row index taken."""
     ops, n = _spin1(), grid.shape[1]
     psi = superposition_states(*grid)
+    concurrences = _concurrences(psi)
     vectors, values = _moments(psi, ops)
     re, tables = values.real, _tables(values)
     r = spin_length(re[:, 0], re[:, 1], re[:, 2])
@@ -383,7 +383,7 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
                                              triad[:, :2])
         lam[plane], chi[plane] = _transverse(psi[plane], jn, moments[plane])
     if flat.any():
-        lam[sphere] = _all_directions(vectors[sphere], tables[sphere])[0]
+        lam[sphere] = _all_directions(vectors[sphere], concurrences[sphere])
     record = {
         "jx": re[:, 0], "jy": re[:, 1], "jz": re[:, 2], "r": r,
         "jplus_sq": values[:, 9], "jz_sq": re[:, 10], "jplus_2jz1": values[:, 11],
@@ -398,7 +398,7 @@ def _evaluate(grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.n
         "lambda_min": lam, "chi_min": chi,
         "xi2_std": 2.0 * lam,               # 4 lambda / N at N = 2
         "xi2_literal": 2.0 * (2.0 * lam),
-        "concurrence": _concurrences(psi),
+        "concurrence": concurrences,
         "jn1_sq": moments[:, 2], "jn2_sq": moments[:, 3], "anticomm": moments[:, 4],
     }
     return record, psi, values

@@ -632,7 +632,9 @@ def test_gates_fire_without_warnings(monkeypatch, capsys, patches, mus):
 
 # fig1's mu slices with fully-degenerate rows (mu = pi/2, nu = 0; beta = 1)
 _FIG1_SHAPED = ["sweep", "--mu-list", "0,pi/3,pi/2", "--nu-list", "0,pi/4,2", "--beta-steps", "11"]
-_EIGEN_MIN, _EIGH, _GRAM = oracle._eigen_min, np.linalg.eigh, oracle._gram
+_EIGEN_MIN, _CONCURRENCES, _GRAM = oracle._eigen_min, oracle._concurrences, oracle._gram
+# every row without a mean spin: mu = pi/2 with nu in {0, pi}
+_FRAMELESS = ["sweep", "--mu-list", "pi/2", "--nu-list", "0,pi", "--beta-steps", "11"]
 
 
 def _larger_eigenvalue(m1, m2, jn1_sq, jn2_sq, anticomm):
@@ -645,14 +647,18 @@ def _eigen_min_low(*moments):
     return lam - 2.0 * oracle.TRANSVERSE_AGREE_TOL, chi
 
 
-def _eigh_middle(tables):
-    eigvals, eigvecs = _EIGH(tables)
-    return eigvals[..., [1, 0, 2]], eigvecs[..., [1, 0, 2]]
+def _concurrence_negated(states):
+    # lam = (1 + C)/2, the middle eigenvalue of the second-moment table
+    return -_CONCURRENCES(states)
 
 
-def _eigh_low(tables):
-    eigvals, eigvecs = _EIGH(tables)
-    return eigvals - 2.0 * oracle.ALL_DIRECTIONS_AGREE_TOL, eigvecs
+def _concurrence_high(states):
+    # lam - 2 tol
+    return _CONCURRENCES(states) + 4.0 * oracle.ALL_DIRECTIONS_AGREE_TOL
+
+
+def _concurrence_nan(states):
+    return np.full(len(states), math.nan)
 
 
 def _gram_off_diagonal_halved(split):
@@ -664,36 +670,53 @@ def _gram_off_diagonal_halved(split):
     [
         (oracle, "_eigen_min", _larger_eigenvalue),
         (oracle, "_eigen_min", _eigen_min_low),
-        (np.linalg, "eigh", _eigh_middle),
-        (np.linalg, "eigh", _eigh_low),
+        (oracle, "_concurrences", _concurrence_negated),
+        (oracle, "_concurrences", _concurrence_high),
+        (oracle, "_concurrences", _concurrence_nan),
         (oracle, "_gram", _gram_off_diagonal_halved),
     ],
     ids=["transverse-larger-eigenvalue", "transverse-lambda-minus-2tol",
          "all-directions-middle-eigenvalue", "all-directions-lambda-minus-2tol",
-         "gram-without-doubling"],
+         "all-directions-nan", "gram-without-doubling"],
 )
 def test_certificate_rejects_wrong_minima(monkeypatch, capsys, owner, name, mutant):
     monkeypatch.setattr(owner, name, mutant)
     assert main(_FIG1_SHAPED) == 2
-    assert "minimization mismatch: eigen " in capsys.readouterr().err
+    assert "minimization mismatch: " in capsys.readouterr().err
+
+
+def _same_output_without(monkeypatch, capsys, runs, lookups):
+    """Each run exits 0 and prints the same stdout with every (owner, name)
+    of lookups replaced by a function that raises."""
+    expected = []
+    for argv in runs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the pipeline ran a function it should not")
+
+    for owner, name in lookups:
+        monkeypatch.setattr(owner, name, never)
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_pipeline_never_runs_the_scan(monkeypatch, capsys):
     # the certificate gates both minimizations; the bisection is only the
     # reference behind min_transverse_variance_scan and _sphere_scan
     runs = [_FIG1_SHAPED, ["crosscheck"], ["point", "--beta", "1", "--mu", "0", "--nu", "0"]]
-    expected = []
-    for argv in runs:
-        assert main(argv) == 0
-        expected.append(capsys.readouterr().out)
+    _same_output_without(monkeypatch, capsys, runs, [(oracle, "_bisect_min")])
 
-    def no_reference(gram):
-        raise AssertionError("the pipeline ran the reference")
 
-    monkeypatch.setattr(oracle, "_bisect_min", no_reference)
-    for argv, out in zip(runs, expected):
-        assert main(argv) == 0
-        assert capsys.readouterr().out == out
+def test_pipeline_runs_no_eigen_routine(monkeypatch, capsys):
+    # rows without a mean spin take lam = (1 - C)/2 and the certificate reads
+    # no minimizer, so no CLI path calls LAPACK's symmetric eigensolvers
+    runs = [_FIG1_SHAPED, _FRAMELESS, ["crosscheck"],
+            ["point", "--beta", "1", "--mu", "0", "--nu", "0"]]
+    _same_output_without(monkeypatch, capsys, runs,
+                         [(np.linalg, "eigh"), (np.linalg, "eigvalsh")])
 
 
 def test_sweep_json_format(tmp_path):

@@ -6,11 +6,11 @@ runs main() in-process in a fresh directory that holds only the CONFIGS
 files its argv names.  Its stdout, its stderr and its exit code ("N\\n") are
 written there as files, and every file in the directory is hashed and
 compared with golden_digests.json.  A numpy or LAPACK that moves the last
-bit of any printed value fails here.  Three steps under the digests round
+bit of any printed value fails here.  Two steps under the digests round
 as this OpenBLAS does, not as a plain sum of products: oracle._expectations'
-row-wise <psi| op psi> matmul (as spincore.expectation's @), the operator
-products of SpinOperatorSet.moment_stack, and the eigh of the
-all-directions route.  Every other oracle step is elementwise arithmetic or
+row-wise <psi| op psi> matmul (as spincore.expectation's @) and the
+operator products of SpinOperatorSet.moment_stack.  No step runs a LAPACK
+eigensolver, and every other oracle step is elementwise arithmetic or
 einsum, so another BLAS can fail these digests with correct arithmetic.
 
 A digest is re-pinned only with the case and the cause named in CHANGES.md.

@@ -489,6 +489,13 @@ def test_all_directions_coherent():
     assert lam == pytest.approx(0.5, abs=1e-9)
 
 
+def test_all_directions_rejects_a_state_of_norm_two():
+    # (1 - C)/2 holds for unit states only: at norm 2 the identity still
+    # reads 0.5 while min <J_u^2> is 2.0, and the certificate refuses it
+    with pytest.raises(RuntimeError, match=r"^all-direction minimization mismatch: 0\.5 "):
+        min_variance_all_directions(2.0 * _state(0.0, 0.0, 0.0), OPS)
+
+
 def test_sphere_scan_meets_smallest_eigenvalue():
     # every zero-mean sweep input (mu = pi/2, nu in {0, pi}) and a Bell-weight-one
     # grid; the gate is 1e-6, so this catches a bracket or a halving count
@@ -544,18 +551,19 @@ def test_all_directions_near_the_pole(seed):
     ([(1, 2), (-2, 1)], (0.5, 0.5)),
 ])
 def test_certificate_brackets_the_smallest_eigenvalue(eigvecs, eigvals):
-    # eigh's smallest pair passes and lam -+ 2 tol fails, also where the
-    # smallest eigenvalues tie and the shifted matrix's pivots are as small as tol
+    # eigvalsh's smallest eigenvalue passes and lam -+ 2 tol fails, each on
+    # its own side of the bracket, also where the smallest eigenvalues tie
+    # and the shifted matrix's pivots are as small as tol
     split = _synthetic_split(eigvecs, eigvals, np.random.default_rng(21))[None]
-    lam, vecs = np.linalg.eigh(split[0] @ split[0].T)
-    u = vecs[None, :, 0]
+    lam = np.linalg.eigvalsh(split[0] @ split[0].T)[0]
     for tol in (1e-8, 1e-6):
-        _certify("test", lam[:1], u, split, tol)
-        for wrong in (lam[0] - 2.0 * tol, lam[0] + 2.0 * tol):
-            message = (rf"^test minimization mismatch: eigen {re.escape(repr(float(wrong)))} "
-                       rf"vs u P u\^T [-+.e0-9]+, not certified within {re.escape(repr(tol))}$")
+        _certify("test", [lam], split, tol)
+        for wrong, bound in ((lam - 2.0 * tol, "above lam \\+ tol"),
+                             (lam + 2.0 * tol, "at most lam - tol")):
+            message = (rf"^test minimization mismatch: {re.escape(repr(float(wrong)))} not "
+                       rf"certified within {re.escape(repr(tol))}, min u P u\^T is {bound}$")
             with pytest.raises(RuntimeError, match=message):
-                _certify("test", [wrong], u, split, tol)
+                _certify("test", [wrong], split, tol)
 
 
 @pytest.mark.parametrize("k", [2, 3], ids=["circle", "sphere"])

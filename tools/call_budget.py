@@ -11,8 +11,8 @@ into stages by wrapping the names main, cmd_sweep and cmd_crosscheck look up:
 - grid: _betas, axis_grid and default_grid;
 - oracle: oracle_arrays, less the frameless route and the certificate it
   calls;
-- frameless route: _all_directions, the eigh of the rows without a frame,
-  less its certificate;
+- frameless route: _all_directions, lam = (1 - C)/2 of the rows without a
+  frame from the concurrences the oracle row computes, less its certificate;
 - certificate: _certify, as the oracle looks it up: the gate on both
   minimizations;
 - closed forms: mean_spin_columns (sweep) or closed_arrays (crosscheck);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Worst eigen-versus-reference gaps and certificate rejections of the
+"""Worst oracle-versus-reference gaps and certificate rejections of the
 oracle's two minimizations, as a check.
 
     python3 tools/scan_gaps.py
@@ -10,14 +10,14 @@ line gives, for the transverse minimization over the rows that have a
 transverse plane, and for the all-directions one over the fully-degenerate
 rows (the rows oracle_arrays sends that way) and over every row:
 
-- the largest |eigen - reference|.  The eigen routes are the oracle's 2x2
-  eigenvalue and the smallest eigh eigenvalue of the second-moment table;
+- the largest |oracle - reference|.  The oracle's minima are the 2x2
+  eigenvalue and, over all directions, (1 - C)/2 with C from _concurrences;
   the references are the exact bisections _transverse_scan and
   _sphere_min, run here in blocks of _BLOCK rows (oracle_arrays runs
   neither);
-- the number of rows whose eigen minimum and minimizer the oracle's gate,
-  _certify, rejects at TRANSVERSE_AGREE_TOL and ALL_DIRECTIONS_AGREE_TOL.
-  oracle_arrays raises on any such row.
+- the number of rows whose minimum the oracle's gate, _certify, rejects at
+  TRANSVERSE_AGREE_TOL and ALL_DIRECTIONS_AGREE_TOL.  oracle_arrays raises
+  on any such row.
 
 Exits 1 when any gap exceeds GAP_TOL or any rejection count is not 0, and
 0 otherwise.  The package is imported from the src/ next to this script, so
@@ -38,8 +38,9 @@ from biaxbell.frame import (  # noqa: E402
     FULLY_DEGENERATE_CODE, frame_angles, frame_triad, spin_length,
 )
 from biaxbell.oracle import (  # noqa: E402
-    _BLOCK, ALL_DIRECTIONS_AGREE_TOL, TRANSVERSE_AGREE_TOL, _certify, _eigen_min, _expectations,
-    _plane_moments, _real_split, _sphere_min, _spin1, _tables, _transverse_scan, _transverse_split,
+    _BLOCK, ALL_DIRECTIONS_AGREE_TOL, TRANSVERSE_AGREE_TOL, _certify, _concurrences, _eigen_min,
+    _expectations, _plane_moments, _real_split, _sphere_min, _spin1, _tables, _transverse_scan,
+    _transverse_split,
 )
 from biaxbell.spincore import axis_grid, superposition_states  # noqa: E402
 
@@ -48,12 +49,12 @@ SEEDS = (1, 3, 5, 7)
 GAP_TOL = 1e-12
 
 
-def rejected(lam, u, split, tol) -> int:
-    """The number of rows whose eigen minimum lam and minimizer u _certify
-    rejects: all rows at once, then one at a time only if that raises."""
+def rejected(lam, split, tol) -> int:
+    """The number of rows whose minimum lam _certify rejects: all rows at
+    once, then one at a time only if that raises."""
     def fails(rows) -> bool:
         try:
-            _certify("", lam[rows], u[rows], split[rows], tol)
+            _certify("", lam[rows], split[rows], tol)
         except RuntimeError:
             return True
         return False
@@ -68,10 +69,10 @@ def gaps(states: np.ndarray) -> dict[str, list]:
     worst = {"transverse": [0.0, 0, 0], "all-directions, degenerate": [0.0, 0, 0],
              "all-directions, every row": [0.0, 0, 0]}
 
-    def record(name, lam, scan, u, split, tol):
+    def record(name, lam, scan, split, tol):
         gap = np.abs(lam - scan)
         worst[name] = [max(worst[name][0], gap.max(initial=0.0)), worst[name][1] + gap.size,
-                       worst[name][2] + rejected(lam, u, split, tol)]
+                       worst[name][2] + rejected(lam, split, tol)]
 
     for lo in range(0, len(states), _BLOCK):
         psi = states[lo:lo + _BLOCK]
@@ -82,16 +83,14 @@ def gaps(states: np.ndarray) -> dict[str, list]:
         if not flat.all():
             vecs, moments = _plane_moments(vectors[~flat], values.real[~flat, :3],
                                            tables[~flat], frame_triad(theta, phi)[~flat, :2])
-            lam, chi = _eigen_min(*moments.T)
-            record("transverse", lam, _transverse_scan(psi[~flat], vecs, moments)[0],
-                   np.column_stack([np.cos(chi), np.sin(chi)]),
+            record("transverse", _eigen_min(*moments.T)[0],
+                   _transverse_scan(psi[~flat], vecs, moments)[0],
                    _transverse_split(psi[~flat], vecs, moments), TRANSVERSE_AGREE_TOL)
-        eigvals, eigvecs = np.linalg.eigh(tables)
-        lam, u, split = eigvals[:, 0], eigvecs[:, :, 0], _real_split(vectors[:, :3])
+        lam, split = (1.0 - _concurrences(psi)) / 2.0, _real_split(vectors[:, :3])
         scan = _sphere_min(split)
-        record("all-directions, degenerate", lam[flat], scan[flat], u[flat], split[flat],
+        record("all-directions, degenerate", lam[flat], scan[flat], split[flat],
                ALL_DIRECTIONS_AGREE_TOL)
-        record("all-directions, every row", lam, scan, u, split, ALL_DIRECTIONS_AGREE_TOL)
+        record("all-directions, every row", lam, scan, split, ALL_DIRECTIONS_AGREE_TOL)
     return worst
 
 
